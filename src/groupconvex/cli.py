@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Any
 
@@ -178,28 +179,46 @@ def _set_from_literal(group: Group, literal: dict) -> PointSet:
 _PARAM_KEYS = ("n0", "horizon", "budget", "seed", "max_iter")
 
 
+@contextmanager
+def _reading(what: str):
+    """Report a literal of the wrong shape as a ParseError naming ``what``."""
+    try:
+        yield
+    except (KeyError, TypeError, ZeroDivisionError, AttributeError) as err:
+        raise ParseError(f"malformed {what}: {type(err).__name__}: {err}") from err
+
+
 def session_from_dict(data: dict) -> Instance:
     if "group" not in data or "metric" not in data:
         raise ParseError("a session needs 'group' and 'metric' entries")
-    group = _group_from_literal(data["group"])
-    metric = _metric_from_literal(data["metric"])
+    with _reading("group"):
+        group = _group_from_literal(data["group"])
+    with _reading("metric"):
+        metric = _metric_from_literal(data["metric"])
     verdict = validate_metric(group, metric)
     if not verdict.proved:
         raise ValidationError(
             f"metric failed validation: {verdict.witness[0]}", witness=verdict.witness
         )
     endos = {}
-    for name, rows in data.get("endos", {}).items():
-        matrix = [[parse_scalar(str(a)) for a in row] for row in rows]
+    with _reading("endos"):
+        endo_literals = data.get("endos", {}).items()
+    for name, rows in endo_literals:
+        with _reading(f"endomorphism {name!r}"):
+            matrix = [[parse_scalar(str(a)) for a in row] for row in rows]
         endos[name] = en.make_endo(group, matrix)
     sets = {}
-    for name, literal in data.get("sets", {}).items():
-        sets[name] = _set_from_literal(group, literal)
-    raw_params = data.get("params", {})
-    unknown = set(raw_params) - set(_PARAM_KEYS)
-    if unknown:
-        raise ParseError(f"unknown parameter keys {sorted(unknown)}")
-    params = Params(**{k: int(v) for k, v in raw_params.items()})
+    with _reading("sets"):
+        set_literals = data.get("sets", {}).items()
+    for name, literal in set_literals:
+        with _reading(f"set {name!r}"):
+            sets[name] = _set_from_literal(group, literal)
+    with _reading("params"):
+        raw_params = data.get("params", {})
+        unknown = set(raw_params) - set(_PARAM_KEYS)
+        if unknown:
+            raise ParseError(f"unknown parameter keys {sorted(unknown)}")
+        params = Params(**{k: int(v) for k, v in raw_params.items()})
     return Instance(group, metric, endos=endos, sets=sets, params=params)
 
 

@@ -26,6 +26,7 @@ from .endo import zero as zero_endo
 from .errors import (
     EmptySet,
     GroupMismatch,
+    InvariantViolated,
     NotEnumerable,
     NotFinite,
     UnsupportedMixedSum,
@@ -146,8 +147,8 @@ def n_fold_sum(A: PointSet, n: int) -> PointSet:
     result = A
     for _ in range(n - 1):
         result = sumset(result, A)
-    if isinstance(A, FiniteSet):
-        assert all(contains(result, x) for x in n_dilate(A, n).elements)
+    if isinstance(A, FiniteSet) and not all(contains(result, x) for x in n_dilate(A, n).elements):
+        raise InvariantViolated(f"the dilation {n}*A is not inside [{n}]A")
     return result
 
 
@@ -260,10 +261,11 @@ def is_n_convex(A: PointSet, n: int) -> Verdict:
     parts = (g.element(bumped),) + (A.lo,) * (n - 1)
     total = reduce(g.add, parts)
     quotient = [Fraction(c, n) for c in total]
-    assert any(
+    if not any(
         q.denominator != 1 if isinstance(g, IntLattice) else q.denominator & (q.denominator - 1)
         for q in quotient
-    ), "witness construction must leave the lattice"
+    ):
+        raise InvariantViolated("witness construction must leave the lattice")
     return refuted((parts, total))
 
 
@@ -407,7 +409,8 @@ def family_of(D: PointSet) -> tuple[Endomorphism, ...]:
     members = tuple(
         T for T in all_endomorphisms(D.group) if is_T_convex(D, T).proved
     )
-    assert identity(D.group) in members and zero_endo(D.group) in members
+    if identity(D.group) not in members or zero_endo(D.group) not in members:
+        raise InvariantViolated("the family of a set holds the zero map and the identity")
     return members
 
 

@@ -29,6 +29,7 @@ from typing import Sequence
 
 from .errors import (
     GroupMismatch,
+    InvariantViolated,
     MetricGroupMismatch,
     NoConvergenceWithinBudget,
     NotAHomomorphism,
@@ -178,7 +179,8 @@ def make_endo(group: Group, rows: Sequence[Sequence], check_additivity: bool = F
                 for y in group.elements():
                     lhs = endo.apply(group.add(x, y))
                     rhs = group.add(endo.apply(x), endo.apply(y))
-                    assert lhs == rhs, f"additivity broken at {x}, {y}"
+                    if lhs != rhs:
+                        raise InvariantViolated(f"additivity broken at {x}, {y}")
     return endo
 
 
@@ -359,26 +361,15 @@ def _exact_bracket(value) -> RhoBracket:
     return RhoBracket(q, q, True)
 
 
-def _power_iteration(T: Endomorphism, cap: int) -> tuple[bool, int | None]:
-    """Walk the powers of T in the finite ring.
-
-    Returns (hits_zero, first_zero_exponent); cycles without a zero power
-    mean the root sequence of norms tends to one.
-    """
-    seen = set()
-    power = T
-    exponent = 1
-    while power not in seen:
-        if power.is_zero:
-            return True, exponent
-        seen.add(power)
-        power = power.compose(T)
-        exponent += 1
-        if exponent > cap:
-            raise NoConvergenceWithinBudget(
-                f"power walk did not close within {cap} steps"
-            )
-    return False, None
+def _prime_factor_count(n: int) -> int:
+    """Omega(n): the number of prime factors of n counted with multiplicity."""
+    count, p = 0, 2
+    while p * p <= n:
+        while n % p == 0:
+            n //= p
+            count += 1
+        p += 1
+    return count + (n > 1)
 
 
 @lru_cache(maxsize=None)
@@ -386,8 +377,10 @@ def spectral_radius(T: Endomorphism, metric: Metric, horizon: int = 8) -> RhoBra
     """Bracket the limit of the m-th roots of power norms.
 
     Finite groups are exact with value in {0, 1}: either some power is the
-    zero map (detected by cycle detection), or the norms of powers range over
-    a fixed finite set of positive values whose roots tend to one.  On Z^n
+    zero map, or the norms of powers range over a fixed finite set of
+    positive values whose roots tend to one.  T is nilpotent iff
+    T^Omega(|G|) = 0: each strict step of G > T(G) > T^2(G) > ... divides the
+    order by a prime, and a step that is not strict repeats forever.  On Z^n
     the radius is below one exactly for nilpotent matrices, because a nonzero
     integer matrix keeps a norm bounded away from zero.  On the dyadic
     lattice the bracket uses root upper bounds of power norms against root
@@ -397,8 +390,8 @@ def spectral_radius(T: Endomorphism, metric: Metric, horizon: int = 8) -> RhoBra
         raise ValueError("horizon must be >= 1")
     g = T.group
     if isinstance(g, FiniteGroup):
-        hits_zero, _ = _power_iteration(T, cap=10 ** 7)
-        return _exact_bracket(0 if hits_zero else 1)
+        nilpotent = T.power(_prime_factor_count(g.order)).is_zero
+        return _exact_bracket(0 if nilpotent else 1)
     if isinstance(g, IntLattice) and T.power(g.dim).is_zero:
         return _exact_bracket(0)
     upper = None
@@ -485,7 +478,8 @@ def neumann_inverse(T: Endomorphism, metric: Metric, max_terms: int = 64) -> End
         count += 1
     factor = identity(g).sub(T)
     ident = identity(g)
-    assert factor.compose(terms) == ident and terms.compose(factor) == ident
+    if factor.compose(terms) != ident or terms.compose(factor) != ident:
+        raise InvariantViolated("the geometric series does not invert I - T")
     return terms
 
 
@@ -516,11 +510,13 @@ def shifted_inverse(
         raise failure if failure is not None else RhoNotCertifiedBelowOne(
             "neither factorization is certified"
         )
-    assert all(c == candidates[0] for c in candidates)
+    if any(c != candidates[0] for c in candidates):
+        raise InvariantViolated("the two factorizations give different inverses")
     result = candidates[0]
     difference = S.sub(T)
     ident = identity(g)
-    assert difference.compose(result) == ident and result.compose(difference) == ident
+    if difference.compose(result) != ident or result.compose(difference) != ident:
+        raise InvariantViolated("the computed inverse does not invert S - T")
     return result
 
 

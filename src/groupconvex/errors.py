@@ -86,6 +86,10 @@ class GeneratorExhausted(GroupConvexError):
     pass
 
 
+class InvariantViolated(GroupConvexError):
+    """A result failed the check run on it before returning; signals a bug."""
+
+
 class ParseError(GroupConvexError):
     def __init__(self, message: str, line: int | None = None):
         super().__init__(message if line is None else f"line {line}: {message}")

@@ -1,15 +1,23 @@
 """Executable verification of the package's structural results.
 
-Each property identifier maps to one checker.  A checker first validates its
-own hypotheses and raises :class:`HypothesisFailed` naming the violated one;
-only then does it test the conclusion, so a hypothesis violation is never
-conflated with a refutation.  Refutations of true statements signal an
-implementation bug and carry a minimal witness.
+Each property identifier has one row in ``_SPECS``: its checker, its
+instance drawer and the preconditions that ``verify`` and the search both
+read (an expansive scalar n0, the full endomorphism ring, a pairwise
+operator statement).  Adding a property means adding one row.
+
+A checker first validates its own hypotheses and raises
+:class:`HypothesisFailed` naming the violated one; only then does it test
+the conclusion, so a hypothesis violation is never conflated with a
+refutation.  Refutations of true statements signal an implementation bug
+and carry a minimal witness.
 
 ``counterexample_search`` draws deterministic pseudo-random instances that
 satisfy a property's hypotheses and reports the first violation, the sample
 count, or ``GeneratorExhausted`` when the hypotheses are unsatisfiable (for
 example, no finite group admits an n with injectivity measure above one).
+With ``exhaustive`` set on a pinned finite group, pairwise properties walk
+End(G) x End(G) lazily, one instance per checked pair, and stop at the
+budget.
 """
 
 from __future__ import annotations
@@ -19,8 +27,8 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache, reduce
-from typing import Callable, Mapping
+from functools import lru_cache, partial, reduce
+from typing import Callable
 
 from . import convexity as cx
 from . import endo as en
@@ -29,6 +37,7 @@ from .endo import Endomorphism
 from .errors import (
     GeneratorExhausted,
     HypothesisFailed,
+    InvariantViolated,
     NotEnumerable,
     SNotInvertible,
     UnsupportedRepresentation,
@@ -95,8 +104,8 @@ _NAT_SPAN = 20
 _SUBSET_CAP = 9
 
 
-def _endo_universe(inst: Instance, exclude: tuple[str, ...] = ()) -> list[Endomorphism]:
-    named = [T for name, T in inst.endos.items() if name not in exclude]
+def _endo_universe(inst: Instance) -> list[Endomorphism]:
+    named = list(inst.endos.values())
     if named:
         return named
     if isinstance(inst.group, FiniteGroup):
@@ -146,12 +155,25 @@ def _combo(T: Endomorphism, T1: Endomorphism, T2: Endomorphism) -> Endomorphism:
     return T.compose(T1).add(ident.sub(T).compose(T2))
 
 
+_EXPANSIVE = "mu_d(n0) > 1"
+
+
 def verify(prop: PropertyId, inst: Instance) -> Verdict:
     """Run the checker for ``prop`` on ``inst``; pure in its arguments."""
     validate_status = validate_metric(inst.group, inst.metric)
     if not validate_status.proved:
         raise HypothesisFailed("the metric satisfies the norm axioms")
-    return _CHECKERS[prop](inst)
+    spec = _SPECS[prop]
+    if spec.expansive:
+        n0 = inst.params.n0
+        if n0 is None:
+            raise HypothesisFailed("parameter n0 is provided")
+        mu0 = mu_of_n(inst.group, inst.metric, n0)
+        if mu0 <= 1:
+            raise HypothesisFailed(_EXPANSIVE, f"mu_d({n0}) = {mu0}")
+    if spec.finite_only and not isinstance(inst.group, FiniteGroup):
+        raise NotEnumerable("the full endomorphism ring is needed; use a finite group")
+    return spec.check(inst)
 
 
 # ---------------------------------------------------------------------------
@@ -264,15 +286,7 @@ def _check_lemma_sr(inst: Instance) -> Verdict:
 
 def _check_thm_rct(inst: Instance) -> Verdict:
     """Cancellation: from A+C inside B+C conclude A inside B."""
-    params = inst.params
-    if params.n0 is None:
-        raise HypothesisFailed("parameter n0 is provided")
-    g, m = inst.group, inst.metric
-    if mu_of_n(g, m, params.n0) <= 1:
-        raise HypothesisFailed(
-            "mu_d(n0) > 1",
-            f"mu_d({params.n0}) = {mu_of_n(g, m, params.n0)}",
-        )
+    params, g = inst.params, inst.group
     A = _named_set(inst, "A")
     B = _named_set(inst, "B")
     C = _named_set(inst, "C")
@@ -456,8 +470,6 @@ def _check_lem_tc(inst: Instance) -> Verdict:
 
 def _check_thm_p1(inst: Instance) -> Verdict:
     """The family of a set is convex under its own induced combinations."""
-    if not isinstance(inst.group, FiniteGroup):
-        raise NotEnumerable("the full endomorphism ring is needed; use a finite group")
     for name, D in _candidate_sets(inst):
         family = frozenset(cx.family_of(D))
         if en.zero(inst.group) not in family or en.identity(inst.group) not in family:
@@ -472,8 +484,6 @@ def _check_thm_p1(inst: Instance) -> Verdict:
 
 def _check_cor_1(inst: Instance) -> Verdict:
     """Families are closed under composition, reflection and pair mixing."""
-    if not isinstance(inst.group, FiniteGroup):
-        raise NotEnumerable("the full endomorphism ring is needed; use a finite group")
     ident = en.identity(inst.group)
     for name, D in _candidate_sets(inst):
         family = frozenset(cx.family_of(D))
@@ -559,11 +569,6 @@ def _interval_image(diag: tuple, lo: Vector, hi: Vector) -> tuple[list, list]:
 
 def _nk_hypotheses(inst: Instance, need_closed_conclusion: bool):
     g, m, params = inst.group, inst.metric, inst.params
-    if params.n0 is None:
-        raise HypothesisFailed("parameter n0 is provided")
-    mu0 = mu_of_n(g, m, params.n0)
-    if mu0 <= 1:
-        raise HypothesisFailed("mu_d(n0) > 1", f"mu_d({params.n0}) = {mu0}")
     D = _named_set(inst, "D")
     if not inst.endos:
         raise HypothesisFailed("a family T_1..T_n is provided")
@@ -596,6 +601,8 @@ def _nk_hypotheses(inst: Instance, need_closed_conclusion: bool):
 def _sum_inclusion(inst: Instance, with_closure: bool) -> Verdict:
     D, family, total = _nk_hypotheses(inst, need_closed_conclusion=not with_closure)
     g, params = inst.group, inst.params
+    if isinstance(g, IntLattice) and isinstance(D, BoxSet):
+        D = cx.finite_set(g, cx._box_points(D))  # a box of Z^n is a finite set
     if isinstance(D, FiniteSet):
         images = [cx.image_set(D, T) for T in family]
         lhs = reduce(cx.sumset, images)
@@ -604,10 +611,6 @@ def _sum_inclusion(inst: Instance, with_closure: bool) -> Verdict:
             if not cx.contains(rhs, point):
                 return refuted((point,))
         return proved()
-
-    if isinstance(g, IntLattice):
-        points = cx._box_points(D)
-        return _sum_inclusion_finite_like(g, points, family, total)
 
     diags = [_diag_or_raise(T) for T in family]
     total_diag = _diag_or_raise(total)
@@ -695,34 +698,9 @@ def _extreme_witness(g, D, family, maximize: bool):
     return (tuple(xs), point)
 
 
-def _sum_inclusion_finite_like(g, points, family, total) -> Verdict:
-    images = [{T.apply(x) for x in points} for T in family]
-    current = {g.zero()}
-    for img in images:
-        current = {g.add(a, b) for a in current for b in img}
-    rhs = {total.apply(x) for x in points}
-    for point in sorted(current):
-        if point not in rhs:
-            return refuted((point,))
-    return proved()
-
-
-def _check_thm_nk(inst: Instance) -> Verdict:
-    return _sum_inclusion(inst, with_closure=True)
-
-
-def _check_thm_nk_plus(inst: Instance) -> Verdict:
-    return _sum_inclusion(inst, with_closure=False)
-
-
 def _check_cor_nkc1(inst: Instance) -> Verdict:
     """A compact n0-convex set is n-convex for every n."""
-    g, m, params = inst.group, inst.metric, inst.params
-    if params.n0 is None:
-        raise HypothesisFailed("parameter n0 is provided")
-    mu0 = mu_of_n(g, m, params.n0)
-    if mu0 <= 1:
-        raise HypothesisFailed("mu_d(n0) > 1", f"mu_d({params.n0}) = {mu0}")
+    params = inst.params
     D = _named_set(inst, "D")
     if not isinstance(D, FiniteSet):
         raise HypothesisFailed("D is compact (modeled as an explicit finite set)")
@@ -774,31 +752,8 @@ def _check_exa_tilde(inst: Instance) -> Verdict:
     return proved(witness=(combined,))
 
 
-_CHECKERS: Mapping[PropertyId, Callable[[Instance], Verdict]] = {
-    PropertyId.LEMMA_MU: _check_lemma_mu,
-    PropertyId.COR_MU: _check_cor_mu,
-    PropertyId.LEMMA_NX: _check_lemma_nx,
-    PropertyId.THM_RCT: _check_thm_rct,
-    PropertyId.LEMMA_SR: _check_lemma_sr,
-    PropertyId.THM_NIT: _check_thm_nit,
-    PropertyId.COR_NIT: _check_cor_nit,
-    PropertyId.THM_0: _check_thm_0,
-    PropertyId.LEM_TC: _check_lem_tc,
-    PropertyId.THM_P1: _check_thm_p1,
-    PropertyId.COR_1: _check_cor_1,
-    PropertyId.THM_2: _check_thm_2,
-    PropertyId.THM_NK: _check_thm_nk,
-    PropertyId.THM_NK_PLUS: _check_thm_nk_plus,
-    PropertyId.COR_NKC1: _check_cor_nkc1,
-    PropertyId.COR_NKC2: _check_cor_nkc2,
-    PropertyId.EXA_TILDE: _check_exa_tilde,
-}
-
-assert set(_CHECKERS) == set(PropertyId), "every property maps to one checker"
-
-
 # ---------------------------------------------------------------------------
-# Randomized counterexample search
+# The property table: instance drawers, specs and the seeded search
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -814,17 +769,6 @@ class GeneratorConfig:
     entry_range: tuple[int, int] = (-3, 3)
     set_size: tuple[int, int] = (1, 4)
     exhaustive: bool = False
-
-
-_NEEDS_EXPANSIVE_SCALAR = {
-    PropertyId.THM_RCT,
-    PropertyId.THM_NK,
-    PropertyId.THM_NK_PLUS,
-    PropertyId.COR_NKC1,
-    PropertyId.COR_NKC2,
-}
-
-_FINITE_ONLY = {PropertyId.THM_P1, PropertyId.COR_1}
 
 
 def _draw_group(gen: GeneratorConfig, rng: random.Random) -> Group:
@@ -864,6 +808,20 @@ def _draw_endo(group: Group, gen: GeneratorConfig, rng: random.Random) -> Endomo
     return en.make_endo(group, rows)
 
 
+def _draw_endos(group: Group, gen: GeneratorConfig, rng: random.Random) -> dict:
+    return {f"T{i + 1}": _draw_endo(group, gen, rng) for i in range(rng.randint(1, 3))}
+
+
+def _draw_nilpotent(group: Group, gen: GeneratorConfig, rng: random.Random) -> Endomorphism:
+    """A strictly upper-triangular lattice matrix, so its radius is zero."""
+    n = group.dim
+    rows = [
+        [rng.randint(*gen.entry_range) if j > i else 0 for j in range(n)]
+        for i in range(n)
+    ]
+    return en.make_endo(group, rows)
+
+
 def _unit_box_diag(group: Group, rng: random.Random) -> Endomorphism:
     choices = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
     n = group.dim
@@ -871,19 +829,17 @@ def _unit_box_diag(group: Group, rng: random.Random) -> Endomorphism:
     return en.make_endo(group, rows)
 
 
+def _draw_point(group: Group, rng: random.Random) -> list:
+    if isinstance(group, FiniteGroup):
+        return [rng.randrange(m) for m in group.moduli]
+    if isinstance(group, IntLattice):
+        return [rng.randint(-3, 3) for _ in range(group.dim)]
+    return [Fraction(rng.randint(-8, 8), 1 << rng.randint(0, 2)) for _ in range(group.dim)]
+
+
 def _draw_finite_set(group: Group, gen: GeneratorConfig, rng: random.Random) -> FiniteSet:
     size = rng.randint(*gen.set_size)
-    points = []
-    for _ in range(size):
-        if isinstance(group, FiniteGroup):
-            points.append([rng.randrange(m) for m in group.moduli])
-        elif isinstance(group, IntLattice):
-            points.append([rng.randint(-3, 3) for _ in range(group.dim)])
-        else:
-            points.append(
-                [Fraction(rng.randint(-8, 8), 1 << rng.randint(0, 2)) for _ in range(group.dim)]
-            )
-    return cx.finite_set(group, points)
+    return cx.finite_set(group, [_draw_point(group, rng) for _ in range(size)])
 
 
 def _draw_box(group: Group, rng: random.Random) -> BoxSet:
@@ -900,193 +856,213 @@ def _draw_box(group: Group, rng: random.Random) -> BoxSet:
     return cx.box_set(group, lo, hi)
 
 
-def _retry(rng: random.Random, attempts: int, draw, accept):
+def _draw_endo_until(group, gen, rng, accept, attempts: int = 200) -> Endomorphism:
     for _ in range(attempts):
-        candidate = draw()
-        if accept(candidate):
-            return candidate
+        T = _draw_endo(group, gen, rng)
+        if accept(T):
+            return T
     raise GeneratorExhausted("could not satisfy the hypotheses within the retry budget")
 
 
-def _build_instance(prop: PropertyId, gen: GeneratorConfig, rng: random.Random) -> Instance:
+def _below_one(T: Endomorphism, metric: Metric) -> bool:
+    return en.spectral_radius(T, metric, 4).certified_below_one
+
+
+def _require_complete(group: Group) -> None:
+    if not group.complete:
+        raise GeneratorExhausted("the dyadic lattice is not complete")
+
+
+def _draw_sum_box(group: Group, rng: random.Random) -> BoxSet:
+    if not isinstance(group, DyadicLattice):
+        raise GeneratorExhausted(
+            "box instances for sum-inclusion properties use the dyadic lattice"
+        )
+    return _draw_box(group, rng)
+
+
+def _draw_operators(group, metric, params, gen, rng) -> Instance:
+    return Instance(group, metric, endos=_draw_endos(group, gen, rng), params=params)
+
+
+def _draw_operators_and_set(group, metric, params, gen, rng) -> Instance:
+    endos = _draw_endos(group, gen, rng)
+    sets = {"D1": _draw_finite_set(group, gen, rng)}
+    return Instance(group, metric, endos=endos, sets=sets, params=params)
+
+
+def _draw_set(group, metric, params, gen, rng) -> Instance:
+    return Instance(group, metric, sets={"D": _draw_finite_set(group, gen, rng)}, params=params)
+
+
+def _draw_thm_rct(group, metric, params, gen, rng) -> Instance:
+    if isinstance(group, DyadicLattice):
+        B = _draw_box(group, rng)
+    else:
+        B = cx.finite_set(group, [[rng.randint(-2, 2) for _ in range(group.dim)]])
+    C = _draw_finite_set(group, gen, rng)
+    inner = random.Random(rng.randrange(2 ** 30))
+    size = rng.randint(*gen.set_size)
+    A = cx.finite_set(group, [cx.sample(B, inner) for _ in range(size)])
+    return Instance(group, metric, sets={"A": A, "B": B, "C": C}, params=params)
+
+
+def _draw_thm_nit(group, metric, params, gen, rng) -> Instance:
+    _require_complete(group)
+    if isinstance(group, FiniteGroup):
+        T = _draw_endo_until(group, gen, rng, lambda T: _below_one(T, metric))
+    else:
+        T = _draw_nilpotent(group, gen, rng)
+    return Instance(group, metric, endos={"T": T}, params=params)
+
+
+def _draw_cor_nit(group, metric, params, gen, rng) -> Instance:
+    _require_complete(group)
+    if isinstance(group, FiniteGroup):
+        S = _draw_endo_until(group, gen, rng, lambda S: en.try_inverse(S) is not None)
+        s_inv = en.try_inverse(S)
+        T = _draw_endo_until(
+            group, gen, rng,
+            lambda T: _below_one(T.compose(s_inv), metric) or _below_one(s_inv.compose(T), metric),
+        )
+    else:
+        S = en.identity(group)
+        T = _draw_nilpotent(group, gen, rng)
+    return Instance(group, metric, endos={"S": S, "T": T}, params=params)
+
+
+def _draw_thm_0(group, metric, params, gen, rng) -> Instance:
+    if gen.family == "finite" and gen.group is None:
+        # the checker's cost grows with the cube of the order
+        group = FiniteGroup((rng.randint(4, 9),))
+        metric = _metric_for(gen, group)
+    endos = _draw_endos(group, gen, rng)
+    family = list(endos.values())
+    seed_set = _draw_finite_set(group, gen, rng)
+    endos["A"] = en.scaling(group, rng.randint(0, 6))  # commutes with all
+    if isinstance(group, FiniteGroup):
+        # family-convex sets are produced by closing a random seed
+        D1, complete = cx.convex_hull(seed_set, family, max_iter=40)
+        if not complete:
+            raise GeneratorExhausted("hull iteration did not close")
+    else:
+        # singletons are family-convex for any endomorphisms
+        rng_pts = random.Random(rng.randrange(2 ** 30))
+        single = _draw_finite_set(group, gen, rng_pts).elements[:1]
+        D1 = cx.finite_set(group, single)
+    return Instance(group, metric, endos=endos, sets={"D1": D1}, params=params)
+
+
+def _draw_thm_2(group, metric, params, gen, rng) -> Instance:
+    if gen.family == "finite" and gen.group is None:
+        lo, hi = gen.moduli_range
+        odd = [m for m in range(lo, hi + 1) if m % 2 == 1 and m >= 3]
+        if not odd:
+            raise GeneratorExhausted("no odd moduli in range; 2-divisibility fails")
+        count = rng.randint(1, gen.max_factors)
+        group = FiniteGroup(tuple(odd[rng.randrange(len(odd))] for _ in range(count)))
+        metric = _metric_for(gen, group)
+    if isinstance(group, FiniteGroup):
+        if not group.divisible_by(2):
+            raise GeneratorExhausted("the pinned group is not 2-divisible")
+        ident = en.identity(group)
+        T = _draw_endo_until(
+            group, gen, rng, lambda T: _below_one(T.scale(2).sub(ident), metric), attempts=400
+        )
+        seed_set = _draw_finite_set(group, gen, rng)
+        hull, _ = cx.convex_hull(seed_set, [T])
+        return Instance(group, metric, endos={"T": T}, sets={"D": hull}, params=params)
+    if isinstance(group, IntLattice):
+        raise GeneratorExhausted("the integer lattice is not 2-divisible")
+    T = _unit_box_diag(group, rng)
+    diag = cx._diagonal(T)
+    if any(t in (0, 1) for t in diag):
+        T = en.halve(en.identity(group))
+    D = _draw_box(group, rng)
+    return Instance(group, metric, endos={"T": T}, sets={"D": D}, params=params)
+
+
+def _draw_thm_nk(group, metric, params, gen, rng) -> Instance:
+    D = _draw_sum_box(group, rng)
+    endos = {f"T{i + 1}": _unit_box_diag(group, rng) for i in range(rng.randint(2, 3))}
+    return Instance(group, metric, endos=endos, sets={"D": D}, params=params)
+
+
+def _draw_cor_nkc1(group, metric, params, gen, rng) -> Instance:
+    D = cx.finite_set(group, [_draw_point(group, rng)])
+    return Instance(group, metric, sets={"D": D}, params=params)
+
+
+def _draw_cor_nkc2(group, metric, params, gen, rng) -> Instance:
+    D = _draw_sum_box(group, rng)
+    # an invertible total: the drawn diagonal and its complement sum to the
+    # identity, and both keep any box convex.
+    first = _unit_box_diag(group, rng)
+    endos = {"T1": first, "T2": en.identity(group).sub(first)}
+    return Instance(group, metric, endos=endos, sets={"D": D}, params=params)
+
+
+def _draw_bare(group, metric, params, gen, rng) -> Instance:
+    return Instance(group, metric, params=params)
+
+
+@dataclass(frozen=True)
+class PropertySpec:
+    """One property: its checker, its instance drawer and its preconditions.
+
+    ``draw(group, metric, params, gen, rng)`` consumes ``rng`` in a fixed
+    order, so a search replays from its seed.  Flags: ``expansive`` needs n0
+    with injectivity measure above one, ``finite_only`` enumerates End(G),
+    ``pairwise`` lets an exhaustive search walk End(G) x End(G).
+    """
+
+    check: Callable[[Instance], Verdict]
+    draw: Callable[..., Instance]
+    expansive: bool = False
+    finite_only: bool = False
+    pairwise: bool = False
+
+
+_SPECS: dict[PropertyId, PropertySpec] = {
+    PropertyId.LEMMA_MU: PropertySpec(_check_lemma_mu, _draw_operators, pairwise=True),
+    PropertyId.COR_MU: PropertySpec(_check_cor_mu, _draw_operators, pairwise=True),
+    PropertyId.LEMMA_NX: PropertySpec(_check_lemma_nx, _draw_operators_and_set),
+    PropertyId.THM_RCT: PropertySpec(_check_thm_rct, _draw_thm_rct, expansive=True),
+    PropertyId.LEMMA_SR: PropertySpec(_check_lemma_sr, _draw_operators, pairwise=True),
+    PropertyId.THM_NIT: PropertySpec(_check_thm_nit, _draw_thm_nit),
+    PropertyId.COR_NIT: PropertySpec(_check_cor_nit, _draw_cor_nit),
+    PropertyId.THM_0: PropertySpec(_check_thm_0, _draw_thm_0),
+    PropertyId.LEM_TC: PropertySpec(_check_lem_tc, _draw_operators_and_set),
+    PropertyId.THM_P1: PropertySpec(_check_thm_p1, _draw_set, finite_only=True),
+    PropertyId.COR_1: PropertySpec(_check_cor_1, _draw_set, finite_only=True),
+    PropertyId.THM_2: PropertySpec(_check_thm_2, _draw_thm_2),
+    PropertyId.THM_NK: PropertySpec(partial(_sum_inclusion, with_closure=True), _draw_thm_nk, expansive=True),
+    PropertyId.THM_NK_PLUS: PropertySpec(partial(_sum_inclusion, with_closure=False), _draw_thm_nk, expansive=True),
+    PropertyId.COR_NKC1: PropertySpec(_check_cor_nkc1, _draw_cor_nkc1, expansive=True),
+    PropertyId.COR_NKC2: PropertySpec(_check_cor_nkc2, _draw_cor_nkc2, expansive=True),
+    PropertyId.EXA_TILDE: PropertySpec(_check_exa_tilde, _draw_bare),
+}
+
+if set(_SPECS) != set(PropertyId):
+    raise InvariantViolated("every property has exactly one spec row")
+
+
+def _build_instance(spec: PropertySpec, gen: GeneratorConfig, rng: random.Random) -> Instance:
     group = _draw_group(gen, rng)
     metric = _metric_for(gen, group)
     params = Params(seed=rng.randrange(2 ** 30))
-
-    if prop in _NEEDS_EXPANSIVE_SCALAR:
+    if spec.expansive:
         if isinstance(group, FiniteGroup):
             raise GeneratorExhausted(
                 "mu_d(n) <= 1 for every n on a finite group: any element of "
                 "maximal norm has ||n*x|| <= ||x||, so the hypothesis "
-                "mu_d(n0) > 1 is unsatisfiable"
+                f"{_EXPANSIVE} is unsatisfiable"
             )
         n0 = 2 if isinstance(group, IntLattice) else 2 ** rng.randint(1, 2)
         params = Params(n0=n0, seed=rng.randrange(2 ** 30), budget=8)
-
-    if prop is PropertyId.THM_RCT:
-        if isinstance(group, DyadicLattice):
-            B = _draw_box(group, rng)
-        else:
-            B = cx.finite_set(group, [[rng.randint(-2, 2) for _ in range(group.dim)]])
-        C = _draw_finite_set(group, gen, rng)
-        inner = random.Random(rng.randrange(2 ** 30))
-        size = rng.randint(*gen.set_size)
-        A = cx.finite_set(group, [cx.sample(B, inner) for _ in range(size)])
-        return Instance(group, metric, sets={"A": A, "B": B, "C": C}, params=params)
-
-    if prop in (PropertyId.THM_NK, PropertyId.THM_NK_PLUS, PropertyId.COR_NKC2):
-        if not isinstance(group, DyadicLattice):
-            raise GeneratorExhausted(
-                "box instances for sum-inclusion properties use the dyadic lattice"
-            )
-        D = _draw_box(group, rng)
-        endos = {}
-        if prop is PropertyId.COR_NKC2:
-            # an invertible total: the drawn diagonal and its complement sum
-            # to the identity, and both keep any box convex.
-            first = _unit_box_diag(group, rng)
-            endos["T1"] = first
-            endos["T2"] = en.identity(group).sub(first)
-        else:
-            for i in range(rng.randint(2, 3)):
-                endos[f"T{i + 1}"] = _unit_box_diag(group, rng)
-        return Instance(group, metric, endos=endos, sets={"D": D}, params=params)
-
-    if prop is PropertyId.COR_NKC1:
-        point = [Fraction(rng.randint(-8, 8), 1 << rng.randint(0, 2)) for _ in range(group.dim)]
-        D = cx.finite_set(group, [point])
-        return Instance(group, metric, sets={"D": D}, params=params)
-
-    if prop is PropertyId.THM_NIT:
-        if isinstance(group, DyadicLattice):
-            raise GeneratorExhausted("the dyadic lattice is not complete")
-        if isinstance(group, FiniteGroup):
-            T = _retry(
-                rng,
-                200,
-                lambda: _draw_endo(group, gen, rng),
-                lambda T: en.spectral_radius(T, metric, 4).certified_below_one,
-            )
-        else:
-            n = group.dim
-            rows = [
-                [rng.randint(*gen.entry_range) if j > i else 0 for j in range(n)]
-                for i in range(n)
-            ]
-            T = en.make_endo(group, rows)
-        return Instance(group, metric, endos={"T": T}, params=params)
-
-    if prop is PropertyId.COR_NIT:
-        if isinstance(group, DyadicLattice):
-            raise GeneratorExhausted("the dyadic lattice is not complete")
-        if isinstance(group, FiniteGroup):
-            S = _retry(
-                rng,
-                200,
-                lambda: _draw_endo(group, gen, rng),
-                lambda S: en.try_inverse(S) is not None,
-            )
-            s_inv = en.try_inverse(S)
-            T = _retry(
-                rng,
-                200,
-                lambda: _draw_endo(group, gen, rng),
-                lambda T: en.spectral_radius(T.compose(s_inv), metric, 4).certified_below_one
-                or en.spectral_radius(s_inv.compose(T), metric, 4).certified_below_one,
-            )
-        else:
-            S = en.identity(group)
-            n = group.dim
-            rows = [
-                [rng.randint(*gen.entry_range) if j > i else 0 for j in range(n)]
-                for i in range(n)
-            ]
-            T = en.make_endo(group, rows)
-        return Instance(group, metric, endos={"S": S, "T": T}, params=params)
-
-    if prop is PropertyId.THM_2:
-        if gen.family == "finite" and gen.group is None:
-            lo, hi = gen.moduli_range
-            odd = [m for m in range(lo, hi + 1) if m % 2 == 1 and m >= 3]
-            if not odd:
-                raise GeneratorExhausted("no odd moduli in range; 2-divisibility fails")
-            count = rng.randint(1, gen.max_factors)
-            group = FiniteGroup(tuple(odd[rng.randrange(len(odd))] for _ in range(count)))
-            metric = _metric_for(gen, group)
-        if isinstance(group, FiniteGroup):
-            if not group.divisible_by(2):
-                raise GeneratorExhausted("the pinned group is not 2-divisible")
-            ident = en.identity(group)
-            T = _retry(
-                rng,
-                400,
-                lambda: _draw_endo(group, gen, rng),
-                lambda T: en.spectral_radius(T.scale(2).sub(ident), metric, 4).certified_below_one,
-            )
-            seed_set = _draw_finite_set(group, gen, rng)
-            hull, _ = cx.convex_hull(seed_set, [T])
-            return Instance(group, metric, endos={"T": T}, sets={"D": hull}, params=params)
-        if isinstance(group, IntLattice):
-            raise GeneratorExhausted("the integer lattice is not 2-divisible")
-        T = _unit_box_diag(group, rng)
-        diag = cx._diagonal(T)
-        if any(t in (0, 1) for t in diag):
-            T = en.halve(en.identity(group))
-        D = _draw_box(group, rng)
-        return Instance(group, metric, endos={"T": T}, sets={"D": D}, params=params)
-
-    if prop is PropertyId.EXA_TILDE:
-        return Instance(group, metric, params=params)
-
-    if prop in _FINITE_ONLY:
-        if not isinstance(group, FiniteGroup):
-            raise GeneratorExhausted("the full endomorphism ring must be enumerable")
-        D = _draw_finite_set(group, gen, rng)
-        return Instance(group, metric, sets={"D": D}, params=params)
-
-    # inequality suites and structural checks: draw a few endos and sets
-    if prop is PropertyId.THM_0 and gen.family == "finite" and gen.group is None:
-        # the checker's cost grows with the cube of the order
-        group = FiniteGroup((rng.randint(4, 9),))
-        metric = _metric_for(gen, group)
-    endos = {f"T{i + 1}": _draw_endo(group, gen, rng) for i in range(rng.randint(1, 3))}
-    sets = {}
-    if prop in (PropertyId.LEMMA_NX, PropertyId.LEM_TC, PropertyId.THM_0):
-        sets["D1"] = _draw_finite_set(group, gen, rng)
-        if prop is PropertyId.THM_0:
-            endos["A"] = en.scaling(group, rng.randint(0, 6))  # commutes with all
-            family = [T for name, T in endos.items() if name != "A"]
-            if isinstance(group, FiniteGroup):
-                # family-convex sets are produced by closing a random seed
-                hull, complete = cx.convex_hull(sets["D1"], family, max_iter=40)
-                if not complete:
-                    raise GeneratorExhausted("hull iteration did not close")
-                sets = {"D1": hull}
-            else:
-                # singletons are family-convex for any endomorphisms
-                rng_pts = random.Random(rng.randrange(2 ** 30))
-                single = _draw_finite_set(group, gen, rng_pts).elements[:1]
-                sets = {"D1": cx.finite_set(group, single)}
-    return Instance(group, metric, endos=endos, sets=sets, params=params)
-
-
-def _exhaustive_instances(prop: PropertyId, gen: GeneratorConfig) -> list[Instance] | None:
-    """Full enumeration for pairwise operator properties on a pinned group."""
-    if not gen.exhaustive or gen.group is None:
-        return None
-    if not isinstance(gen.group, FiniteGroup):
-        return None
-    if prop not in (PropertyId.LEMMA_MU, PropertyId.COR_MU, PropertyId.LEMMA_SR):
-        return None
-    metric = _metric_for(gen, gen.group)
-    ring = en.all_endomorphisms(gen.group)
-    out = []
-    for T in ring:
-        for S in ring:
-            out.append(
-                Instance(gen.group, metric, endos={"T": T, "S": S})
-            )
-    return out
+    if spec.finite_only and not isinstance(group, FiniteGroup):
+        raise GeneratorExhausted("the full endomorphism ring must be enumerable")
+    return spec.draw(group, metric, params, gen, rng)
 
 
 def counterexample_search(
@@ -1100,26 +1076,16 @@ def counterexample_search(
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    finite_family = isinstance(gen.group, FiniteGroup) or (
-        gen.group is None and gen.family == "finite"
-    )
-    if prop in _NEEDS_EXPANSIVE_SCALAR and finite_family:
-        raise GeneratorExhausted(
-            "mu_d(n) <= 1 for every n on a finite group: any element of "
-            "maximal norm has ||n*x|| <= ||x||, so the hypothesis "
-            "mu_d(n0) > 1 is unsatisfiable"
-        )
-    if prop in _FINITE_ONLY and not finite_family:
-        raise GeneratorExhausted("the full endomorphism ring must be enumerable")
+    spec = _SPECS[prop]
 
-    exhaustive = _exhaustive_instances(prop, gen)
-    if exhaustive is not None:
-        ran = 0
-        for inst in exhaustive:
-            if ran >= budget:
-                return unfalsified(ran)
+    if gen.exhaustive and spec.pairwise and isinstance(gen.group, FiniteGroup):
+        metric = _metric_for(gen, gen.group)
+        ring = en.all_endomorphisms(gen.group)
+        for checked, (T, S) in enumerate(itertools.product(ring, ring)):
+            if checked >= budget:
+                return unfalsified(checked)
+            inst = Instance(gen.group, metric, endos={"T": T, "S": S})
             verdict = verify(prop, inst)
-            ran += 1
             if verdict.refuted:
                 return refuted((inst,) + verdict.witness)
         return proved()
@@ -1128,7 +1094,7 @@ def counterexample_search(
     checked = 0
     stalls = 0
     while checked < budget:
-        inst = _build_instance(prop, gen, rng)
+        inst = _build_instance(spec, gen, rng)
         try:
             verdict = verify(prop, inst)
         except HypothesisFailed:

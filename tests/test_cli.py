@@ -1,7 +1,10 @@
+import copy
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupconvex import FiniteGroup, Params, finite_set, scaling
 from groupconvex.cli import (
@@ -368,3 +371,71 @@ def test_box_convexity_through_cli(tmp_path, capsys):
     assert main(["is-n-convex", str(session), "D", "4"]) == EXIT_OK
     capsys.readouterr()
     assert main(["is-n-convex", str(session), "D", "3"]) == EXIT_REFUTED
+
+
+TABLE_SESSION = """
+{
+  "group": {"kind": "finite", "moduli": [3]},
+  "metric": {"kind": "table", "values": {"0": "0", "1": "1", "2": "1"}},
+  "endos": {"N": [["2"]]},
+  "params": {"horizon": 4, "budget": 10}
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "session",
+    [
+        {"group": {"kind": "finite"}, "metric": {"kind": "cyclic", "weights": ["1"]}},
+        {"group": {"kind": "finite", "moduli": [9]}, "metric": {"kind": "cyclic", "weights": ["1/0"]}},
+        {
+            "group": {"kind": "finite", "moduli": [9]},
+            "metric": {"kind": "cyclic", "weights": ["1"]},
+            "endos": {"T": 5},
+        },
+    ],
+)
+def test_malformed_literal_is_an_input_error(tmp_path, capsys, session):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(session))
+    with pytest.raises(ParseError):
+        parse_session_text(json.dumps(session))
+    assert main(["norm", str(path), "0"]) == EXIT_INPUT
+    assert "malformed" in capsys.readouterr().err
+
+
+def _json_paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _json_paths(value, prefix + (key,))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from _json_paths(value, prefix + (index,))
+
+
+_WRONG_VALUES = [None, True, 7, 2.5, "x", "1/0", [], {}, ["1"], [["1"]], {"k": "1"}]
+
+
+@st.composite
+def malformed_sessions(draw):
+    """A valid session with one key dropped or one value replaced."""
+    text = draw(st.sampled_from([Z9_SESSION, RCT_SESSION, ZLINE_SESSION, TABLE_SESSION]))
+    session = json.loads(text)
+    path = draw(st.sampled_from([p for p in _json_paths(session) if p]))
+    parent = session
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(_WRONG_VALUES)))
+    return session
+
+
+@settings(max_examples=300, deadline=None)
+@given(malformed_sessions())
+def test_malformed_sessions_never_escape_main(tmp_path_factory, session):
+    path = tmp_path_factory.getbasetemp() / "malformed.json"
+    path.write_text(json.dumps(session))
+    assert main(["norm", str(path), "0"]) in (EXIT_OK, EXIT_INPUT)

@@ -1,6 +1,10 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -505,3 +509,61 @@ def test_closed_form_equals_recursion_in_product_group():
     for T in all_endomorphisms(g):
         for n in range(1, 6):
             assert midpoint_closed_form(T, n) == midpoint_recursion(T, n)
+
+
+def test_finite_spectral_radius_matches_power_walk():
+    # the nilpotency test T^Omega(|G|) = 0 against the walk over powers
+    moduli_list = [
+        (2,), (4,), (8,), (9,), (12,), (2, 2), (2, 4), (4, 4),
+        (3, 9), (2, 3), (6, 4), (2, 2, 2),
+    ]
+    checked = 0
+    for moduli in moduli_list:
+        g = FiniteGroup(moduli)
+        metric = CyclicMetric(tuple(Fraction(1) for _ in moduli))
+        for T in all_endomorphisms(g):
+            assert spectral_radius(T, metric).value == oracle_rho_finite(T), (moduli, T)
+            checked += 1
+    assert checked == 1196
+
+
+_BROKEN_POSTCONDITIONS = """
+import sys
+from fractions import Fraction
+
+import groupconvex.convexity as cx
+from groupconvex import CyclicMetric, FiniteGroup, finite_set, neumann_inverse, scaling
+from groupconvex.endo import Endomorphism
+from groupconvex.errors import InvariantViolated
+from groupconvex.verdicts import refuted
+
+print("optimize", sys.flags.optimize)
+z9 = FiniteGroup((9,))
+Endomorphism.add = lambda self, other: self  # the geometric series comes out wrong
+try:
+    print("returned", neumann_inverse(scaling(z9, 3), CyclicMetric((Fraction(1),))))
+except InvariantViolated as err:
+    print("raised", err)
+cx.is_T_convex = lambda D, T: refuted(())  # no map keeps any set convex
+try:
+    print("returned", cx.family_of(finite_set(z9, [[0]])))
+except InvariantViolated as err:
+    print("raised", err)
+"""
+
+
+def test_postconditions_survive_optimized_mode():
+    import groupconvex
+
+    src = str(Path(groupconvex.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_POSTCONDITIONS],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "optimize 1",
+        "raised the geometric series does not invert I - T",
+        "raised the family of a set holds the zero map and the identity",
+    ]

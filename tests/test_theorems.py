@@ -345,3 +345,32 @@ def test_verify_rejects_invalid_metric(z9):
 
     with pytest.raises(HypothesisFailed):
         verify(PropertyId.LEMMA_MU, Instance(z9, LinfMetric((Fraction(1),))))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_search_cor_nkc1_on_integer_lattice(seed):
+    # the compact set is drawn with integer coordinates on Z^n
+    gen = GeneratorConfig(family="int")
+    verdict = counterexample_search(PropertyId.COR_NKC1, gen, budget=20, seed=seed)
+    assert verdict.unfalsified and verdict.samples == 20
+
+
+def test_sum_inclusion_on_integer_boxes(zplane, linf2):
+    # on Z^n only a one-point box is 2-convex; its sum inclusion holds exactly
+    endos = {
+        "T1": make_endo(zplane, [[2, 0], [0, 1]]),
+        "T2": make_endo(zplane, [[-1, 0], [0, 1]]),
+    }
+    point = Instance(
+        zplane, linf2, endos=endos, sets={"D": box_set(zplane, [1, -2], [1, -2])},
+        params=Params(n0=2),
+    )
+    assert verify(PropertyId.THM_NK, point).proved
+    assert verify(PropertyId.THM_NK_PLUS, point).proved
+    wide = Instance(
+        zplane, linf2, endos=endos, sets={"D": box_set(zplane, [0, 0], [1, 0])},
+        params=Params(n0=2),
+    )
+    with pytest.raises(HypothesisFailed) as err:
+        verify(PropertyId.THM_NK, wide)
+    assert "n0-convex" in err.value.hypothesis
