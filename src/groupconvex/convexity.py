@@ -286,7 +286,8 @@ def _diagonal(T: Endomorphism) -> tuple | None:
 def is_T_convex(D: PointSet, T: Endomorphism, samples: int = 64, seed: int = 0) -> Verdict:
     """Check T(x) + (I-T)(y) in D for all x, y in D.
 
-    Exhaustive over ordered pairs on finite sets.  On boxes, diagonal
+    Exhaustive over ordered pairs on finite sets.  A one-point box is convex
+    for every T, since T(x) + (I-T)(x) = x.  On other boxes, diagonal
     endomorphisms admit an exact corner analysis (the combination is linear
     in each coordinate of x and y, so extremes occur at box corners, which
     are lattice points); other endomorphisms fall back to seeded sampling.
@@ -300,6 +301,8 @@ def is_T_convex(D: PointSet, T: Endomorphism, samples: int = 64, seed: int = 0) 
                 point = _combination(T, x, y)
                 if not contains(D, point):
                     return refuted((x, y, point))
+        return proved()
+    if D.lo == D.hi:
         return proved()
     diag = _diagonal(T)
     if diag is not None:

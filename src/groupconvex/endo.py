@@ -47,7 +47,7 @@ from .groups import (
     LinfMetric,
     Metric,
     Vector,
-    norm,
+    norm_table,
 )
 from .scalars import as_fraction, as_int, is_dyadic, root_lower, root_upper
 
@@ -225,11 +225,6 @@ def all_endomorphisms(group: Group) -> tuple[Endomorphism, ...]:
 # Operator norm and injectivity measure
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _norm_table(group: FiniteGroup, metric: Metric) -> dict:
-    return {x: norm(group, metric, x) for x in group.elements()}
-
-
 def _induced_matrix_norm(rows: Matrix, metric: Metric) -> Fraction:
     """Real operator norm of a rational matrix under a weighted L1/Linf norm.
 
@@ -256,7 +251,7 @@ def op_norm(T: Endomorphism, metric: Metric) -> Fraction:
     """sup of ||T(x)|| / ||x|| over nonzero x; exact in all supported cases."""
     g = T.group
     if isinstance(g, FiniteGroup):
-        table = _norm_table(g, metric)
+        table = norm_table(g, metric)
         zero_el = g.zero()
         best = Fraction(0)
         for x, nx in table.items():
@@ -304,7 +299,7 @@ def injectivity_measure(T: Endomorphism, metric: Metric) -> Fraction:
     """
     g = T.group
     if isinstance(g, FiniteGroup):
-        table = _norm_table(g, metric)
+        table = norm_table(g, metric)
         zero_el = g.zero()
         best = None
         for x, nx in table.items():

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from functools import reduce
 
@@ -19,12 +20,15 @@ from groupconvex import (
     table_metric,
     validate_metric,
 )
+from groupconvex import groups as groups_module
+from groupconvex.endo import injectivity_measure, op_norm, scaling
 from groupconvex.errors import (
     DimensionMismatch,
     MetricGroupMismatch,
     NotDivisible,
     UnsupportedCombination,
 )
+from groupconvex.groups import norm_table
 
 dyadics = st.builds(
     lambda num, exp: Fraction(num, 2 ** exp),
@@ -191,6 +195,107 @@ def test_linf_on_finite_group_fails_evenness(z9):
     verdict = validate_metric(z9, LinfMetric((Fraction(1),)))
     assert verdict.refuted
     assert verdict.witness[0] == "evenness"
+
+
+# -- cyclic norms are norms by construction ------------------------------------
+
+def _cycle_distance(m):
+    """Path distance from each residue to 0 on the m-cycle, by breadth-first search."""
+    dist = {0: 0}
+    frontier = [0]
+    while frontier:
+        step = []
+        for a in frontier:
+            for b in ((a + 1) % m, (a - 1) % m):
+                if b not in dist:
+                    dist[b] = dist[a] + 1
+                    step.append(b)
+        frontier = step
+    return dist
+
+
+_CYCLIC_WEIGHTS = (Fraction(1), Fraction(1, 2), Fraction(3))
+_CYCLIC_GROUPS = (
+    [(m,) for m in range(2, 9)]
+    + [(m1, m2) for m1 in range(2, 9) for m2 in range(2, 9)]
+    + [(2, 3, 4)]
+)
+
+
+@pytest.mark.parametrize("moduli", _CYCLIC_GROUPS, ids=lambda ms: "x".join(f"Z{m}" for m in ms))
+def test_cyclic_norm_axioms_against_oracle(moduli):
+    # oracle: plain residues, breadth-first cycle distances and Fractions
+    elements = list(itertools.product(*[range(m) for m in moduli]))
+    zero = (0,) * len(moduli)
+    dists = [_cycle_distance(m) for m in moduli]
+    for weights in itertools.product(_CYCLIC_WEIGHTS, repeat=len(moduli)):
+        value = {
+            x: sum((w * d[a] for w, d, a in zip(weights, dists, x)), Fraction(0))
+            for x in elements
+        }
+        for x in elements:
+            assert (value[x] == 0) == (x == zero)
+            assert value[tuple((-a) % m for a, m in zip(x, moduli))] == value[x]
+            for y in elements:
+                s = tuple((a + b) % m for a, b, m in zip(x, y, moduli))
+                assert value[s] <= value[x] + value[y]
+        assert validate_metric(FiniteGroup(moduli), CyclicMetric(weights)).proved
+
+
+def test_cyclic_norm_validation_evaluates_no_norm(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a cyclic norm is a norm by construction")
+
+    monkeypatch.setattr(groups_module, "norm", refuse)
+    # a group no other test validates, so the answer is not cached already
+    assert validate_metric(FiniteGroup((10**6,)), CyclicMetric((Fraction(1),))).proved
+
+
+def test_cyclic_weight_count_mismatch_raises():
+    with pytest.raises(MetricGroupMismatch):
+        validate_metric(FiniteGroup((3, 4)), CyclicMetric((Fraction(1),)))
+
+
+def test_cyclic_metric_on_lattice_unsupported(zplane):
+    with pytest.raises(UnsupportedCombination):
+        validate_metric(zplane, CyclicMetric((Fraction(1), Fraction(1))))
+
+
+# -- table norms -----------------------------------------------------------------
+
+def test_table_missing_an_element_raises():
+    z4 = FiniteGroup((4,))
+    with pytest.raises(MetricGroupMismatch):
+        validate_metric(z4, table_metric({(0,): 0, (1,): 1, (2,): 2}))
+
+
+def test_table_metric_ignores_insertion_order():
+    z5 = FiniteGroup((5,))
+    values = {(0,): 0, (1,): 1, (2,): 2, (3,): 2, (4,): 1}
+    a = table_metric(values)
+    b = table_metric(dict(reversed(list(values.items()))))
+    assert a == b
+    assert hash(a) == hash(b)
+    first = validate_metric(z5, a)
+    before = validate_metric.cache_info()
+    assert validate_metric(z5, b) is first
+    after = validate_metric.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert first.proved
+
+
+def test_validation_and_operator_norms_share_one_norm_table():
+    g = FiniteGroup((5, 3))
+    cyclic = CyclicMetric((Fraction(1), Fraction(1, 2)))
+    t = table_metric({x: norm(g, cyclic, x) for x in g.elements()})
+    assert validate_metric(g, t).proved
+    before = norm_table.cache_info()
+    T = scaling(g, 2)
+    assert op_norm(T, t) == op_norm(T, cyclic)
+    assert injectivity_measure(T, t) == injectivity_measure(T, cyclic)
+    after = norm_table.cache_info()
+    # the table of t was built by the validation; only the cyclic one is new
+    assert after.misses == before.misses + 1
 
 
 @settings(max_examples=30)

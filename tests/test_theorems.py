@@ -367,6 +367,15 @@ def test_sum_inclusion_on_integer_boxes(zplane, linf2):
     )
     assert verify(PropertyId.THM_NK, point).proved
     assert verify(PropertyId.THM_NK_PLUS, point).proved
+    # a one-point box is T-convex for a non-diagonal T as well
+    shear = Instance(
+        zplane, linf2,
+        endos={"T1": endos["T1"], "T2": make_endo(zplane, [[-1, 1], [0, 1]])},
+        sets={"D": box_set(zplane, [1, -2], [1, -2])},
+        params=Params(n0=2),
+    )
+    assert verify(PropertyId.THM_NK, shear).proved
+    assert verify(PropertyId.THM_NK_PLUS, shear).proved
     wide = Instance(
         zplane, linf2, endos=endos, sets={"D": box_set(zplane, [0, 0], [1, 0])},
         params=Params(n0=2),
