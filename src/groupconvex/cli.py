@@ -44,7 +44,7 @@ from .groups import (
     norm,
     validate_metric,
 )
-from .scalars import format_dyadic, format_rational, parse_scalar
+from .scalars import as_int, format_rational, parse_scalar
 from .theorems import (
     GeneratorConfig,
     Instance,
@@ -72,14 +72,8 @@ _STATUS_EXIT = {
 # Scalar and element formatting
 # ---------------------------------------------------------------------------
 
-def _format_scalar(group: Group, value) -> str:
-    if isinstance(group, DyadicLattice):
-        return format_dyadic(Fraction(value))
-    return format_rational(value)
-
-
 def _format_element(group: Group, x: Vector) -> str:
-    return ",".join(_format_scalar(group, c) for c in x)
+    return ",".join(group.format_scalar(c) for c in x)
 
 
 def _parse_element(group: Group, text: str) -> Vector:
@@ -87,7 +81,7 @@ def _parse_element(group: Group, text: str) -> Vector:
 
 
 def _format_matrix(group: Group, T: Endomorphism) -> list[list[str]]:
-    return [[_format_scalar(group, a) for a in row] for row in T.matrix]
+    return [[group.format_scalar(a) for a in row] for row in T.matrix]
 
 
 def _format_set(A: PointSet) -> dict:
@@ -95,13 +89,13 @@ def _format_set(A: PointSet) -> dict:
         return {
             "kind": "finite",
             "elements": [
-                [_format_scalar(A.group, c) for c in x] for x in A.elements
+                [A.group.format_scalar(c) for c in x] for x in A.elements
             ],
         }
     return {
         "kind": "box",
-        "lo": [_format_scalar(A.group, c) for c in A.lo],
-        "hi": [_format_scalar(A.group, c) for c in A.hi],
+        "lo": [A.group.format_scalar(c) for c in A.lo],
+        "hi": [A.group.format_scalar(c) for c in A.hi],
     }
 
 
@@ -117,7 +111,7 @@ def _json_witness(group: Group, witness) -> Any:
         elif isinstance(item, tuple):
             out.append(_json_witness(group, item))
         elif isinstance(item, (int, Fraction)):
-            out.append(_format_scalar(group, item))
+            out.append(group.format_scalar(item))
         else:
             out.append(str(item))
     return out
@@ -141,11 +135,11 @@ def _verdict_record(verdict: Verdict, group: Group, prop: str | None = None) -> 
 def _group_from_literal(literal: dict) -> Group:
     kind = literal.get("kind")
     if kind == "finite":
-        return FiniteGroup(tuple(int(m) for m in literal["moduli"]))
+        return FiniteGroup(literal["moduli"])
     if kind == "int":
-        return IntLattice(int(literal["dim"]))
+        return IntLattice(literal["dim"])
     if kind == "dyadic":
-        return DyadicLattice(int(literal["dim"]))
+        return DyadicLattice(literal["dim"])
     raise ParseError(f"unknown group kind {kind!r}")
 
 
@@ -181,10 +175,10 @@ _PARAM_KEYS = ("n0", "horizon", "budget", "seed", "max_iter")
 
 @contextmanager
 def _reading(what: str):
-    """Report a literal of the wrong shape as a ParseError naming ``what``."""
+    """Report a literal of the wrong shape or value as a ParseError naming ``what``."""
     try:
         yield
-    except (KeyError, TypeError, ZeroDivisionError, AttributeError) as err:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, AttributeError) as err:
         raise ParseError(f"malformed {what}: {type(err).__name__}: {err}") from err
 
 
@@ -218,7 +212,7 @@ def session_from_dict(data: dict) -> Instance:
         unknown = set(raw_params) - set(_PARAM_KEYS)
         if unknown:
             raise ParseError(f"unknown parameter keys {sorted(unknown)}")
-        params = Params(**{k: int(v) for k, v in raw_params.items()})
+        params = Params(**{k: as_int(v) for k, v in raw_params.items()})
     return Instance(group, metric, endos=endos, sets=sets, params=params)
 
 
@@ -252,27 +246,7 @@ def parse_session(path: str) -> Instance:
 
 def session_to_dict(inst: Instance) -> dict:
     group = inst.group
-    if isinstance(group, FiniteGroup):
-        group_literal: dict[str, Any] = {"kind": "finite", "moduli": list(group.moduli)}
-    elif isinstance(group, IntLattice):
-        group_literal = {"kind": "int", "dim": group.dim}
-    else:
-        group_literal = {"kind": "dyadic", "dim": group.dim}
-    metric = inst.metric
-    if isinstance(metric, TableMetric):
-        metric_literal: dict[str, Any] = {
-            "kind": "table",
-            "values": {
-                ",".join(str(c) for c in key): format_rational(v)
-                for key, v in metric.entries
-            },
-        }
-    else:
-        metric_literal = {
-            "kind": metric.kind,
-            "weights": [format_rational(w) for w in metric.weights],
-        }
-    data: dict[str, Any] = {"group": group_literal, "metric": metric_literal}
+    data: dict[str, Any] = {"group": group.literal(), "metric": inst.metric.literal()}
     if inst.endos:
         data["endos"] = {
             name: _format_matrix(group, T) for name, T in inst.endos.items()

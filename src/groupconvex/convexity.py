@@ -249,22 +249,14 @@ def is_n_convex(A: PointSet, n: int) -> Verdict:
         return proved()
     # construct a sum that no dilated lattice point can reach
     axis = next(i for i, (a, b) in enumerate(zip(A.lo, A.hi)) if a < b)
-    width = A.hi[axis] - A.lo[axis]
-    if isinstance(g, IntLattice):
-        step = 1
-    else:
-        step = Fraction(1)
-        while step > width:
-            step /= 2
+    step = Fraction(1)
+    while step > A.hi[axis] - A.lo[axis]:
+        step /= 2
     bumped = list(A.lo)
-    bumped[axis] = A.lo[axis] + step
+    bumped[axis] += step
     parts = (g.element(bumped),) + (A.lo,) * (n - 1)
     total = reduce(g.add, parts)
-    quotient = [Fraction(c, n) for c in total]
-    if not any(
-        q.denominator != 1 if isinstance(g, IntLattice) else q.denominator & (q.denominator - 1)
-        for q in quotient
-    ):
+    if all(g.is_coordinate(Fraction(c, n)) for c in total):
         raise InvariantViolated("witness construction must leave the lattice")
     return refuted((parts, total))
 

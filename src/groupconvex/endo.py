@@ -49,7 +49,7 @@ from .groups import (
     Vector,
     norm_table,
 )
-from .scalars import as_fraction, as_int, is_dyadic, root_lower, root_upper
+from .scalars import root_lower, root_upper
 
 Matrix = tuple[tuple, ...]
 
@@ -127,29 +127,9 @@ def _same_group(a: Endomorphism, b: Endomorphism) -> None:
         raise GroupMismatch(f"{a.group} vs {b.group}")
 
 
-def _canon_rows(group: Group, rows: Sequence[Sequence]) -> Matrix:
-    if isinstance(group, FiniteGroup):
-        return tuple(
-            tuple(as_int(a) % m for a in row)
-            for row, m in zip(rows, group.moduli)
-        )
-    if isinstance(group, IntLattice):
-        return tuple(tuple(as_int(a) for a in row) for row in rows)
-    out = []
-    for row in rows:
-        entries = []
-        for a in row:
-            q = as_fraction(a)
-            if not is_dyadic(q):
-                raise ValueError(f"matrix entry {q} is not a dyadic rational")
-            entries.append(q)
-        out.append(tuple(entries))
-    return tuple(out)
-
-
 def _build(group: Group, rows: Sequence[Sequence]) -> Endomorphism:
     # internal: canonicalize only; ring operations preserve additivity.
-    return Endomorphism(group, _canon_rows(group, rows))
+    return Endomorphism(group, group.matrix(rows))
 
 
 def make_endo(group: Group, rows: Sequence[Sequence], check_additivity: bool = False) -> Endomorphism:
@@ -246,23 +226,23 @@ def _induced_matrix_norm(rows: Matrix, metric: Metric) -> Fraction:
     raise MetricGroupMismatch(f"{metric.kind} norm is not defined on lattices")
 
 
+def _ratios(T: Endomorphism, metric: Metric):
+    """||T(x)|| / ||x|| for every nonzero x of a finite group, in table order."""
+    table = norm_table(T.group, metric)
+    zero_el = T.group.zero()
+    for x, nx in table.items():
+        if x == zero_el:
+            continue
+        if nx == 0:
+            raise MetricGroupMismatch("metric is not positive definite")
+        yield table[T.apply(x)] / nx
+
+
 @lru_cache(maxsize=None)
 def op_norm(T: Endomorphism, metric: Metric) -> Fraction:
     """sup of ||T(x)|| / ||x|| over nonzero x; exact in all supported cases."""
-    g = T.group
-    if isinstance(g, FiniteGroup):
-        table = norm_table(g, metric)
-        zero_el = g.zero()
-        best = Fraction(0)
-        for x, nx in table.items():
-            if x == zero_el:
-                continue
-            if nx == 0:
-                raise MetricGroupMismatch("metric is not positive definite")
-            ratio = table[T.apply(x)] / nx
-            if ratio > best:
-                best = ratio
-        return best
+    if isinstance(T.group, FiniteGroup):
+        return max(_ratios(T, metric))
     return _induced_matrix_norm(T.matrix, metric)
 
 
@@ -297,20 +277,8 @@ def injectivity_measure(T: Endomorphism, metric: Metric) -> Fraction:
     matrices (the kernel contains a lattice direction after scaling) and
     1 / ||T^-1|| otherwise.
     """
-    g = T.group
-    if isinstance(g, FiniteGroup):
-        table = norm_table(g, metric)
-        zero_el = g.zero()
-        best = None
-        for x, nx in table.items():
-            if x == zero_el:
-                continue
-            if nx == 0:
-                raise MetricGroupMismatch("metric is not positive definite")
-            ratio = table[T.apply(x)] / nx
-            if best is None or ratio < best:
-                best = ratio
-        return best
+    if isinstance(T.group, FiniteGroup):
+        return min(_ratios(T, metric))
     inverse = _rational_inverse(T.matrix)
     if inverse is None:
         return Fraction(0)
@@ -413,31 +381,18 @@ def spectral_radius(T: Endomorphism, metric: Metric, horizon: int = 8) -> RhoBra
 def try_inverse(T: Endomorphism) -> Endomorphism | None:
     """The inverse endomorphism when T is a group automorphism, else None."""
     g = T.group
+    ident = identity(g)
     if isinstance(g, FiniteGroup):
-        images = {}
-        for x in g.elements():
-            images[T.apply(x)] = x
+        images = {T.apply(x): x for x in g.elements()}
         if len(images) != g.order:
             return None
-        n = g.dim
-        columns = []
-        for j in range(n):
-            unit = g.element([1 if i == j else 0 for i in range(n)])
-            columns.append(images[unit])
-        rows = [[columns[j][i] for j in range(n)] for i in range(n)]
-        inverse = make_endo(g, rows)
+        # column j of the inverse is the preimage of e_j, column j of I
+        inverse = make_endo(g, list(zip(*(images[e] for e in zip(*ident.matrix)))))
     else:
         rational = _rational_inverse(T.matrix)
-        if rational is None:
+        if rational is None or not all(g.is_coordinate(a) for row in rational for a in row):
             return None
-        if isinstance(g, IntLattice):
-            if any(a.denominator != 1 for row in rational for a in row):
-                return None
-        else:
-            if any(not is_dyadic(a) for row in rational for a in row):
-                return None
         inverse = _build(g, rational)
-    ident = identity(g)
     if T.compose(inverse) != ident or inverse.compose(T) != ident:
         return None
     return inverse
@@ -521,17 +476,8 @@ def shifted_inverse(
 
 def halve(T: Endomorphism) -> Endomorphism:
     """The endomorphism H with H + H = T; requires divisibility by two."""
-    g = T.group
-    if not g.divisible_by(2):
-        raise NotDivisible(f"{g} is not divisible by 2")
-    if isinstance(g, FiniteGroup):
-        rows = [
-            [(pow(2, -1, m) * a) % m for a in row]
-            for row, m in zip(T.matrix, g.moduli)
-        ]
-    else:
-        rows = [[Fraction(a, 2) for a in row] for row in T.matrix]
-    return _build(g, rows)
+    columns = [T.group.div_apply(2, column) for column in zip(*T.matrix)]
+    return Endomorphism(T.group, tuple(zip(*columns)))
 
 
 def midpoint_recursion(T: Endomorphism, n: int) -> Endomorphism:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -29,7 +30,14 @@ from .errors import (
     NotDivisible,
     UnsupportedCombination,
 )
-from .scalars import Scalar, as_fraction, as_int, is_dyadic
+from .scalars import (
+    Scalar,
+    as_fraction,
+    as_int,
+    format_dyadic,
+    format_rational,
+    is_dyadic,
+)
 from .verdicts import Verdict, proved, refuted
 
 Vector = tuple
@@ -40,14 +48,14 @@ class Group:
 
     Elements are tuples; ``element`` canonicalizes raw coordinates and all
     operations return canonical tuples.  Every operation is a pure function,
-    so values can be shared freely between concurrent executors.
+    so values can be shared freely between concurrent executors.  Each kind
+    owns what depends on it: canonical coordinates (so the columns T(e_j) of
+    an endomorphism's matrix too), divisibility, completeness and its session
+    literal.
     """
 
     kind: str = ""
-
-    @property
-    def complete(self) -> bool:
-        raise NotImplementedError
+    complete: bool
 
     @property
     def dim(self) -> int:
@@ -80,6 +88,18 @@ class Group:
         """The unique y with n*y = x; requires ``divisible_by(n)``."""
         raise NotImplementedError
 
+    def matrix(self, rows: Sequence[Sequence]) -> tuple[tuple, ...]:
+        """Canonical rows of a square matrix: column j is T(e_j), an element."""
+        raise NotImplementedError
+
+    def format_scalar(self, value: Scalar) -> str:
+        """The session-file text of a coordinate or matrix entry."""
+        return format_rational(value)
+
+    def literal(self) -> dict:
+        """The session-file literal that reads back as this group."""
+        raise NotImplementedError
+
     def _check_dim(self, coords: Sequence) -> None:
         if len(coords) != self.dim:
             raise DimensionMismatch(
@@ -98,9 +118,10 @@ class FiniteGroup(Group):
 
     moduli: tuple[int, ...]
     kind = "finite"
+    complete = True
 
     def __post_init__(self):
-        object.__setattr__(self, "moduli", tuple(int(m) for m in self.moduli))
+        object.__setattr__(self, "moduli", tuple(as_int(m) for m in self.moduli))
         if not self.moduli:
             raise ValueError("a finite group needs at least one modulus")
         if any(m < 2 for m in self.moduli):
@@ -108,10 +129,6 @@ class FiniteGroup(Group):
 
     def __str__(self):
         return "x".join(f"Z{m}" for m in self.moduli)
-
-    @property
-    def complete(self) -> bool:
-        return True
 
     @property
     def dim(self) -> int:
@@ -123,7 +140,12 @@ class FiniteGroup(Group):
 
     def element(self, coords: Sequence) -> Vector:
         self._check_dim(coords)
-        return tuple(as_int(c) % m for c, m in zip(coords, self.moduli))
+        return tuple(map(operator.mod, map(as_int, coords), self.moduli))
+
+    def matrix(self, rows):
+        return tuple(
+            tuple(as_int(a) % m for a in row) for row, m in zip(rows, self.moduli)
+        )
 
     def elements(self) -> Iterator[Vector]:
         """All elements in lexicographic order."""
@@ -153,37 +175,44 @@ class FiniteGroup(Group):
         self._check_dim(x)
         return tuple((pow(n, -1, m) * a) % m for a, m in zip(x, self.moduli))
 
+    def literal(self) -> dict:
+        return {"kind": self.kind, "moduli": list(self.moduli)}
+
 
 @dataclass(frozen=True)
-class IntLattice(Group):
-    """The free Abelian group Z^dim."""
+class _Lattice(Group):
+    """Arithmetic shared by the two lattices, whose coordinates are rationals.
+
+    A kind says which rationals are coordinates (``coordinates`` canonicalizes
+    them, ``is_coordinate`` tests one); the group is divisible by n exactly
+    when 1/n is one.
+    """
 
     lattice_dim: int
-    kind = "int"
 
     def __post_init__(self):
+        object.__setattr__(self, "lattice_dim", as_int(self.lattice_dim))
         if self.lattice_dim < 1:
             raise ValueError("dimension must be >= 1")
-
-    def __str__(self):
-        return f"Z^{self.lattice_dim}"
-
-    @property
-    def complete(self) -> bool:
-        return True
 
     @property
     def dim(self) -> int:
         return self.lattice_dim
 
+    def coordinates(self, values: Sequence) -> tuple:
+        """Canonical coordinates for exact scalars; ValueError if one has none."""
+        raise NotImplementedError
+
+    def is_coordinate(self, q: Fraction) -> bool:
+        """True iff the rational q is a coordinate of some element."""
+        raise NotImplementedError
+
     def element(self, coords):
         self._check_dim(coords)
-        return tuple(as_int(c) for c in coords)
+        return self.coordinates(coords)
 
-    def add(self, x, y):
-        self._check_dim(x)
-        self._check_dim(y)
-        return tuple(a + b for a, b in zip(x, y))
+    def matrix(self, rows):
+        return tuple(map(self.coordinates, rows))
 
     def neg(self, x):
         self._check_dim(x)
@@ -196,119 +225,108 @@ class IntLattice(Group):
 
     def divisible_by(self, n):
         _positive_index(n)
-        return n == 1
+        return self.is_coordinate(Fraction(1, n))
 
     def div_apply(self, n, x):
         if not self.divisible_by(n):
             raise NotDivisible(f"{self} is not divisible by {n}")
-        return self.element(x)
+        return self.element([Fraction(a, n) for a in x])
+
+    def literal(self) -> dict:
+        return {"kind": self.kind, "dim": self.dim}
 
 
-@dataclass(frozen=True)
-class DyadicLattice(Group):
+class IntLattice(_Lattice):
+    """The free Abelian group Z^dim."""
+
+    kind = "int"
+    complete = True
+
+    def __str__(self):
+        return f"Z^{self.lattice_dim}"
+
+    def coordinates(self, values):
+        return tuple(map(as_int, values))
+
+    def is_coordinate(self, q):
+        return q.denominator == 1
+
+    def add(self, x, y):
+        self._check_dim(x)
+        self._check_dim(y)
+        return tuple(a + b for a, b in zip(x, y))
+
+
+class DyadicLattice(_Lattice):
     """Vectors of dyadic rationals p/2^k; uniquely divisible by powers of two.
 
     This group is flagged non-complete: Cauchy sequences of dyadics need not
     converge to a dyadic point.
     """
 
-    lattice_dim: int
     kind = "dyadic"
-
-    def __post_init__(self):
-        if self.lattice_dim < 1:
-            raise ValueError("dimension must be >= 1")
+    complete = False
 
     def __str__(self):
         return f"dyadic^{self.lattice_dim}"
 
-    @property
-    def complete(self) -> bool:
-        return False
-
-    @property
-    def dim(self) -> int:
-        return self.lattice_dim
-
-    def element(self, coords):
-        self._check_dim(coords)
-        out = []
-        for c in coords:
-            q = as_fraction(c)
+    def coordinates(self, values):
+        out = tuple(map(as_fraction, values))
+        for q in out:
             if not is_dyadic(q):
                 raise ValueError(f"coordinate {q} is not a dyadic rational")
-            out.append(q)
-        return tuple(out)
+        return out
+
+    def is_coordinate(self, q):
+        return is_dyadic(q)
+
+    def format_scalar(self, value):
+        return format_dyadic(Fraction(value))
 
     def add(self, x, y):
         self._check_dim(x)
         self._check_dim(y)
         return tuple(a + b for a, b in zip(x, y))
 
-    def neg(self, x):
-        self._check_dim(x)
-        return tuple(-a for a in x)
-
-    def nat_mul(self, n, x):
-        _positive_index(n)
-        self._check_dim(x)
-        return tuple(n * a for a in x)
-
-    def divisible_by(self, n):
-        _positive_index(n)
-        return n & (n - 1) == 0
-
-    def div_apply(self, n, x):
-        if not self.divisible_by(n):
-            raise NotDivisible(f"{self} is not divisible by {n}")
-        self._check_dim(x)
-        return tuple(Fraction(a, n) for a in x)
-
 
 # ---------------------------------------------------------------------------
 # Norms
 # ---------------------------------------------------------------------------
 
-def _coerce_weights(weights) -> tuple[Fraction, ...]:
-    out = tuple(as_fraction(w) for w in weights)
-    if not out:
-        raise ValueError("at least one weight is required")
-    if any(w <= 0 for w in out):
-        raise ValueError("weights must be positive")
-    return out
-
-
 @dataclass(frozen=True)
-class CyclicMetric:
+class _WeightedMetric:
+    """Shared shape of the weighted norms: one positive weight per coordinate."""
+
+    weights: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        weights = tuple(as_fraction(w) for w in self.weights)
+        if not weights:
+            raise ValueError("at least one weight is required")
+        if any(w <= 0 for w in weights):
+            raise ValueError("weights must be positive")
+        object.__setattr__(self, "weights", weights)
+
+    def literal(self) -> dict:
+        return {"kind": self.kind, "weights": [format_rational(w) for w in self.weights]}
+
+
+class CyclicMetric(_WeightedMetric):
     """||x|| = sum_i w_i * min(x_i, m_i - x_i) on a finite group."""
 
-    weights: tuple[Fraction, ...]
     kind = "cyclic"
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", _coerce_weights(self.weights))
 
-
-@dataclass(frozen=True)
-class LinfMetric:
+class LinfMetric(_WeightedMetric):
     """||x|| = max_i w_i * |x_i|."""
 
-    weights: tuple[Fraction, ...]
     kind = "linf"
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", _coerce_weights(self.weights))
 
-
-@dataclass(frozen=True)
-class L1Metric:
+class L1Metric(_WeightedMetric):
     """||x|| = sum_i w_i * |x_i|."""
 
-    weights: tuple[Fraction, ...]
     kind = "l1"
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", _coerce_weights(self.weights))
 
 
 @dataclass(frozen=True)
@@ -329,6 +347,15 @@ class TableMetric:
         )
         object.__setattr__(self, "entries", canon)
         object.__setattr__(self, "values", dict(canon))
+
+    def literal(self) -> dict:
+        return {
+            "kind": self.kind,
+            "values": {
+                ",".join(str(c) for c in key): format_rational(v)
+                for key, v in self.entries
+            },
+        }
 
 
 def table_metric(values: Mapping[Vector, Scalar]) -> TableMetric:
@@ -404,13 +431,15 @@ def validate_metric(group: Group, metric: Metric) -> Verdict:
     L1/Linf and table norms on finite groups are checked exhaustively over
     all elements and then all pairs (x, y) in lexicographic order, reading
     ``norm_table``.  A refutation carries the violated axiom and the
-    offending elements.
+    offending elements.  A table must list exactly the elements of the group.
     """
     if isinstance(group, FiniteGroup):
         if isinstance(metric, CyclicMetric):
             _require_weight_count(metric, group)
             return proved()
         table = norm_table(group, metric)
+        if isinstance(metric, TableMetric) and len(metric.values) != len(table):
+            raise MetricGroupMismatch(f"table has entries outside {group}")
         zero = group.zero()
         for x, v in table.items():
             if (v == 0) != (x == zero):

@@ -665,22 +665,11 @@ def _sum_inclusion(inst: Instance, with_closure: bool) -> Verdict:
 def _units_only(g: Group, diags: list[tuple]) -> bool:
     """True when every diagonal entry scales the lattice onto itself (or to 0).
 
-    Such entries keep images of boxes box-exact: the lattice units are +-1 on
-    Z^n and the powers of two (up to sign) on the dyadic lattice.
+    Such entries keep images of boxes box-exact.  A nonzero entry t is a
+    lattice unit when 1/t is a lattice coordinate too: +-1 on Z^n and the
+    powers of two (up to sign) on the dyadic lattice.
     """
-    for diag in diags:
-        for t in diag:
-            if t == 0:
-                continue
-            q = Fraction(t)
-            if isinstance(g, IntLattice):
-                if abs(q) != 1:
-                    return False
-            else:
-                num = abs(q.numerator)
-                if num & (num - 1):
-                    return False
-    return True
+    return all(t == 0 or g.is_coordinate(Fraction(1, t)) for diag in diags for t in diag)
 
 
 def _extreme_witness(g, D, family, maximize: bool):

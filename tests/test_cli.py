@@ -393,6 +393,15 @@ TABLE_SESSION = """
             "metric": {"kind": "cyclic", "weights": ["1"]},
             "endos": {"T": 5},
         },
+        # integers are read exactly, never truncated
+        {"group": {"kind": "int", "dim": 2.9}, "metric": {"kind": "linf", "weights": ["1", "1"]}},
+        {"group": {"kind": "finite", "moduli": [4.7]}, "metric": {"kind": "cyclic", "weights": ["1"]}},
+        {"group": {"kind": "int", "dim": True}, "metric": {"kind": "linf", "weights": ["1"]}},
+        {
+            "group": {"kind": "finite", "moduli": [9]},
+            "metric": {"kind": "cyclic", "weights": ["1"]},
+            "params": {"seed": 1.7},
+        },
     ],
 )
 def test_malformed_literal_is_an_input_error(tmp_path, capsys, session):
@@ -402,6 +411,22 @@ def test_malformed_literal_is_an_input_error(tmp_path, capsys, session):
         parse_session_text(json.dumps(session))
     assert main(["norm", str(path), "0"]) == EXIT_INPUT
     assert "malformed" in capsys.readouterr().err
+
+
+def test_table_with_stray_keys_is_an_input_error(tmp_path, capsys):
+    # "5" and "1,1" are not elements of Z4, so the table is not a norm on Z4
+    session = {
+        "group": {"kind": "finite", "moduli": [4]},
+        "metric": {"kind": "table", "values": {"0": 0, "1": 1, "2": 2, "3": 1, "5": 7, "1,1": 9}},
+    }
+    from groupconvex.errors import MetricGroupMismatch
+
+    with pytest.raises(MetricGroupMismatch):
+        parse_session_text(json.dumps(session))
+    path = tmp_path / "stray.json"
+    path.write_text(json.dumps(session))
+    assert main(["norm", str(path), "5"]) == EXIT_INPUT
+    assert capsys.readouterr().out == ""
 
 
 def _json_paths(node, prefix=()):

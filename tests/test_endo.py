@@ -527,6 +527,95 @@ def test_finite_spectral_radius_matches_power_walk():
     assert checked == 1196
 
 
+
+# -- independent oracles -------------------------------------------------------
+
+@pytest.mark.parametrize("moduli", [(3, 9), (5, 15)])
+def test_halving_and_reduction_on_mixed_moduli(moduli):
+    g = FiniteGroup(moduli)
+    half_identity = halve(identity(g))
+    rng = random.Random(31)
+    for T in all_endomorphisms(g):
+        H = halve(T)
+        assert H.add(H) == T
+        assert H == T.compose(half_identity)
+        # lift each entry by its own multiple of the row modulus m_i
+        raw = [[a + rng.randint(-5, 5) * m_i for a in row] for row, m_i in zip(T.matrix, moduli)]
+        reduced = make_endo(g, raw).matrix
+        for i, m_i in enumerate(moduli):
+            for j in range(len(moduli)):
+                assert reduced[i][j] == raw[i][j] % m_i
+
+
+def _seeded_lattice_endos(seed, count):
+    """Seeded Z^n and dyadic matrices with n in 1..3 and small entries."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 3)
+        for g, max_shift in ((IntLattice(n), 0), (DyadicLattice(n), 2)):
+            rows = [
+                [Fraction(rng.randint(-3, 3), 1 << rng.randint(0, max_shift)) for _ in range(n)]
+                for _ in range(n)
+            ]
+            out.append(make_endo(g, rows))
+    return out
+
+
+def test_try_inverse_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    outcomes = set()
+    for T in _seeded_lattice_endos(11, 150):
+        M = sympy.Matrix(T.matrix)
+        entries = [Fraction(int(q.p), int(q.q)) for q in M.inv()] if M.det() != 0 else None
+        if T.group.kind == "int":
+            invertible = entries is not None and all(q.denominator == 1 for q in entries)
+        else:
+            invertible = entries is not None and all(
+                q.denominator & (q.denominator - 1) == 0 for q in entries
+            )
+        inverse = try_inverse(T)
+        assert (inverse is not None) == invertible, T
+        if invertible:
+            assert entries == [a for row in inverse.matrix for a in row]
+        outcomes.add((T.group.kind, invertible))
+    assert len(outcomes) == 4  # both verdicts on both lattices
+
+
+def _squared_moduli_poly(sympy, M):
+    """The polynomial whose roots are the products of two eigenvalues of M.
+
+    Res_z(p(z), z^n p(w/z)) = prod_ij (w - l_i l_j) for the characteristic
+    polynomial p.  Its largest real root is rho^2: the top eigenvalue times
+    its conjugate is one of the products, and no product exceeds rho^2 in
+    modulus.
+    """
+    z, w = sympy.symbols("z w")
+    coeffs = M.charpoly(z).all_coeffs()[::-1]
+    n = len(coeffs) - 1
+    p = sum(a * z**k for k, a in enumerate(coeffs))
+    q = sum(a * w**k * z ** (n - k) for k, a in enumerate(coeffs))
+    return sympy.Poly(sympy.resultant(p, q, z), w)
+
+
+def test_spectral_radius_against_sympy_eigenvalues():
+    # Sturm counts on exact rationals decide lower <= rho <= upper, also when
+    # an endpoint equals rho, as for the dyadic [[-1/2, -3], [1/4, -1/2]]
+    # whose eigenvalues lie on the unit circle
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(5)
+    on_circle = make_endo(DyadicLattice(2), [[Fraction(-1, 2), -3], [Fraction(1, 4), Fraction(-1, 2)]])
+    assert spectral_radius(on_circle, LinfMetric((1, 1))).value == 1
+    for T in _seeded_lattice_endos(13, 40) + [on_circle]:
+        weights = tuple(Fraction(rng.choice((1, 2, 3)), rng.choice((1, 2))) for _ in range(T.group.dim))
+        for metric in (LinfMetric(weights), L1Metric(weights)):
+            bracket = spectral_radius(T, metric)
+            Q = _squared_moduli_poly(sympy, sympy.Matrix(T.matrix))
+            lo = sympy.Rational(bracket.lower) ** 2
+            hi = sympy.Rational(bracket.upper) ** 2
+            assert Q.count_roots(lo) >= 1, (T, bracket)
+            assert Q.count_roots(hi) == (1 if Q.eval(hi) == 0 else 0), (T, bracket)
+
 _BROKEN_POSTCONDITIONS = """
 import sys
 from fractions import Fraction
