@@ -38,7 +38,11 @@ from .verdicts import Verdict, proved, refuted, unfalsified
 
 @dataclass(frozen=True)
 class FiniteSet:
-    """Explicit, deduplicated, sorted set of group elements."""
+    """Explicit, deduplicated, sorted set of group elements.
+
+    Over a finite group the set also has the padded codes of its elements and
+    its landing set (see ``FiniteGroup``), each built on first use.
+    """
 
     group: Group
     elements: tuple[Vector, ...]
@@ -49,6 +53,24 @@ class FiniteSet:
 
     def __len__(self):
         return len(self.elements)
+
+    # Filled on first use with object.__setattr__: functools.cached_property
+    # would build an instance __dict__ for every such set, which showed in
+    # the peak memory of subset-exhaustive checks.
+    _codes = None
+    _landing = None
+
+    @property
+    def codes(self) -> tuple[int, ...]:
+        if self._codes is None:
+            object.__setattr__(self, "_codes", tuple(map(self.group.code, self.elements)))
+        return self._codes
+
+    @property
+    def landing(self) -> frozenset[int]:
+        if self._landing is None:
+            object.__setattr__(self, "_landing", self.group.landing(self.codes))
+        return self._landing
 
 
 @dataclass(frozen=True)
@@ -266,6 +288,35 @@ def _combination(T: Endomorphism, x: Vector, y: Vector) -> Vector:
     return g.add(T.apply(x), g.sub(y, T.apply(y)))
 
 
+def _kernel_fault(what: str) -> InvariantViolated:
+    return InvariantViolated(f"the padded-code kernel refuted {what}, but the tuple path does not")
+
+
+def _codes_t_convex(D: FiniteSet, T: Endomorphism) -> Verdict:
+    """``is_T_convex`` on a finite group: one int add and one lookup per pair.
+
+    The pair (x, y) passes when code T(x) + code(y - T(y)) is in D's landing
+    set.  A row whose T(x) code has passed already passes again.  The first
+    failing pair in ``D.elements`` order is re-checked on tuples.
+    """
+    landing = D.landing
+    pairs = T.split_codes(D.codes)
+    tails = [b for _, b in pairs]
+    distinct_tails = set(tails)
+    passed = set()
+    for x, (a, _) in zip(D.elements, pairs):
+        if a in passed:
+            continue
+        if not landing.issuperset(map(a.__add__, distinct_tails)):
+            y = next(y for y, b in zip(D.elements, tails) if a + b not in landing)
+            point = _combination(T, x, y)
+            if point in D.elements:
+                raise _kernel_fault(f"({x}, {y})")
+            return refuted((x, y, point))
+        passed.add(a)
+    return proved()
+
+
 def _diagonal(T: Endomorphism) -> tuple | None:
     n = T.group.dim
     for i in range(n):
@@ -278,7 +329,8 @@ def _diagonal(T: Endomorphism) -> tuple | None:
 def is_T_convex(D: PointSet, T: Endomorphism, samples: int = 64, seed: int = 0) -> Verdict:
     """Check T(x) + (I-T)(y) in D for all x, y in D.
 
-    Exhaustive over ordered pairs on finite sets.  A one-point box is convex
+    Exhaustive over ordered pairs on finite sets, on padded codes over a
+    finite group (``_codes_t_convex``).  A one-point box is convex
     for every T, since T(x) + (I-T)(x) = x.  On other boxes, diagonal
     endomorphisms admit an exact corner analysis (the combination is linear
     in each coordinate of x and y, so extremes occur at box corners, which
@@ -288,6 +340,8 @@ def is_T_convex(D: PointSet, T: Endomorphism, samples: int = 64, seed: int = 0) 
         raise GroupMismatch(f"{D.group} vs {T.group}")
     g = D.group
     if isinstance(D, FiniteSet):
+        if isinstance(g, FiniteGroup):
+            return _codes_t_convex(D, T)
         for x in D.elements:
             for y in D.elements:
                 point = _combination(T, x, y)
@@ -331,15 +385,38 @@ def is_T_convex(D: PointSet, T: Endomorphism, samples: int = 64, seed: int = 0) 
 
 
 def t_convex_pointwise(D: FiniteSet, T: Endomorphism) -> Verdict:
-    """Equivalent test: T maps every translate D - p into itself."""
+    """Equivalent test: T maps every translate D - p into itself.
+
+    T is applied to the members v of each translate, never to D and p
+    separately, so this test does not lean on additivity the way
+    ``is_T_convex`` does.  On a finite group the translate is a set of codes
+    and T(v) is in D - p when code T(v) + code(p) is in D's landing set.  The
+    witness is the failing v the tuple loop meets first, re-checked on tuples.
+    """
     if not isinstance(D, FiniteSet):
         raise NotFinite("the pointwise test enumerates translates")
     g = D.group
-    for p in D.elements:
-        translate = frozenset(g.sub(d, p) for d in D.elements)
-        for v in translate:
-            if T.apply(v) not in translate:
-                return refuted((p, g.add(v, p)))
+    if not isinstance(g, FiniteGroup):
+        for p in D.elements:
+            translate = frozenset(g.sub(d, p) for d in D.elements)
+            for v in translate:
+                if T.apply(v) not in translate:
+                    return refuted((p, g.add(v, p)))
+        return proved()
+    landing = D.landing
+    for p, cp in zip(D.elements, D.codes):
+        minus_p = g.code(g.neg(p))
+        translate = {g.reduce(c + minus_p) for c in D.codes}
+        failing = {
+            v for v, (a, _) in zip(translate, T.split_codes(translate))
+            if a + cp not in landing
+        }
+        if failing:
+            translate = frozenset(g.sub(d, p) for d in D.elements)
+            v = next(v for v in translate if g.code(v) in failing)
+            if T.apply(v) in translate:
+                raise _kernel_fault(f"T({v}) in the translate by {p}")
+            return refuted((p, g.add(v, p)))
     return proved()
 
 
@@ -368,13 +445,16 @@ def convex_hull(
 
     The result is extensive and monotone; when the fixed point is reached
     the ``complete`` flag is set and the hull is family-convex.  Iteration
-    order is deterministic (sorted elements, family order).
+    order is deterministic (sorted elements, family order).  Over a finite
+    group the passes run on padded codes (``_codes_hull``).
     """
     if not isinstance(S, FiniteSet):
         raise NotFinite("hulls are computed from explicit finite seeds")
     for T in Ts:
         if T.group != S.group:
             raise GroupMismatch(f"{S.group} vs {T.group}")
+    if isinstance(S.group, FiniteGroup):
+        return _codes_hull(S, Ts, max_iter)
     current = set(S.elements)
     complete = False
     for _ in range(max_iter):
@@ -391,6 +471,38 @@ def convex_hull(
             complete = True
             break
     return finite_set(S.group, current), complete
+
+
+def _codes_hull(
+    S: FiniteSet, Ts: Sequence[Endomorphism], max_iter: int
+) -> tuple[FiniteSet, bool]:
+    """``convex_hull`` on a finite group, on padded codes.
+
+    Each pass adds every reduced sum of a T(x) code and a y - T(y) code that
+    misses the landing set of the points so far, the same points in the same
+    passes as the tuple loop.
+    """
+    g = S.group
+    current = set(S.codes)
+    landing = set(S.landing)
+    complete = False
+    for _ in range(max_iter):
+        snapshot = list(current)
+        grown = False
+        for T in Ts:
+            pairs = T.split_codes(snapshot)
+            tails = {b for _, b in pairs}
+            for a in {a for a, _ in pairs}:
+                for s in map(a.__add__, tails):
+                    if s not in landing:
+                        c = g.reduce(s)
+                        current.add(c)
+                        landing |= g.landing((c,))
+                        grown = True
+        if not grown:
+            complete = True
+            break
+    return FiniteSet(g, tuple(map(g.decode, sorted(current)))), complete
 
 
 @lru_cache(maxsize=None)

@@ -22,7 +22,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -114,18 +114,41 @@ def _positive_index(n: int) -> None:
 
 @dataclass(frozen=True)
 class FiniteGroup(Group):
-    """Product of cyclic groups Z_m1 x ... x Z_mk; elements are residue tuples."""
+    """Product of cyclic groups Z_m1 x ... x Z_mk; elements are residue tuples.
+
+    Each element also has a padded integer code: coordinate j sits in a slot
+    of width 2*m_j, so code(x) = sum_j x_j * P_j with P_(k-1) = 1 and
+    P_j = P_(j+1) * 2 * m_(j+1).  The plain sum of two codes never carries
+    from one slot into the next: slot j of code(x) + code(y) holds
+    x_j + y_j, which is the residue of the group sum or that residue plus
+    m_j.  So the sum lands on code(x + y) plus one of 2^k offsets
+    (sum_(j in S) m_j * P_j over the subsets S of slots), and the sum of x
+    and y lies in D exactly when code(x) + code(y) lies in D's landing set
+    (``landing``).  Codes are ordered as the elements are.
+    """
 
     moduli: tuple[int, ...]
+    _radix: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
     kind = "finite"
     complete = True
 
     def __post_init__(self):
+        if isinstance(self.moduli, str):
+            raise TypeError(f"moduli must be a list of integers, not the string {self.moduli!r}")
         object.__setattr__(self, "moduli", tuple(as_int(m) for m in self.moduli))
         if not self.moduli:
             raise ValueError("a finite group needs at least one modulus")
         if any(m < 2 for m in self.moduli):
             raise ValueError("all moduli must be >= 2")
+        radix = [1]
+        for m in reversed(self.moduli[1:]):
+            radix.insert(0, radix[0] * 2 * m)
+        offsets = [0]
+        for m, p in zip(self.moduli, radix):
+            offsets += [o + m * p for o in offsets]
+        object.__setattr__(self, "_radix", tuple(radix))
+        object.__setattr__(self, "_offsets", tuple(offsets))
 
     def __str__(self):
         return "x".join(f"Z{m}" for m in self.moduli)
@@ -177,6 +200,37 @@ class FiniteGroup(Group):
 
     def literal(self) -> dict:
         return {"kind": self.kind, "moduli": list(self.moduli)}
+
+    def code(self, x: Vector) -> int:
+        """The padded code of a canonical element."""
+        return sum(map(operator.mul, x, self._radix))
+
+    def reduce(self, s: int) -> int:
+        """The code of the element a padded value stands for.
+
+        ``s`` is a code plus one of the offsets, as the sum of two codes is;
+        a slot holding m_j or more gives m_j back.
+        """
+        for m, p in zip(self.moduli, self._radix):
+            if s % (2 * m * p) >= m * p:
+                s -= m * p
+        return s
+
+    def decode(self, s: int) -> Vector:
+        """The element a padded value stands for, as a canonical tuple."""
+        out = []
+        for m, p in zip(self.moduli, self._radix):
+            digit, s = divmod(s, p)
+            out.append(digit % m)
+        return tuple(out)
+
+    def landing(self, codes: Iterable[int]) -> frozenset[int]:
+        """Every padded value that reduces to one of ``codes``.
+
+        A sum of two codes lies in this set exactly when the group sum of
+        their elements has one of ``codes``; it holds 2^k ints per code.
+        """
+        return frozenset(c + o for c in codes for o in self._offsets)
 
 
 @dataclass(frozen=True)

@@ -472,12 +472,17 @@ def _check_thm_p1(inst: Instance) -> Verdict:
     """The family of a set is convex under its own induced combinations."""
     for name, D in _candidate_sets(inst):
         family = frozenset(cx.family_of(D))
-        if en.zero(inst.group) not in family or en.identity(inst.group) not in family:
+        ident = en.identity(inst.group)
+        if en.zero(inst.group) not in family or ident not in family:
             return refuted(("zero and identity membership", D))
         for T in family:
-            for T1 in family:
-                for T2 in family:
-                    if _combo(T, T1, T2) not in family:
+            # T(T1) + (I - T)(T2), with both compositions made once per pair
+            heads = [T.compose(T1) for T1 in family]
+            rest = ident.sub(T)
+            tails = [rest.compose(T2) for T2 in family]
+            for T1, head in zip(family, heads):
+                for T2, tail in zip(family, tails):
+                    if head.add(tail) not in family:
                         return refuted((D, T, T1, T2))
     return proved()
 
@@ -487,13 +492,15 @@ def _check_cor_1(inst: Instance) -> Verdict:
     ident = en.identity(inst.group)
     for name, D in _candidate_sets(inst):
         family = frozenset(cx.family_of(D))
+        reflections = {T: ident.sub(T) for T in family}
         for T in family:
-            if ident.sub(T) not in family:
+            if reflections[T] not in family:
                 return refuted(("reflection", D, T))
             for S in family:
-                if T.compose(S) not in family:
+                product = T.compose(S)
+                if product not in family:
                     return refuted(("composition", D, T, S))
-                mixed = T.compose(S).add(ident.sub(T).compose(ident.sub(S)))
+                mixed = product.add(reflections[T].compose(reflections[S]))
                 if mixed not in family:
                     return refuted(("pair mixing", D, T, S))
     return proved()

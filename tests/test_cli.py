@@ -402,6 +402,8 @@ TABLE_SESSION = """
             "metric": {"kind": "cyclic", "weights": ["1"]},
             "params": {"seed": 1.7},
         },
+        # a string is not a list of moduli, though "49" iterates as "4", "9"
+        {"group": {"kind": "finite", "moduli": "49"}, "metric": {"kind": "cyclic", "weights": ["1", "1"]}},
     ],
 )
 def test_malformed_literal_is_an_input_error(tmp_path, capsys, session):

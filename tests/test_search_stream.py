@@ -7,12 +7,14 @@ reorders a random draw changes the digest of some case below.
 
 Cases cover every ``PropertyId`` on the three default families, except:
 
-- ``THM_P1`` and ``THM_2`` on the default finite family, which take up to a
-  minute per search; they are run on a pinned small group instead
-  (``Z2 x Z2`` and ``Z3 x Z3``);
+- ``THM_P1`` on the default finite family, which is slow because each
+  instance checks all |family|^3 ring combinations of its set's family; it
+  is run on a pinned small group instead (``Z2 x Z2``);
 - ``COR_NKC1`` on ``Z^n``, which has its own test in ``test_theorems.py``.
 
-A few exhaustive searches on pinned groups pin the enumeration order too.
+``THM_2`` on the finite family runs twice: ``THM_2-finite-*`` on a pinned
+``Z3 x Z3`` and ``THM_2-finite-default-*`` on the default family.  A few
+exhaustive searches on pinned groups pin the enumeration order too.
 """
 
 from __future__ import annotations
@@ -44,6 +46,8 @@ def _cases() -> dict[str, tuple[PropertyId, GeneratorConfig, int, int]]:
                 gen = GeneratorConfig(group=pinned[prop])
             for seed in SEEDS:
                 cases[f"{prop.name}-{family}-{seed}"] = (prop, gen, BUDGET, seed)
+    for seed in SEEDS:
+        cases[f"THM_2-finite-default-{seed}"] = (PropertyId.THM_2, GeneratorConfig(), BUDGET, seed)
     for prop in (PropertyId.LEMMA_MU, PropertyId.COR_MU, PropertyId.LEMMA_SR):
         gen = GeneratorConfig(group=FiniteGroup((2, 2)), exhaustive=True)
         cases[f"{prop.name}-exhaustive-Z2xZ2"] = (prop, gen, 5, 0)
@@ -159,6 +163,8 @@ EXPECTED: dict[str, tuple[int, str, tuple]] = {
     "THM_2-dyadic-1": (3, "918833cdd97d41a7", ('Unfalsified', 3)),
     "THM_2-finite-0": (3, "dc7a3c57a4dda9d5", ('Unfalsified', 3)),
     "THM_2-finite-1": (3, "a64c9a07e1a833bb", ('Unfalsified', 3)),
+    "THM_2-finite-default-0": (3, "aea43e7ed2426786", ('Unfalsified', 3)),
+    "THM_2-finite-default-1": (3, "1d654c9f65422f1a", ('Unfalsified', 3)),
     "THM_2-int-0": (0, "e3b0c44298fc1c14", ('GeneratorExhausted', 'the integer lattice is not 2-divisible')),
     "THM_2-int-1": (0, "e3b0c44298fc1c14", ('GeneratorExhausted', 'the integer lattice is not 2-divisible')),
     "THM_NIT-dyadic-0": (0, "e3b0c44298fc1c14", ('GeneratorExhausted', _DYADIC)),
