@@ -38,11 +38,7 @@ from .verdicts import Verdict, proved, refuted, unfalsified
 
 @dataclass(frozen=True)
 class FiniteSet:
-    """Explicit, deduplicated, sorted set of group elements.
-
-    Over a finite group the set also has the padded codes of its elements and
-    its landing set (see ``FiniteGroup``), each built on first use.
-    """
+    """Explicit, deduplicated, sorted set of group elements."""
 
     group: Group
     elements: tuple[Vector, ...]
@@ -53,24 +49,6 @@ class FiniteSet:
 
     def __len__(self):
         return len(self.elements)
-
-    # Filled on first use with object.__setattr__: functools.cached_property
-    # would build an instance __dict__ for every such set, which showed in
-    # the peak memory of subset-exhaustive checks.
-    _codes = None
-    _landing = None
-
-    @property
-    def codes(self) -> tuple[int, ...]:
-        if self._codes is None:
-            object.__setattr__(self, "_codes", tuple(map(self.group.code, self.elements)))
-        return self._codes
-
-    @property
-    def landing(self) -> frozenset[int]:
-        if self._landing is None:
-            object.__setattr__(self, "_landing", self.group.landing(self.codes))
-        return self._landing
 
 
 @dataclass(frozen=True)
@@ -292,15 +270,42 @@ def _kernel_fault(what: str) -> InvariantViolated:
     return InvariantViolated(f"the padded-code kernel refuted {what}, but the tuple path does not")
 
 
+def _on_codes(group: Group, size: int) -> bool:
+    """Whether a pass over ``size`` points of ``group`` runs on padded codes.
+
+    Only on a finite group whose 2^k landing offsets per point (see
+    ``FiniteGroup``) are no more than the points themselves, so a landing
+    set costs at most the size^2 pairs it serves.
+    """
+    return isinstance(group, FiniteGroup) and 1 << group.dim <= size
+
+
+def _split_codes(T: Endomorphism, xs: Iterable[Vector]) -> list[tuple[int, int]]:
+    """(code T(x), code(x - T(x))) for each element x.
+
+    code(x) - code(T(x)) + code(m_1, ..., m_k) holds x_j - T(x)_j + m_j in
+    slot j, which is below 2*m_j, so ``reduce`` makes it the code of x - T(x).
+    """
+    g = T.group
+    shift = g.code(g.moduli)
+    out = []
+    for x in xs:
+        a = g.code(T.apply(x))
+        out.append((a, g.reduce(g.code(x) + shift - a)))
+    return out
+
+
 def _codes_t_convex(D: FiniteSet, T: Endomorphism) -> Verdict:
-    """``is_T_convex`` on a finite group: one int add and one lookup per pair.
+    """``is_T_convex`` on padded codes: one int add and one lookup per pair.
 
     The pair (x, y) passes when code T(x) + code(y - T(y)) is in D's landing
     set.  A row whose T(x) code has passed already passes again.  The first
     failing pair in ``D.elements`` order is re-checked on tuples.
     """
-    landing = D.landing
-    pairs = T.split_codes(D.codes)
+    g = D.group
+    codes = tuple(map(g.code, D.elements))
+    landing = g.landing(codes)
+    pairs = _split_codes(T, D.elements)
     tails = [b for _, b in pairs]
     distinct_tails = set(tails)
     passed = set()
@@ -330,7 +335,7 @@ def is_T_convex(D: PointSet, T: Endomorphism, samples: int = 64, seed: int = 0) 
     """Check T(x) + (I-T)(y) in D for all x, y in D.
 
     Exhaustive over ordered pairs on finite sets, on padded codes over a
-    finite group (``_codes_t_convex``).  A one-point box is convex
+    finite group when that pays (``_on_codes``).  A one-point box is convex
     for every T, since T(x) + (I-T)(x) = x.  On other boxes, diagonal
     endomorphisms admit an exact corner analysis (the combination is linear
     in each coordinate of x and y, so extremes occur at box corners, which
@@ -340,7 +345,7 @@ def is_T_convex(D: PointSet, T: Endomorphism, samples: int = 64, seed: int = 0) 
         raise GroupMismatch(f"{D.group} vs {T.group}")
     g = D.group
     if isinstance(D, FiniteSet):
-        if isinstance(g, FiniteGroup):
+        if _on_codes(g, len(D)):
             return _codes_t_convex(D, T)
         for x in D.elements:
             for y in D.elements:
@@ -389,28 +394,30 @@ def t_convex_pointwise(D: FiniteSet, T: Endomorphism) -> Verdict:
 
     T is applied to the members v of each translate, never to D and p
     separately, so this test does not lean on additivity the way
-    ``is_T_convex`` does.  On a finite group the translate is a set of codes
-    and T(v) is in D - p when code T(v) + code(p) is in D's landing set.  The
+    ``is_T_convex`` does.  On padded codes (``_on_codes``) the translate is a
+    set of codes and T(v) is in D - p when code T(v) + code(p) is in D's
+    landing set; T is applied once to each v met in any translate.  The
     witness is the failing v the tuple loop meets first, re-checked on tuples.
     """
     if not isinstance(D, FiniteSet):
         raise NotFinite("the pointwise test enumerates translates")
     g = D.group
-    if not isinstance(g, FiniteGroup):
+    if not _on_codes(g, len(D)):
         for p in D.elements:
             translate = frozenset(g.sub(d, p) for d in D.elements)
             for v in translate:
                 if T.apply(v) not in translate:
                     return refuted((p, g.add(v, p)))
         return proved()
-    landing = D.landing
-    for p, cp in zip(D.elements, D.codes):
+    codes = tuple(map(g.code, D.elements))
+    landing = g.landing(codes)
+    images = {}
+    for p, cp in zip(D.elements, codes):
         minus_p = g.code(g.neg(p))
-        translate = {g.reduce(c + minus_p) for c in D.codes}
-        failing = {
-            v for v, (a, _) in zip(translate, T.split_codes(translate))
-            if a + cp not in landing
-        }
+        translate = {g.reduce(c + minus_p) for c in codes}
+        new = translate.difference(images)
+        images.update(zip(new, (a for a, _ in _split_codes(T, map(g.decode, new)))))
+        failing = {v for v in translate if images[v] + cp not in landing}
         if failing:
             translate = frozenset(g.sub(d, p) for d in D.elements)
             v = next(v for v in translate if g.code(v) in failing)
@@ -445,15 +452,15 @@ def convex_hull(
 
     The result is extensive and monotone; when the fixed point is reached
     the ``complete`` flag is set and the hull is family-convex.  Iteration
-    order is deterministic (sorted elements, family order).  Over a finite
-    group the passes run on padded codes (``_codes_hull``).
+    order is deterministic (sorted elements, family order).  When S is large
+    enough (``_on_codes``) the passes run on padded codes (``_codes_hull``).
     """
     if not isinstance(S, FiniteSet):
         raise NotFinite("hulls are computed from explicit finite seeds")
     for T in Ts:
         if T.group != S.group:
             raise GroupMismatch(f"{S.group} vs {T.group}")
-    if isinstance(S.group, FiniteGroup):
+    if _on_codes(S.group, len(S)):
         return _codes_hull(S, Ts, max_iter)
     current = set(S.elements)
     complete = False
@@ -483,14 +490,14 @@ def _codes_hull(
     passes as the tuple loop.
     """
     g = S.group
-    current = set(S.codes)
-    landing = set(S.landing)
+    current = set(map(g.code, S.elements))
+    landing = set(g.landing(current))
     complete = False
     for _ in range(max_iter):
         snapshot = list(current)
         grown = False
         for T in Ts:
-            pairs = T.split_codes(snapshot)
+            pairs = _split_codes(T, map(g.decode, snapshot))
             tails = {b for _, b in pairs}
             for a in {a for a, _ in pairs}:
                 for s in map(a.__add__, tails):

@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import (
     GroupMismatch,
@@ -56,17 +57,10 @@ Matrix = tuple[tuple, ...]
 
 @dataclass(frozen=True)
 class Endomorphism:
-    """An additive self-map of ``group`` given by an exact square matrix.
-
-    On a finite group the map also keeps ``split_codes``' memo, which is
-    filled on demand and is not part of its value.
-    """
+    """An additive self-map of ``group`` given by an exact square matrix."""
 
     group: Group
     matrix: Matrix
-    # split_codes' memo, set on first use with object.__setattr__, which
-    # (unlike functools.cached_property) leaves the instance dict unbuilt
-    _split = None
 
     def __str__(self):
         rows = "; ".join(" ".join(str(e) for e in row) for row in self.matrix)
@@ -77,31 +71,8 @@ class Endomorphism:
     def apply(self, x: Vector) -> Vector:
         g = self.group
         g._check_dim(x)
-        image = [sum(a * c for a, c in zip(row, x)) for row in self.matrix]
+        image = [sum(map(operator.mul, row, x)) for row in self.matrix]
         return g.element(image)
-
-    def split_codes(self, codes: Iterable[int]) -> list[tuple[int, int]]:
-        """(code T(x), code(x - T(x))) for the element x of each code.
-
-        Finite groups only (see ``FiniteGroup.code``).  Each pair is computed
-        with ``apply`` the first time it is asked for and kept on this map, so
-        the memo holds at most |G| entries and goes away with the map.  The
-        fill is idempotent, so the map stays a value.
-        """
-        memo = self._split
-        if memo is None:
-            memo = {}
-            object.__setattr__(self, "_split", memo)
-        g = self.group
-        out = []
-        for c in codes:
-            pair = memo.get(c)
-            if pair is None:
-                x = g.decode(c)
-                image = self.apply(x)
-                pair = memo[c] = (g.code(image), g.code(g.sub(x, image)))
-            out.append(pair)
-        return out
 
     def compose(self, other: "Endomorphism") -> "Endomorphism":
         _same_group(self, other)

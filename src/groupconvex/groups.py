@@ -129,13 +129,13 @@ class FiniteGroup(Group):
 
     moduli: tuple[int, ...]
     _radix: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
     kind = "finite"
     complete = True
 
     def __post_init__(self):
-        if isinstance(self.moduli, str):
-            raise TypeError(f"moduli must be a list of integers, not the string {self.moduli!r}")
+        # a string or a mapping would iterate as its characters or its keys
+        if not isinstance(self.moduli, (list, tuple)):
+            raise TypeError(f"moduli must be a list of integers, not {self.moduli!r}")
         object.__setattr__(self, "moduli", tuple(as_int(m) for m in self.moduli))
         if not self.moduli:
             raise ValueError("a finite group needs at least one modulus")
@@ -144,11 +144,7 @@ class FiniteGroup(Group):
         radix = [1]
         for m in reversed(self.moduli[1:]):
             radix.insert(0, radix[0] * 2 * m)
-        offsets = [0]
-        for m, p in zip(self.moduli, radix):
-            offsets += [o + m * p for o in offsets]
         object.__setattr__(self, "_radix", tuple(radix))
-        object.__setattr__(self, "_offsets", tuple(offsets))
 
     def __str__(self):
         return "x".join(f"Z{m}" for m in self.moduli)
@@ -228,9 +224,14 @@ class FiniteGroup(Group):
         """Every padded value that reduces to one of ``codes``.
 
         A sum of two codes lies in this set exactly when the group sum of
-        their elements has one of ``codes``; it holds 2^k ints per code.
+        their elements has one of ``codes``; it holds 2^k ints per code, so
+        it is only worth building when 2^k is small next to the number of
+        sums looked up in it.
         """
-        return frozenset(c + o for c in codes for o in self._offsets)
+        offsets = [0]
+        for m, p in zip(self.moduli, self._radix):
+            offsets += [o + m * p for o in offsets]
+        return frozenset(c + o for c in codes for o in offsets)
 
 
 @dataclass(frozen=True)

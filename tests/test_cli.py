@@ -404,6 +404,11 @@ TABLE_SESSION = """
         },
         # a string is not a list of moduli, though "49" iterates as "4", "9"
         {"group": {"kind": "finite", "moduli": "49"}, "metric": {"kind": "cyclic", "weights": ["1", "1"]}},
+        # nor is a mapping, though it iterates as its keys "4", "9"
+        {
+            "group": {"kind": "finite", "moduli": {"4": 0, "9": 0}},
+            "metric": {"kind": "cyclic", "weights": ["1", "1"]},
+        },
     ],
 )
 def test_malformed_literal_is_an_input_error(tmp_path, capsys, session):
@@ -413,6 +418,24 @@ def test_malformed_literal_is_an_input_error(tmp_path, capsys, session):
         parse_session_text(json.dumps(session))
     assert main(["norm", str(path), "0"]) == EXIT_INPUT
     assert "malformed" in capsys.readouterr().err
+
+
+def test_high_rank_session_builds_nothing_sized_by_the_group(tmp_path, capsys):
+    # Z2^64: building 2^64 landing offsets, or any table of the group, would
+    # never finish; a small set takes the tuple pair test
+    rank = 64
+    session = {
+        "group": {"kind": "finite", "moduli": [2] * rank},
+        "metric": {"kind": "cyclic", "weights": ["1"] * rank},
+        "endos": {"I": [[int(i == j) for j in range(rank)] for i in range(rank)]},
+        "sets": {"D": {"kind": "finite", "elements": [[0] * rank, [1] * rank]}},
+    }
+    path = tmp_path / "z2^64.json"
+    path.write_text(json.dumps(session))
+    assert main(["norm", str(path), ",".join(["1"] * rank)]) == EXIT_OK
+    assert capsys.readouterr().out.strip() == str(rank)
+    assert main(["is-convex", str(path), "D", "I"]) == EXIT_OK
+    assert capsys.readouterr().out.strip() == "Proved"
 
 
 def test_table_with_stray_keys_is_an_input_error(tmp_path, capsys):

@@ -1,9 +1,11 @@
 """The padded-code kernel against the tuple loops it replaced.
 
 ``is_T_convex``, ``t_convex_pointwise`` and ``convex_hull`` run on padded
-integer codes over finite groups (see ``FiniteGroup``).  The reference
-functions below are the tuple loops those functions ran before, kept here as
-the oracle: every status, witness and hull must agree with them.
+integer codes over finite groups once a set has at least 2^k points (see
+``FiniteGroup`` and ``convexity._on_codes``).  The reference functions below
+are the tuple loops those functions ran before, kept here as the oracle:
+every status, witness and hull must agree with them, both as the functions
+route themselves and with every finite-group set sent to the codes.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from groupconvex import convexity
 from groupconvex import (
     FiniteGroup,
     all_endomorphisms,
@@ -82,22 +85,31 @@ def _same(verdict, reference):
     return (verdict.status, verdict.witness) == (reference.status, reference.witness)
 
 
+def _routings(monkeypatch):
+    """Yield as the functions route themselves, then with every finite-group
+    set sent to the codes."""
+    yield
+    with monkeypatch.context() as patched:
+        patched.setattr(
+            convexity, "_on_codes", lambda group, size: isinstance(group, FiniteGroup)
+        )
+        yield
+
+
 @pytest.mark.parametrize("moduli", [(9,), (2, 4), (3, 3)])
-def test_kernel_agrees_with_tuple_loops_on_every_subset(moduli):
+def test_kernel_agrees_with_tuple_loops_on_every_subset(moduli, monkeypatch):
     group = FiniteGroup(moduli)
     ring = all_endomorphisms(group)
     refuted_count = 0
     for D in _subsets(group):
-        family = []
-        for T in ring:
-            reference = ref_is_T_convex(D, T)
-            assert _same(is_T_convex(D, T), reference), (D, T)
-            assert _same(t_convex_pointwise(D, T), ref_pointwise(D, T)), (D, T)
-            if reference.proved:
-                family.append(T)
-            else:
-                refuted_count += 1
-        assert family_of(D) == tuple(family), D
+        references = [(T, ref_is_T_convex(D, T), ref_pointwise(D, T)) for T in ring]
+        family = tuple(T for T, direct, _ in references if direct.proved)
+        refuted_count += len(ring) - len(family)
+        for _ in _routings(monkeypatch):
+            for T, direct, pointwise in references:
+                assert _same(is_T_convex(D, T), direct), (D, T)
+                assert _same(t_convex_pointwise(D, T), pointwise), (D, T)
+            assert family_of.__wrapped__(D) == family, D
     assert refuted_count > 0
 
 
@@ -110,25 +122,28 @@ def _seeded_sets(group, rng, count):
 
 
 @pytest.mark.parametrize("moduli", [(121,), (2, 3, 4)])
-def test_kernel_agrees_with_tuple_loops_on_seeded_sets(moduli):
+def test_kernel_agrees_with_tuple_loops_on_seeded_sets(moduli, monkeypatch):
     group = FiniteGroup(moduli)
     rng = random.Random(11)
     ring = all_endomorphisms(group)
     outcomes = set()
     for index, D in enumerate(_seeded_sets(group, rng, 40)):
         Ts = rng.sample(ring, 6)
-        for T in Ts:
-            reference = ref_is_T_convex(D, T)
-            assert _same(is_T_convex(D, T), reference), (D, T)
-            assert _same(t_convex_pointwise(D, T), ref_pointwise(D, T)), (D, T)
-            outcomes.add(reference.status)
-        if index % 4:
-            continue  # a hull on Z121 often fills the group, so hulls are sparser
-        for family in (Ts[:1], Ts[1:3]):
-            for max_iter in (1, 1000):
-                hull = convex_hull(D, family, max_iter=max_iter)
-                assert hull == ref_hull(D, family, max_iter), (D, family, max_iter)
-                outcomes.add(hull[1])
+        references = [(T, ref_is_T_convex(D, T), ref_pointwise(D, T)) for T in Ts]
+        outcomes.update(direct.status for _, direct, _ in references)
+        # a hull on Z121 often fills the group, so hulls are sparser
+        hulls = [] if index % 4 else [
+            (family, max_iter, ref_hull(D, family, max_iter))
+            for family in (Ts[:1], Ts[1:3])
+            for max_iter in (1, 1000)
+        ]
+        outcomes.update(hull[1] for _, _, hull in hulls)
+        for _ in _routings(monkeypatch):
+            for T, direct, pointwise in references:
+                assert _same(is_T_convex(D, T), direct), (D, T)
+                assert _same(t_convex_pointwise(D, T), pointwise), (D, T)
+            for family, max_iter, hull in hulls:
+                assert convex_hull(D, family, max_iter=max_iter) == hull, (D, family, max_iter)
     # both verdicts and both hull flags occur
     assert len(outcomes) == 4
 
@@ -149,6 +164,24 @@ def test_codec_on_every_pair_of_z2_z3_z4():
             assert group.decode(total) == group.add(x, y), (x, y)
             for D, landing in landings:
                 assert (total in landing) == (group.add(x, y) in D.elements), (x, y, D)
+
+
+def test_codes_run_only_on_sets_of_at_least_2_to_the_k_points(monkeypatch):
+    def landing(self, codes):
+        raise AssertionError("landing set built")
+
+    monkeypatch.setattr(FiniteGroup, "landing", landing)
+    group = FiniteGroup((2, 3, 4))
+    elems = sorted(group.elements())
+    T = all_endomorphisms(group)[5]
+    small = finite_set(group, elems[:7])
+    assert _same(is_T_convex(small, T), ref_is_T_convex(small, T))
+    assert _same(t_convex_pointwise(small, T), ref_pointwise(small, T))
+    assert convex_hull(small, [T]) == ref_hull(small, [T])
+    large = finite_set(group, elems[:8])
+    for run in (is_T_convex, t_convex_pointwise, lambda D, T: convex_hull(D, [T])):
+        with pytest.raises(AssertionError, match="landing set built"):
+            run(large, T)
 
 
 def _drop_landing_member(monkeypatch):
