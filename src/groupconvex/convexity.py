@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Iterable, Sequence
@@ -38,10 +39,19 @@ from .verdicts import Verdict, proved, refuted, unfalsified
 
 @dataclass(frozen=True)
 class FiniteSet:
-    """Explicit, deduplicated, sorted set of group elements."""
+    """Explicit, deduplicated, sorted set of group elements.
+
+    Equality and hashing come from ``elements``; ``members`` is the same
+    points as a frozenset, built once so that a membership test hashes one
+    element.
+    """
 
     group: Group
     elements: tuple[Vector, ...]
+    members: frozenset = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "members", frozenset(self.elements))
 
     def __str__(self):
         inner = ", ".join("(" + ",".join(str(c) for c in e) + ")" for e in self.elements)
@@ -81,15 +91,10 @@ def box_set(group: Group, lo: Sequence, hi: Sequence) -> BoxSet:
     return BoxSet(group, lo_v, hi_v)
 
 
-@lru_cache(maxsize=None)
-def _member_set(A: FiniteSet) -> frozenset:
-    return frozenset(A.elements)
-
-
 def contains(A: PointSet, x: Vector) -> bool:
     """Exact membership test for both representations."""
     if isinstance(A, FiniteSet):
-        return x in _member_set(A)
+        return x in A.members
     return all(a <= c <= b for a, c, b in zip(A.lo, x, A.hi))
 
 
@@ -228,7 +233,7 @@ def is_n_convex(A: PointSet, n: int) -> Verdict:
     if isinstance(A, FiniteSet):
         if not A.elements:
             return proved()
-        dilation = _member_set(n_dilate(A, n))
+        dilation = n_dilate(A, n).members
         # provenance map: each reachable sum remembers one decomposition.
         layer = {x: (x,) for x in A.elements}
         for _ in range(n - 1):
@@ -267,7 +272,13 @@ def _combination(T: Endomorphism, x: Vector, y: Vector) -> Vector:
 
 
 def _kernel_fault(what: str) -> InvariantViolated:
-    return InvariantViolated(f"the padded-code kernel refuted {what}, but the tuple path does not")
+    """The error for a pair-loop refutation that the tuple re-check denies.
+
+    A refutation found on either coding is recomputed with ``T.apply``,
+    ``sub`` and ``add`` before it is returned; a pair loop that refutes
+    what the tuples confirm is a fault in the coding, not a witness.
+    """
+    return InvariantViolated(f"the pair loop refuted {what}, but the tuple re-check does not")
 
 
 def _on_codes(group: Group, size: int) -> bool:
@@ -280,46 +291,36 @@ def _on_codes(group: Group, size: int) -> bool:
     return isinstance(group, FiniteGroup) and 1 << group.dim <= size
 
 
-def _split_codes(T: Endomorphism, xs: Iterable[Vector]) -> list[tuple[int, int]]:
-    """(code T(x), code(x - T(x))) for each element x.
+def _same(x):
+    return x
 
-    code(x) - code(T(x)) + code(m_1, ..., m_k) holds x_j - T(x)_j + m_j in
-    slot j, which is below 2*m_j, so ``reduce`` makes it the code of x - T(x).
+
+def _coding(group: Group, on_codes: bool) -> tuple:
+    """(code, decode, reduce, add, landing) for one pass of a pair loop.
+
+    On padded codes: ``FiniteGroup.code``/``decode``/``reduce``, int ``+``
+    and ``FiniteGroup.landing``.  On tuples: the identity three times,
+    ``group.add`` and ``frozenset``.  Either way the sum of a coded T(x) and
+    a coded y - T(y) is in the landing set of D's codes exactly when
+    T(x) + (y - T(y)) is in D, and ``reduce`` makes such a sum a code.
+    """
+    if on_codes:
+        return group.code, group.decode, group.reduce, operator.add, group.landing
+    return _same, _same, _same, group.add, frozenset
+
+
+def _split(T: Endomorphism, xs: Iterable[Vector], on_codes: bool) -> list[tuple]:
+    """(T(x), x - T(x)) for each element x, coded as ``_coding`` does.
+
+    On codes, code(x) - code(T(x)) + code(m_1, ..., m_k) holds
+    x_j - T(x)_j + m_j in slot j, which is below 2*m_j, so ``reduce`` makes
+    it the code of x - T(x).
     """
     g = T.group
+    if not on_codes:
+        return [(a := T.apply(x), g.sub(x, a)) for x in xs]
     shift = g.code(g.moduli)
-    out = []
-    for x in xs:
-        a = g.code(T.apply(x))
-        out.append((a, g.reduce(g.code(x) + shift - a)))
-    return out
-
-
-def _codes_t_convex(D: FiniteSet, T: Endomorphism) -> Verdict:
-    """``is_T_convex`` on padded codes: one int add and one lookup per pair.
-
-    The pair (x, y) passes when code T(x) + code(y - T(y)) is in D's landing
-    set.  A row whose T(x) code has passed already passes again.  The first
-    failing pair in ``D.elements`` order is re-checked on tuples.
-    """
-    g = D.group
-    codes = tuple(map(g.code, D.elements))
-    landing = g.landing(codes)
-    pairs = _split_codes(T, D.elements)
-    tails = [b for _, b in pairs]
-    distinct_tails = set(tails)
-    passed = set()
-    for x, (a, _) in zip(D.elements, pairs):
-        if a in passed:
-            continue
-        if not landing.issuperset(map(a.__add__, distinct_tails)):
-            y = next(y for y, b in zip(D.elements, tails) if a + b not in landing)
-            point = _combination(T, x, y)
-            if point in D.elements:
-                raise _kernel_fault(f"({x}, {y})")
-            return refuted((x, y, point))
-        passed.add(a)
-    return proved()
+    return [(a := g.code(T.apply(x)), g.reduce(g.code(x) + shift - a)) for x in xs]
 
 
 def _diagonal(T: Endomorphism) -> tuple | None:
@@ -334,8 +335,11 @@ def _diagonal(T: Endomorphism) -> tuple | None:
 def is_T_convex(D: PointSet, T: Endomorphism, samples: int = 64, seed: int = 0) -> Verdict:
     """Check T(x) + (I-T)(y) in D for all x, y in D.
 
-    Exhaustive over ordered pairs on finite sets, on padded codes over a
-    finite group when that pays (``_on_codes``).  A one-point box is convex
+    Exhaustive over ordered pairs on finite sets: T(x) and y - T(y) are
+    computed once per element, on padded codes over a finite group when
+    that pays (``_on_codes``), and a row whose T(x) passed already is
+    skipped.  The witness is the first failing pair in ``D.elements``
+    order, re-checked on tuples.  A one-point box is convex
     for every T, since T(x) + (I-T)(x) = x.  On other boxes, diagonal
     endomorphisms admit an exact corner analysis (the combination is linear
     in each coordinate of x and y, so extremes occur at box corners, which
@@ -345,13 +349,22 @@ def is_T_convex(D: PointSet, T: Endomorphism, samples: int = 64, seed: int = 0) 
         raise GroupMismatch(f"{D.group} vs {T.group}")
     g = D.group
     if isinstance(D, FiniteSet):
-        if _on_codes(g, len(D)):
-            return _codes_t_convex(D, T)
-        for x in D.elements:
-            for y in D.elements:
+        on_codes = _on_codes(g, len(D))
+        code, _, _, add, landing_of = _coding(g, on_codes)
+        landing = landing_of(map(code, D.elements))
+        pairs = _split(T, D.elements, on_codes)
+        tails = {b for _, b in pairs}
+        passed = set()
+        for x, (a, _) in zip(D.elements, pairs):
+            if a in passed:
+                continue
+            if not landing.issuperset(map(add, itertools.repeat(a), tails)):
+                y = next(y for y, (_, b) in zip(D.elements, pairs) if add(a, b) not in landing)
                 point = _combination(T, x, y)
-                if not contains(D, point):
-                    return refuted((x, y, point))
+                if point in D.members:
+                    raise _kernel_fault(f"({x}, {y})")
+                return refuted((x, y, point))
+            passed.add(a)
         return proved()
     if D.lo == D.hi:
         return proved()
@@ -394,33 +407,28 @@ def t_convex_pointwise(D: FiniteSet, T: Endomorphism) -> Verdict:
 
     T is applied to the members v of each translate, never to D and p
     separately, so this test does not lean on additivity the way
-    ``is_T_convex`` does.  On padded codes (``_on_codes``) the translate is a
-    set of codes and T(v) is in D - p when code T(v) + code(p) is in D's
-    landing set; T is applied once to each v met in any translate.  The
-    witness is the failing v the tuple loop meets first, re-checked on tuples.
+    ``is_T_convex`` does.  Each translate is a set in the pass's coding
+    (``_on_codes``), and T(v) is in D - p when T(v) + p is in D's landing
+    set; T is applied once to each v met in any translate.  The witness is
+    the failing v that a loop over the tuple translate meets first,
+    re-checked on tuples.
     """
     if not isinstance(D, FiniteSet):
         raise NotFinite("the pointwise test enumerates translates")
     g = D.group
-    if not _on_codes(g, len(D)):
-        for p in D.elements:
-            translate = frozenset(g.sub(d, p) for d in D.elements)
-            for v in translate:
-                if T.apply(v) not in translate:
-                    return refuted((p, g.add(v, p)))
-        return proved()
-    codes = tuple(map(g.code, D.elements))
-    landing = g.landing(codes)
+    code, decode, reduce, add, landing_of = _coding(g, _on_codes(g, len(D)))
+    codes = tuple(map(code, D.elements))
+    landing = landing_of(codes)
     images = {}
     for p, cp in zip(D.elements, codes):
-        minus_p = g.code(g.neg(p))
-        translate = {g.reduce(c + minus_p) for c in codes}
-        new = translate.difference(images)
-        images.update(zip(new, (a for a, _ in _split_codes(T, map(g.decode, new)))))
-        failing = {v for v in translate if images[v] + cp not in landing}
+        minus_p = code(g.neg(p))
+        translate = {reduce(add(c, minus_p)) for c in codes}
+        for v in translate.difference(images):
+            images[v] = code(T.apply(decode(v)))
+        failing = {v for v in translate if add(images[v], cp) not in landing}
         if failing:
             translate = frozenset(g.sub(d, p) for d in D.elements)
-            v = next(v for v in translate if g.code(v) in failing)
+            v = next(v for v in translate if code(v) in failing)
             if T.apply(v) in translate:
                 raise _kernel_fault(f"T({v}) in the translate by {p}")
             return refuted((p, g.add(v, p)))
@@ -451,65 +459,39 @@ def convex_hull(
     """Least fixed point of one-step closure under x, y -> T(x) + (I-T)(y).
 
     The result is extensive and monotone; when the fixed point is reached
-    the ``complete`` flag is set and the hull is family-convex.  Iteration
-    order is deterministic (sorted elements, family order).  When S is large
-    enough (``_on_codes``) the passes run on padded codes (``_codes_hull``).
+    the ``complete`` flag is set and the hull is family-convex.  Each pass
+    adds every sum of a T(x) and a y - T(y) over the points so far that
+    misses their landing set, on padded codes when S is large enough
+    (``_on_codes``), so the passes and the result do not depend on order.
     """
     if not isinstance(S, FiniteSet):
         raise NotFinite("hulls are computed from explicit finite seeds")
     for T in Ts:
         if T.group != S.group:
             raise GroupMismatch(f"{S.group} vs {T.group}")
-    if _on_codes(S.group, len(S)):
-        return _codes_hull(S, Ts, max_iter)
-    current = set(S.elements)
-    complete = False
-    for _ in range(max_iter):
-        snapshot = sorted(current)
-        grown = False
-        for T in Ts:
-            for x in snapshot:
-                for y in snapshot:
-                    point = _combination(T, x, y)
-                    if point not in current:
-                        current.add(point)
-                        grown = True
-        if not grown:
-            complete = True
-            break
-    return finite_set(S.group, current), complete
-
-
-def _codes_hull(
-    S: FiniteSet, Ts: Sequence[Endomorphism], max_iter: int
-) -> tuple[FiniteSet, bool]:
-    """``convex_hull`` on a finite group, on padded codes.
-
-    Each pass adds every reduced sum of a T(x) code and a y - T(y) code that
-    misses the landing set of the points so far, the same points in the same
-    passes as the tuple loop.
-    """
     g = S.group
-    current = set(map(g.code, S.elements))
-    landing = set(g.landing(current))
+    on_codes = _on_codes(g, len(S))
+    code, decode, reduce, add, landing_of = _coding(g, on_codes)
+    current = set(map(code, S.elements))
+    landing = set(landing_of(current))
     complete = False
     for _ in range(max_iter):
         snapshot = list(current)
         grown = False
         for T in Ts:
-            pairs = _split_codes(T, map(g.decode, snapshot))
+            pairs = _split(T, map(decode, snapshot), on_codes)
             tails = {b for _, b in pairs}
             for a in {a for a, _ in pairs}:
-                for s in map(a.__add__, tails):
+                for s in map(add, itertools.repeat(a), tails):
                     if s not in landing:
-                        c = g.reduce(s)
+                        c = reduce(s)
                         current.add(c)
-                        landing |= g.landing((c,))
+                        landing |= landing_of((c,))
                         grown = True
         if not grown:
             complete = True
             break
-    return FiniteSet(g, tuple(map(g.decode, sorted(current)))), complete
+    return FiniteSet(g, tuple(map(decode, sorted(current)))), complete
 
 
 @lru_cache(maxsize=None)

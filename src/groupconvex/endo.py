@@ -180,15 +180,26 @@ def scaling(group: Group, n: int) -> Endomorphism:
     return identity(group).scale(n)
 
 
+# most maps ``all_endomorphisms`` builds; End(Z12xZ12), the largest ring a
+# default search draws, has 20,736
+_RING_CAP = 1 << 16
+
+
 @lru_cache(maxsize=None)
 def all_endomorphisms(group: Group) -> tuple[Endomorphism, ...]:
     """The full endomorphism ring of a finite group.
 
     Entry (i, j) ranges over the multiples of m_i / gcd(m_i, m_j) below m_i,
-    which enumerates each matrix exactly once.
+    which enumerates each matrix exactly once, so the ring has
+    prod_(i, j) gcd(m_i, m_j) maps; beyond ``_RING_CAP`` none is built.
     """
     if not isinstance(group, FiniteGroup):
         raise NotEnumerable(f"the endomorphism ring of {group} is not enumerable")
+    size = math.prod(math.gcd(m_i, m_j) for m_i in group.moduli for m_j in group.moduli)
+    if size > _RING_CAP:
+        raise NotEnumerable(
+            f"the endomorphism ring of {group} has {size} maps, beyond the cap of {_RING_CAP}"
+        )
     cells = []
     for m_i in group.moduli:
         for m_j in group.moduli:

@@ -225,8 +225,8 @@ class FiniteGroup(Group):
 
         A sum of two codes lies in this set exactly when the group sum of
         their elements has one of ``codes``; it holds 2^k ints per code, so
-        it is only worth building when 2^k is small next to the number of
-        sums looked up in it.
+        the convexity pair loops use it, in place of a frozenset of the
+        points, only on sets of at least 2^k points.
         """
         offsets = [0]
         for m, p in zip(self.moduli, self._radix):

@@ -102,6 +102,13 @@ class Instance:
 _NAT_SPAN = 20
 # largest finite group enumerated subset-exhaustively
 _SUBSET_CAP = 9
+# the search's draws: moduli of a finite group and how many, lattice
+# dimensions, lattice matrix entries, and the size of a drawn finite set
+_MODULI_RANGE = (4, 12)
+_MAX_FACTORS = 2
+_DIM_RANGE = (1, 3)
+_ENTRY_RANGE = (-3, 3)
+_SET_SIZE = (1, 4)
 
 
 def _endo_universe(inst: Instance) -> list[Endomorphism]:
@@ -759,11 +766,6 @@ class GeneratorConfig:
     family: str = "finite"  # finite | int | dyadic
     group: Group | None = None
     metric: Metric | None = None
-    moduli_range: tuple[int, int] = (4, 12)
-    max_factors: int = 2
-    dim_range: tuple[int, int] = (1, 3)
-    entry_range: tuple[int, int] = (-3, 3)
-    set_size: tuple[int, int] = (1, 4)
     exhaustive: bool = False
 
 
@@ -771,9 +773,9 @@ def _draw_group(gen: GeneratorConfig, rng: random.Random) -> Group:
     if gen.group is not None:
         return gen.group
     if gen.family == "finite":
-        count = rng.randint(1, gen.max_factors)
-        return FiniteGroup(tuple(rng.randint(*gen.moduli_range) for _ in range(count)))
-    dim = rng.randint(*gen.dim_range)
+        count = rng.randint(1, _MAX_FACTORS)
+        return FiniteGroup(tuple(rng.randint(*_MODULI_RANGE) for _ in range(count)))
+    dim = rng.randint(*_DIM_RANGE)
     return IntLattice(dim) if gen.family == "int" else DyadicLattice(dim)
 
 
@@ -786,17 +788,17 @@ def _metric_for(gen: GeneratorConfig, group: Group) -> Metric:
     return LinfMetric(unit)
 
 
-def _draw_endo(group: Group, gen: GeneratorConfig, rng: random.Random) -> Endomorphism:
+def _draw_endo(group: Group, rng: random.Random) -> Endomorphism:
     n = group.dim
     if isinstance(group, FiniteGroup):
         ring = en.all_endomorphisms(group)
         return ring[rng.randrange(len(ring))]
     if isinstance(group, IntLattice):
-        rows = [[rng.randint(*gen.entry_range) for _ in range(n)] for _ in range(n)]
+        rows = [[rng.randint(*_ENTRY_RANGE) for _ in range(n)] for _ in range(n)]
         return en.make_endo(group, rows)
     rows = [
         [
-            Fraction(rng.randint(*gen.entry_range), 1 << rng.randint(0, 2))
+            Fraction(rng.randint(*_ENTRY_RANGE), 1 << rng.randint(0, 2))
             for _ in range(n)
         ]
         for _ in range(n)
@@ -804,15 +806,15 @@ def _draw_endo(group: Group, gen: GeneratorConfig, rng: random.Random) -> Endomo
     return en.make_endo(group, rows)
 
 
-def _draw_endos(group: Group, gen: GeneratorConfig, rng: random.Random) -> dict:
-    return {f"T{i + 1}": _draw_endo(group, gen, rng) for i in range(rng.randint(1, 3))}
+def _draw_endos(group: Group, rng: random.Random) -> dict:
+    return {f"T{i + 1}": _draw_endo(group, rng) for i in range(rng.randint(1, 3))}
 
 
-def _draw_nilpotent(group: Group, gen: GeneratorConfig, rng: random.Random) -> Endomorphism:
+def _draw_nilpotent(group: Group, rng: random.Random) -> Endomorphism:
     """A strictly upper-triangular lattice matrix, so its radius is zero."""
     n = group.dim
     rows = [
-        [rng.randint(*gen.entry_range) if j > i else 0 for j in range(n)]
+        [rng.randint(*_ENTRY_RANGE) if j > i else 0 for j in range(n)]
         for i in range(n)
     ]
     return en.make_endo(group, rows)
@@ -833,8 +835,8 @@ def _draw_point(group: Group, rng: random.Random) -> list:
     return [Fraction(rng.randint(-8, 8), 1 << rng.randint(0, 2)) for _ in range(group.dim)]
 
 
-def _draw_finite_set(group: Group, gen: GeneratorConfig, rng: random.Random) -> FiniteSet:
-    size = rng.randint(*gen.set_size)
+def _draw_finite_set(group: Group, rng: random.Random) -> FiniteSet:
+    size = rng.randint(*_SET_SIZE)
     return cx.finite_set(group, [_draw_point(group, rng) for _ in range(size)])
 
 
@@ -852,9 +854,9 @@ def _draw_box(group: Group, rng: random.Random) -> BoxSet:
     return cx.box_set(group, lo, hi)
 
 
-def _draw_endo_until(group, gen, rng, accept, attempts: int = 200) -> Endomorphism:
+def _draw_endo_until(group, rng, accept, attempts: int = 200) -> Endomorphism:
     for _ in range(attempts):
-        T = _draw_endo(group, gen, rng)
+        T = _draw_endo(group, rng)
         if accept(T):
             return T
     raise GeneratorExhausted("could not satisfy the hypotheses within the retry budget")
@@ -878,17 +880,17 @@ def _draw_sum_box(group: Group, rng: random.Random) -> BoxSet:
 
 
 def _draw_operators(group, metric, params, gen, rng) -> Instance:
-    return Instance(group, metric, endos=_draw_endos(group, gen, rng), params=params)
+    return Instance(group, metric, endos=_draw_endos(group, rng), params=params)
 
 
 def _draw_operators_and_set(group, metric, params, gen, rng) -> Instance:
-    endos = _draw_endos(group, gen, rng)
-    sets = {"D1": _draw_finite_set(group, gen, rng)}
+    endos = _draw_endos(group, rng)
+    sets = {"D1": _draw_finite_set(group, rng)}
     return Instance(group, metric, endos=endos, sets=sets, params=params)
 
 
 def _draw_set(group, metric, params, gen, rng) -> Instance:
-    return Instance(group, metric, sets={"D": _draw_finite_set(group, gen, rng)}, params=params)
+    return Instance(group, metric, sets={"D": _draw_finite_set(group, rng)}, params=params)
 
 
 def _draw_thm_rct(group, metric, params, gen, rng) -> Instance:
@@ -896,9 +898,9 @@ def _draw_thm_rct(group, metric, params, gen, rng) -> Instance:
         B = _draw_box(group, rng)
     else:
         B = cx.finite_set(group, [[rng.randint(-2, 2) for _ in range(group.dim)]])
-    C = _draw_finite_set(group, gen, rng)
+    C = _draw_finite_set(group, rng)
     inner = random.Random(rng.randrange(2 ** 30))
-    size = rng.randint(*gen.set_size)
+    size = rng.randint(*_SET_SIZE)
     A = cx.finite_set(group, [cx.sample(B, inner) for _ in range(size)])
     return Instance(group, metric, sets={"A": A, "B": B, "C": C}, params=params)
 
@@ -906,24 +908,24 @@ def _draw_thm_rct(group, metric, params, gen, rng) -> Instance:
 def _draw_thm_nit(group, metric, params, gen, rng) -> Instance:
     _require_complete(group)
     if isinstance(group, FiniteGroup):
-        T = _draw_endo_until(group, gen, rng, lambda T: _below_one(T, metric))
+        T = _draw_endo_until(group, rng, lambda T: _below_one(T, metric))
     else:
-        T = _draw_nilpotent(group, gen, rng)
+        T = _draw_nilpotent(group, rng)
     return Instance(group, metric, endos={"T": T}, params=params)
 
 
 def _draw_cor_nit(group, metric, params, gen, rng) -> Instance:
     _require_complete(group)
     if isinstance(group, FiniteGroup):
-        S = _draw_endo_until(group, gen, rng, lambda S: en.try_inverse(S) is not None)
+        S = _draw_endo_until(group, rng, lambda S: en.try_inverse(S) is not None)
         s_inv = en.try_inverse(S)
         T = _draw_endo_until(
-            group, gen, rng,
+            group, rng,
             lambda T: _below_one(T.compose(s_inv), metric) or _below_one(s_inv.compose(T), metric),
         )
     else:
         S = en.identity(group)
-        T = _draw_nilpotent(group, gen, rng)
+        T = _draw_nilpotent(group, rng)
     return Instance(group, metric, endos={"S": S, "T": T}, params=params)
 
 
@@ -932,9 +934,9 @@ def _draw_thm_0(group, metric, params, gen, rng) -> Instance:
         # the checker's cost grows with the cube of the order
         group = FiniteGroup((rng.randint(4, 9),))
         metric = _metric_for(gen, group)
-    endos = _draw_endos(group, gen, rng)
+    endos = _draw_endos(group, rng)
     family = list(endos.values())
-    seed_set = _draw_finite_set(group, gen, rng)
+    seed_set = _draw_finite_set(group, rng)
     endos["A"] = en.scaling(group, rng.randint(0, 6))  # commutes with all
     if isinstance(group, FiniteGroup):
         # family-convex sets are produced by closing a random seed
@@ -944,18 +946,18 @@ def _draw_thm_0(group, metric, params, gen, rng) -> Instance:
     else:
         # singletons are family-convex for any endomorphisms
         rng_pts = random.Random(rng.randrange(2 ** 30))
-        single = _draw_finite_set(group, gen, rng_pts).elements[:1]
+        single = _draw_finite_set(group, rng_pts).elements[:1]
         D1 = cx.finite_set(group, single)
     return Instance(group, metric, endos=endos, sets={"D1": D1}, params=params)
 
 
 def _draw_thm_2(group, metric, params, gen, rng) -> Instance:
     if gen.family == "finite" and gen.group is None:
-        lo, hi = gen.moduli_range
+        lo, hi = _MODULI_RANGE
         odd = [m for m in range(lo, hi + 1) if m % 2 == 1 and m >= 3]
         if not odd:
             raise GeneratorExhausted("no odd moduli in range; 2-divisibility fails")
-        count = rng.randint(1, gen.max_factors)
+        count = rng.randint(1, _MAX_FACTORS)
         group = FiniteGroup(tuple(odd[rng.randrange(len(odd))] for _ in range(count)))
         metric = _metric_for(gen, group)
     if isinstance(group, FiniteGroup):
@@ -963,9 +965,9 @@ def _draw_thm_2(group, metric, params, gen, rng) -> Instance:
             raise GeneratorExhausted("the pinned group is not 2-divisible")
         ident = en.identity(group)
         T = _draw_endo_until(
-            group, gen, rng, lambda T: _below_one(T.scale(2).sub(ident), metric), attempts=400
+            group, rng, lambda T: _below_one(T.scale(2).sub(ident), metric), attempts=400
         )
-        seed_set = _draw_finite_set(group, gen, rng)
+        seed_set = _draw_finite_set(group, rng)
         hull, _ = cx.convex_hull(seed_set, [T])
         return Instance(group, metric, endos={"T": T}, sets={"D": hull}, params=params)
     if isinstance(group, IntLattice):

@@ -438,6 +438,22 @@ def test_high_rank_session_builds_nothing_sized_by_the_group(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "Proved"
 
 
+def test_family_beyond_the_ring_cap_is_an_input_error(tmp_path, capsys):
+    # End(Z2^64) has 2^4096 maps; the cap refuses the ring before building one
+    rank = 64
+    session = {
+        "group": {"kind": "finite", "moduli": [2] * rank},
+        "metric": {"kind": "cyclic", "weights": ["1"] * rank},
+        "sets": {"D": {"kind": "finite", "elements": [[0] * rank, [1] * rank]}},
+    }
+    path = tmp_path / "z2^64.json"
+    path.write_text(json.dumps(session))
+    assert main(["family", str(path), "D"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"has {2 ** 4096} maps" in captured.err
+
+
 def test_table_with_stray_keys_is_an_input_error(tmp_path, capsys):
     # "5" and "1,1" are not elements of Z4, so the table is not a norm on Z4
     session = {

@@ -1,11 +1,13 @@
-"""The padded-code kernel against the tuple loops it replaced.
+"""The one pair loop of each convexity test against plain tuple loops.
 
-``is_T_convex``, ``t_convex_pointwise`` and ``convex_hull`` run on padded
-integer codes over finite groups once a set has at least 2^k points (see
-``FiniteGroup`` and ``convexity._on_codes``).  The reference functions below
-are the tuple loops those functions ran before, kept here as the oracle:
-every status, witness and hull must agree with them, both as the functions
-route themselves and with every finite-group set sent to the codes.
+``is_T_convex``, ``t_convex_pointwise`` and ``convex_hull`` each run one
+pair loop on a coding that ``convexity._on_codes`` picks per call: padded
+integer codes over a finite group once a set has at least 2^k points (see
+``FiniteGroup``), the tuples themselves otherwise, lattice finite sets
+included.  The reference functions below are direct tuple loops over every
+pair, kept here as the oracle: every status, witness and hull must agree
+with them on both codings, both as the functions route themselves and with
+every finite-group set sent to the codes.
 """
 
 from __future__ import annotations
@@ -15,20 +17,25 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from groupconvex import convexity
 from groupconvex import (
+    DyadicLattice,
     FiniteGroup,
+    IntLattice,
     all_endomorphisms,
     convex_hull,
     family_of,
     finite_set,
     identity,
     is_T_convex,
+    make_endo,
     t_convex_pointwise,
+    zero,
 )
 from groupconvex.errors import InvariantViolated
 from groupconvex.verdicts import proved, refuted
@@ -146,6 +153,63 @@ def test_kernel_agrees_with_tuple_loops_on_seeded_sets(moduli, monkeypatch):
                 assert convex_hull(D, family, max_iter=max_iter) == hull, (D, family, max_iter)
     # both verdicts and both hull flags occur
     assert len(outcomes) == 4
+
+
+def _lattice_point(group, rng):
+    if isinstance(group, IntLattice):
+        return [rng.randint(-3, 3) for _ in range(group.dim)]
+    return [Fraction(rng.randint(-8, 8), 1 << rng.randint(0, 2)) for _ in range(group.dim)]
+
+
+def _lattice_endo(group, rng):
+    def entry():
+        if isinstance(group, IntLattice):
+            return rng.randint(-2, 2)
+        return Fraction(rng.randint(-4, 4), 1 << rng.randint(0, 1))
+
+    return make_endo(group, [[entry() for _ in range(group.dim)] for _ in range(group.dim)])
+
+
+@pytest.mark.parametrize("group", [IntLattice(2), DyadicLattice(2)], ids=str)
+def test_pair_loop_agrees_with_tuple_loops_on_lattice_sets(group):
+    rng = random.Random(5)
+    outcomes = set()
+    for _ in range(30):
+        D = finite_set(group, [_lattice_point(group, rng) for _ in range(rng.randint(1, 5))])
+        # the identity and the zero map make every set convex
+        Ts = [_lattice_endo(group, rng), _lattice_endo(group, rng), identity(group), zero(group)]
+        for T in Ts:
+            direct = ref_is_T_convex(D, T)
+            outcomes.add(direct.status)
+            assert _same(is_T_convex(D, T), direct), (D, T)
+            assert _same(t_convex_pointwise(D, T), ref_pointwise(D, T)), (D, T)
+        for family in (Ts[:1], Ts[1:3]):
+            for max_iter in (1, 2):
+                hull = convex_hull(D, family, max_iter=max_iter)
+                reference = ref_hull(D, family, max_iter)
+                assert hull == reference, (D, family, max_iter)
+                # equal sets with the same coordinate types, so the same text
+                assert repr(hull) == repr(reference), (D, family, max_iter)
+    assert len(outcomes) == 2
+
+
+@pytest.mark.parametrize(
+    "group", [FiniteGroup((2, 3, 4)), IntLattice(2), DyadicLattice(2)], ids=str
+)
+def test_finite_set_does_not_depend_on_insertion_order(group):
+    rng = random.Random(9)
+    for _ in range(20):
+        if isinstance(group, FiniteGroup):
+            points = [[rng.randrange(m) for m in group.moduli] for _ in range(6)]
+        else:
+            points = [_lattice_point(group, rng) for _ in range(6)]
+        A = finite_set(group, points)
+        B = finite_set(group, reversed(points))
+        assert A == B
+        assert hash(A) == hash(B)
+        assert A.members == B.members == frozenset(A.elements)
+        # ``members`` is not part of the text
+        assert repr(A) == repr(B) == f"FiniteSet(group={group!r}, elements={A.elements!r})"
 
 
 def test_codec_on_every_pair_of_z2_z3_z4():

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -92,6 +93,28 @@ def test_ring_counts():
     assert len(all_endomorphisms(FiniteGroup((12,)))) == 12
     # one hom count per cell: gcd products
     assert len(all_endomorphisms(FiniteGroup((2, 4)))) == 2 * 2 * 2 * 4
+
+
+def test_ring_beyond_the_cap_is_refused_before_any_map_is_built(monkeypatch):
+    from groupconvex import endo
+    from groupconvex.errors import NotEnumerable
+    from groupconvex.theorems import _MAX_FACTORS, _MODULI_RANGE
+
+    def build(group, rows):
+        raise AssertionError("a map was built")
+
+    monkeypatch.setattr(endo, "_build", build)
+    # End(Z2^5) has 2^25 maps
+    with pytest.raises(NotEnumerable, match=f"has {2 ** 25} maps"):
+        all_endomorphisms(FiniteGroup((2,) * 5))
+    # every ring a default finite search draws stays enumerable
+    lo, hi = _MODULI_RANGE
+    largest = max(
+        math.prod(math.gcd(a, b) for a in moduli for b in moduli)
+        for count in range(1, _MAX_FACTORS + 1)
+        for moduli in itertools.product(range(lo, hi + 1), repeat=count)
+    )
+    assert largest == 12 ** 4 < endo._RING_CAP
 
 
 def test_ring_enumeration_is_exactly_the_homset():
