@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
+from dataclasses import fields, replace
 from fractions import Fraction
 from typing import Any
 
@@ -71,10 +72,6 @@ _STATUS_EXIT = {
 # ---------------------------------------------------------------------------
 # Scalar and element formatting
 # ---------------------------------------------------------------------------
-
-def _format_element(group: Group, x: Vector) -> str:
-    return ",".join(group.format_scalar(c) for c in x)
-
 
 def _parse_element(group: Group, text: str) -> Vector:
     return group.element([parse_scalar(part) for part in text.split(",")])
@@ -170,9 +167,6 @@ def _set_from_literal(group: Group, literal: dict) -> PointSet:
     raise ParseError(f"unknown set kind {kind!r}")
 
 
-_PARAM_KEYS = ("n0", "horizon", "budget", "seed", "max_iter")
-
-
 @contextmanager
 def _reading(what: str):
     """Report a literal of the wrong shape or value as a ParseError naming ``what``."""
@@ -209,7 +203,7 @@ def session_from_dict(data: dict) -> Instance:
             sets[name] = _set_from_literal(group, literal)
     with _reading("params"):
         raw_params = data.get("params", {})
-        unknown = set(raw_params) - set(_PARAM_KEYS)
+        unknown = set(raw_params) - {f.name for f in fields(Params)}
         if unknown:
             raise ParseError(f"unknown parameter keys {sorted(unknown)}")
         params = Params(**{k: as_int(v) for k, v in raw_params.items()})
@@ -254,9 +248,9 @@ def session_to_dict(inst: Instance) -> dict:
     if inst.sets:
         data["sets"] = {name: _format_set(A) for name, A in inst.sets.items()}
     params = {
-        key: getattr(inst.params, key)
-        for key in _PARAM_KEYS
-        if getattr(inst.params, key) != getattr(Params(), key)
+        f.name: getattr(inst.params, f.name)
+        for f in fields(Params)
+        if getattr(inst.params, f.name) != f.default
     }
     if params:
         data["params"] = params
@@ -268,7 +262,8 @@ def format_session(inst: Instance) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Command handlers
+# Command handlers: each takes the session, read once in ``main``, and the
+# parsed arguments, and returns the exit code.
 # ---------------------------------------------------------------------------
 
 def _emit(args, human: str, record: dict) -> None:
@@ -276,19 +271,6 @@ def _emit(args, human: str, record: dict) -> None:
         print(json.dumps(record))
     else:
         print(human)
-
-
-def _override_params(inst: Instance, args) -> Instance:
-    updates = {}
-    for key in ("seed", "budget", "horizon", "max_iter"):
-        value = getattr(args, key, None)
-        if value is not None:
-            updates[key] = value
-    if updates:
-        merged = {k: getattr(inst.params, k) for k in _PARAM_KEYS}
-        merged.update(updates)
-        inst.params = Params(**merged)
-    return inst
 
 
 def _endo_by_name(inst: Instance, name: str) -> Endomorphism:
@@ -311,32 +293,22 @@ def _family(inst: Instance, names: list[str]) -> list[Endomorphism]:
     return list(inst.endos.values())
 
 
-def _cmd_norm(args) -> int:
-    inst = _override_params(parse_session(args.session), args)
+def _cmd_norm(inst: Instance, args) -> int:
     x = _parse_element(inst.group, args.element)
     value = norm(inst.group, inst.metric, x)
     _emit(args, format_rational(value), {"command": "norm", "value": format_rational(value)})
     return EXIT_OK
 
 
-def _cmd_endo_norm(args) -> int:
-    inst = _override_params(parse_session(args.session), args)
-    T = _endo_by_name(inst, args.name)
-    value = en.op_norm(T, inst.metric)
-    _emit(args, format_rational(value), {"command": "endo-norm", "value": format_rational(value)})
+def _cmd_endo_scalar(inst: Instance, args) -> int:
+    """``endo-norm`` (the operator norm) and ``mu`` (the measure of injectivity)."""
+    measure = en.op_norm if args.command == "endo-norm" else en.injectivity_measure
+    value = measure(_endo_by_name(inst, args.name), inst.metric)
+    _emit(args, format_rational(value), {"command": args.command, "value": format_rational(value)})
     return EXIT_OK
 
 
-def _cmd_mu(args) -> int:
-    inst = _override_params(parse_session(args.session), args)
-    T = _endo_by_name(inst, args.name)
-    value = en.injectivity_measure(T, inst.metric)
-    _emit(args, format_rational(value), {"command": "mu", "value": format_rational(value)})
-    return EXIT_OK
-
-
-def _cmd_rho(args) -> int:
-    inst = _override_params(parse_session(args.session), args)
+def _cmd_rho(inst: Instance, args) -> int:
     T = _endo_by_name(inst, args.name)
     bracket = en.spectral_radius(T, inst.metric, inst.params.horizon)
     if bracket.exact:
@@ -353,8 +325,7 @@ def _cmd_rho(args) -> int:
     return EXIT_OK
 
 
-def _cmd_invert(args) -> int:
-    inst = _override_params(parse_session(args.session), args)
+def _cmd_invert(inst: Instance, args) -> int:
     names = args.names
     if len(names) == 1:
         T = _endo_by_name(inst, names[0])
@@ -375,8 +346,7 @@ def _cmd_invert(args) -> int:
     return EXIT_OK
 
 
-def _cmd_hull(args) -> int:
-    inst = _override_params(parse_session(args.session), args)
+def _cmd_hull(inst: Instance, args) -> int:
     S = _set_by_name(inst, args.set)
     family = _family(inst, args.names)
     hull, complete = cx.convex_hull(S, family, max_iter=inst.params.max_iter)
@@ -389,8 +359,7 @@ def _cmd_hull(args) -> int:
     return EXIT_OK
 
 
-def _cmd_is_convex(args) -> int:
-    inst = _override_params(parse_session(args.session), args)
+def _cmd_is_convex(inst: Instance, args) -> int:
     D = _set_by_name(inst, args.set)
     family = _family(inst, args.names)
     verdict = cx.is_family_convex(
@@ -400,16 +369,14 @@ def _cmd_is_convex(args) -> int:
     return _STATUS_EXIT[verdict.status]
 
 
-def _cmd_is_n_convex(args) -> int:
-    inst = _override_params(parse_session(args.session), args)
+def _cmd_is_n_convex(inst: Instance, args) -> int:
     D = _set_by_name(inst, args.set)
     verdict = cx.is_n_convex(D, args.n)
     _emit(args, verdict.status.value, _verdict_record(verdict, inst.group))
     return _STATUS_EXIT[verdict.status]
 
 
-def _cmd_family(args) -> int:
-    inst = _override_params(parse_session(args.session), args)
+def _cmd_family(inst: Instance, args) -> int:
     D = _set_by_name(inst, args.set)
     members = cx.family_of(D)
     human = "\n".join(str(T) for T in members)
@@ -421,8 +388,7 @@ def _cmd_family(args) -> int:
     return EXIT_OK
 
 
-def _cmd_recursion(args) -> int:
-    inst = _override_params(parse_session(args.session), args)
+def _cmd_recursion(inst: Instance, args) -> int:
     T = _endo_by_name(inst, args.name)
     iterate = en.midpoint_recursion(T, args.n)
     closed = en.midpoint_closed_form(T, args.n) if inst.group.divisible_by(2) else None
@@ -447,41 +413,53 @@ def _property(value: str) -> PropertyId:
         ) from None
 
 
-def _cmd_verify(args) -> int:
-    inst = _override_params(parse_session(args.session), args)
-    prop = _property(args.property)
-    verdict = verify(prop, inst)
-    record = _verdict_record(verdict, inst.group, prop=prop.name)
+def _emit_property(args, inst: Instance, prop: PropertyId, verdict: Verdict, counted: str) -> int:
     human = f"{prop.name}: {verdict.status.value}"
     if verdict.samples is not None:
-        human += f" ({verdict.samples} samples)"
-    _emit(args, human, record)
+        human += f" ({verdict.samples} {counted})"
+    _emit(args, human, _verdict_record(verdict, inst.group, prop=prop.name))
     return _STATUS_EXIT[verdict.status]
 
 
-def _cmd_search(args) -> int:
-    inst = _override_params(parse_session(args.session), args)
+def _cmd_verify(inst: Instance, args) -> int:
     prop = _property(args.property)
-    gen = GeneratorConfig(
-        family=inst.group.kind,
-        group=inst.group,
-        metric=inst.metric,
-        exhaustive=args.exhaustive,
-    )
+    return _emit_property(args, inst, prop, verify(prop, inst), "samples")
+
+
+def _cmd_search(inst: Instance, args) -> int:
+    prop = _property(args.property)
+    gen = GeneratorConfig(group=inst.group, metric=inst.metric, exhaustive=args.exhaustive)
     verdict = counterexample_search(
         prop, gen, budget=inst.params.budget, seed=inst.params.seed
     )
-    record = _verdict_record(verdict, inst.group, prop=prop.name)
-    human = f"{prop.name}: {verdict.status.value}"
-    if verdict.samples is not None:
-        human += f" ({verdict.samples} instances)"
-    _emit(args, human, record)
-    return _STATUS_EXIT[verdict.status]
+    return _emit_property(args, inst, prop, verdict, "instances")
 
 
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
+
+# One row per subcommand: name, help, handler, and the arguments that follow
+# the session file as (name, add_argument keywords).
+_COMMANDS = (
+    ("norm", "norm of an element", _cmd_norm,
+     [("element", {"help": "comma-separated exact coordinates"})]),
+    ("endo-norm", "operator norm of an endomorphism", _cmd_endo_scalar, [("name", {})]),
+    ("mu", "measure of injectivity", _cmd_endo_scalar, [("name", {})]),
+    ("rho", "spectral radius bracket", _cmd_rho, [("name", {})]),
+    ("invert", "geometric-series inversion", _cmd_invert,
+     [("names", {"nargs": "+", "help": "T for (I-T)^-1, or S T for (S-T)^-1"})]),
+    ("hull", "family-convex hull of a set", _cmd_hull,
+     [("set", {}), ("names", {"nargs": "*", "help": "family members (default: all endos)"})]),
+    ("is-convex", "family convexity verdict", _cmd_is_convex, [("set", {}), ("names", {"nargs": "*"})]),
+    ("is-n-convex", "n-convexity verdict", _cmd_is_n_convex, [("set", {}), ("n", {"type": int})]),
+    ("family", "all endomorphisms keeping a set convex", _cmd_family, [("set", {})]),
+    ("recursion", "midpoint recursion iterate", _cmd_recursion, [("name", {}), ("n", {"type": int})]),
+    ("verify", "run a property checker", _cmd_verify, [("property", {})]),
+    ("search", "seeded counterexample search", _cmd_search,
+     [("property", {}), ("--exhaustive", {"action": "store_true"})]),
+)
+
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -496,72 +474,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="exact computations and property checks on metric Abelian groups",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("norm", parents=[common], help="norm of an element")
-    p.add_argument("session")
-    p.add_argument("element", help="comma-separated exact coordinates")
-    p.set_defaults(handler=_cmd_norm)
-
-    p = sub.add_parser("endo-norm", parents=[common], help="operator norm of an endomorphism")
-    p.add_argument("session")
-    p.add_argument("name")
-    p.set_defaults(handler=_cmd_endo_norm)
-
-    p = sub.add_parser("mu", parents=[common], help="measure of injectivity")
-    p.add_argument("session")
-    p.add_argument("name")
-    p.set_defaults(handler=_cmd_mu)
-
-    p = sub.add_parser("rho", parents=[common], help="spectral radius bracket")
-    p.add_argument("session")
-    p.add_argument("name")
-    p.set_defaults(handler=_cmd_rho)
-
-    p = sub.add_parser("invert", parents=[common], help="geometric-series inversion")
-    p.add_argument("session")
-    p.add_argument("names", nargs="+", help="T for (I-T)^-1, or S T for (S-T)^-1")
-    p.set_defaults(handler=_cmd_invert)
-
-    p = sub.add_parser("hull", parents=[common], help="family-convex hull of a set")
-    p.add_argument("session")
-    p.add_argument("set")
-    p.add_argument("names", nargs="*", help="family members (default: all endos)")
-    p.set_defaults(handler=_cmd_hull)
-
-    p = sub.add_parser("is-convex", parents=[common], help="family convexity verdict")
-    p.add_argument("session")
-    p.add_argument("set")
-    p.add_argument("names", nargs="*")
-    p.set_defaults(handler=_cmd_is_convex)
-
-    p = sub.add_parser("is-n-convex", parents=[common], help="n-convexity verdict")
-    p.add_argument("session")
-    p.add_argument("set")
-    p.add_argument("n", type=int)
-    p.set_defaults(handler=_cmd_is_n_convex)
-
-    p = sub.add_parser("family", parents=[common], help="all endomorphisms keeping a set convex")
-    p.add_argument("session")
-    p.add_argument("set")
-    p.set_defaults(handler=_cmd_family)
-
-    p = sub.add_parser("recursion", parents=[common], help="midpoint recursion iterate")
-    p.add_argument("session")
-    p.add_argument("name")
-    p.add_argument("n", type=int)
-    p.set_defaults(handler=_cmd_recursion)
-
-    p = sub.add_parser("verify", parents=[common], help="run a property checker")
-    p.add_argument("session")
-    p.add_argument("property")
-    p.set_defaults(handler=_cmd_verify)
-
-    p = sub.add_parser("search", parents=[common], help="seeded counterexample search")
-    p.add_argument("session")
-    p.add_argument("property")
-    p.add_argument("--exhaustive", action="store_true")
-    p.set_defaults(handler=_cmd_search)
-
+    for name, help_text, handler, arguments in _COMMANDS:
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        p.add_argument("session")
+        for argument, options in arguments:
+            p.add_argument(argument, **options)
+        p.set_defaults(handler=handler)
     return parser
 
 
@@ -574,7 +492,16 @@ def main(argv: list[str] | None = None) -> int:
         # the Unfalsified exit code; fold usage errors into input errors.
         return EXIT_OK if err.code in (0, None) else EXIT_INPUT
     try:
-        return args.handler(args)
+        inst = parse_session(args.session)
+        # a flag overrides the session's value of the run parameter it names
+        overrides = {
+            f.name: getattr(args, f.name)
+            for f in fields(Params)
+            if getattr(args, f.name, None) is not None
+        }
+        if overrides:
+            inst = replace(inst, params=replace(inst.params, **overrides))
+        return args.handler(inst, args)
     except HypothesisFailed as err:
         if args.json:
             print(json.dumps({"status": "HypothesisFailed", "hypothesis_failed": err.hypothesis}))

@@ -191,12 +191,16 @@ def intersect(A: PointSet, B: PointSet) -> PointSet:
     return finite_set(g, (x for x in A.elements if contains(B, x)))
 
 
-def _box_points(A: BoxSet, cap: int = 4096) -> list[Vector]:
+# most points of an integer box that is enumerated
+_BOX_CAP = 4096
+
+
+def _box_points(A: BoxSet) -> list[Vector]:
     if not isinstance(A.group, IntLattice):
         raise NotEnumerable("dyadic boxes contain infinitely many points")
     count = math.prod(hi - lo + 1 for lo, hi in zip(A.lo, A.hi))
-    if count > cap:
-        raise NotEnumerable(f"box holds {count} points, beyond the cap of {cap}")
+    if count > _BOX_CAP:
+        raise NotEnumerable(f"box holds {count} points, beyond the cap of {_BOX_CAP}")
     return [tuple(p) for p in itertools.product(*[range(lo, hi + 1) for lo, hi in zip(A.lo, A.hi)])]
 
 

@@ -133,14 +133,12 @@ def _build(group: Group, rows: Sequence[Sequence]) -> Endomorphism:
     return Endomorphism(group, group.matrix(rows))
 
 
-def make_endo(group: Group, rows: Sequence[Sequence], check_additivity: bool = False) -> Endomorphism:
+def make_endo(group: Group, rows: Sequence[Sequence]) -> Endomorphism:
     """Validated constructor.
 
     Shape is checked against the group dimension, entries are canonicalized,
     and on finite groups the congruence a_ij * m_j = 0 (mod m_i) is enforced
-    (it is equivalent to the map being a well-defined homomorphism).  With
-    ``check_additivity`` the additivity law is additionally verified over all
-    element pairs of a finite group.
+    (it is equivalent to the map being a well-defined homomorphism).
     """
     n = group.dim
     if len(rows) != n or any(len(row) != n for row in rows):
@@ -155,13 +153,6 @@ def make_endo(group: Group, rows: Sequence[Sequence], check_additivity: bool = F
                         i, j,
                         f"entry ({i},{j})={a}: {a}*{m_j} is not 0 mod {m_i}",
                     )
-        if check_additivity:
-            for x in group.elements():
-                for y in group.elements():
-                    lhs = endo.apply(group.add(x, y))
-                    rhs = group.add(endo.apply(x), endo.apply(y))
-                    if lhs != rhs:
-                        raise InvariantViolated(f"additivity broken at {x}, {y}")
     return endo
 
 

@@ -92,6 +92,10 @@ def int_root_floor(n: int, m: int) -> int:
     return x
 
 
+# binary digits of the certified root bounds: both are multiples of 2^-_ROOT_BITS
+_ROOT_BITS = 24
+
+
 def _exact_root(q: Fraction, m: int) -> Fraction | None:
     rn = int_root_floor(q.numerator, m)
     rd = int_root_floor(q.denominator, m)
@@ -100,31 +104,31 @@ def _exact_root(q: Fraction, m: int) -> Fraction | None:
     return None
 
 
-def root_upper(q: Fraction, m: int, bits: int = 24) -> Fraction:
+def root_upper(q: Fraction, m: int) -> Fraction:
     """Certified rational upper bound on q ** (1/m) (exact when the root is rational)."""
     if q < 0:
         raise ValueError("negative radicand")
     exact = _exact_root(q, m)
     if exact is not None:
         return exact
-    target = q.numerator << (bits * m)
+    target = q.numerator << (_ROOT_BITS * m)
     k = int_root_floor(target // q.denominator, m)
     while k ** m * q.denominator < target:
         k += 1
-    return Fraction(k, 1 << bits)
+    return Fraction(k, 1 << _ROOT_BITS)
 
 
-def root_lower(q: Fraction, m: int, bits: int = 24) -> Fraction:
+def root_lower(q: Fraction, m: int) -> Fraction:
     """Certified rational lower bound on q ** (1/m) (exact when the root is rational)."""
     if q < 0:
         raise ValueError("negative radicand")
     exact = _exact_root(q, m)
     if exact is not None:
         return exact
-    target = q.numerator << (bits * m)
+    target = q.numerator << (_ROOT_BITS * m)
     k = int_root_floor(target // q.denominator, m)
     while (k + 1) ** m * q.denominator <= target:
         k += 1
     while k > 0 and k ** m * q.denominator > target:
         k -= 1
-    return Fraction(k, 1 << bits)
+    return Fraction(k, 1 << _ROOT_BITS)

@@ -651,17 +651,12 @@ def _sum_inclusion(inst: Instance, with_closure: bool) -> Verdict:
         return refuted(witness)
 
     # exact conclusion without closure: every sum point must be a lattice
-    # image point.  Unit diagonals keep images box-exact; otherwise sample.
+    # image point.  Unit diagonals keep images box-exact, so the sum of the
+    # image boxes is the box of the summed bounds; otherwise sample.
     if _units_only(g, diags) and _units_only(g, [total_diag]):
-        lhs_box = None
-        for diag in diags:
-            los, his = _interval_image(diag, D.lo, D.hi)
-            piece = cx.box_set(g, los, his)
-            lhs_box = piece if lhs_box is None else cx.sumset(lhs_box, piece)
-        rhs_box = cx.box_set(g, rhs_lo, rhs_hi)
-        if cx.subset_of(lhs_box, rhs_box):
+        if all(rl <= ll and lh <= rh for ll, lh, rl, rh in zip(lhs_lo, lhs_hi, rhs_lo, rhs_hi)):
             return proved()
-        return refuted((lhs_box, rhs_box))
+        return refuted((cx.box_set(g, lhs_lo, lhs_hi), cx.box_set(g, rhs_lo, rhs_hi)))
     inverse = en.try_inverse(total)
     if inverse is None:
         raise UnsupportedRepresentation(
@@ -840,17 +835,12 @@ def _draw_finite_set(group: Group, rng: random.Random) -> FiniteSet:
     return cx.finite_set(group, [_draw_point(group, rng) for _ in range(size)])
 
 
-def _draw_box(group: Group, rng: random.Random) -> BoxSet:
+def _draw_box(group: DyadicLattice, rng: random.Random) -> BoxSet:
     lo, hi = [], []
     for _ in range(group.dim):
-        if isinstance(group, IntLattice):
-            a = rng.randint(-3, 2)
-            lo.append(a)
-            hi.append(a + rng.randint(0, 3))
-        else:
-            a = Fraction(rng.randint(-8, 4), 4)
-            lo.append(a)
-            hi.append(a + Fraction(rng.randint(0, 8), 4))
+        a = Fraction(rng.randint(-8, 4), 4)
+        lo.append(a)
+        hi.append(a + Fraction(rng.randint(0, 8), 4))
     return cx.box_set(group, lo, hi)
 
 

@@ -300,6 +300,76 @@ def test_cmd_search_unfalsified(tmp_path, capsys):
     assert record["status"] == "Unfalsified" and record["samples"] == 20
 
 
+def _session_file(tmp_path, session) -> str:
+    path = tmp_path / "session.json"
+    path.write_text(session if isinstance(session, str) else json.dumps(session))
+    return str(path)
+
+
+def test_unknown_names_are_input_errors(z9_session, capsys):
+    assert main(["mu", z9_session, "Q"]) == EXIT_INPUT
+    assert "endomorphism 'Q' is not defined" in capsys.readouterr().err
+    assert main(["is-n-convex", z9_session, "Q", "2"]) == EXIT_INPUT
+    assert "set 'Q' is not defined" in capsys.readouterr().err
+
+
+def test_invert_takes_one_or_two_names(z9_session, capsys):
+    assert main(["invert", z9_session, "T", "S", "T"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invert takes one endomorphism" in captured.err
+
+
+@pytest.mark.parametrize("command", ["hull", "is-convex"])
+def test_default_family_needs_endomorphisms(tmp_path, capsys, command):
+    session = json.loads(Z9_SESSION)
+    del session["endos"]
+    assert main([command, _session_file(tmp_path, session), "D"]) == EXIT_INPUT
+    assert "defines no endomorphisms" in capsys.readouterr().err
+
+
+def test_session_that_is_not_an_object_is_an_input_error(tmp_path, capsys):
+    path = _session_file(tmp_path, "[" + Z9_SESSION + "]")
+    assert main(["norm", path, "0"]) == EXIT_INPUT
+    assert "a single JSON object" in capsys.readouterr().err
+
+
+def test_verify_json_reports_the_failed_hypothesis(tmp_path, capsys):
+    session = json.loads(RCT_SESSION)
+    session["sets"]["B"] = {"kind": "finite", "elements": [["0"], ["1"]]}
+    code = main(["verify", _session_file(tmp_path, session), "THM_RCT", "--json"])
+    assert code == EXIT_HYPOTHESIS
+    record = json.loads(capsys.readouterr().out)
+    assert record["status"] == "HypothesisFailed"
+    assert "n0-convex" in record["hypothesis_failed"]
+
+
+def test_search_json_reports_an_exhausted_generator(tmp_path, capsys):
+    session = {
+        "group": {"kind": "finite", "moduli": [9]},
+        "metric": {"kind": "cyclic", "weights": ["1"]},
+        "params": {"budget": 5},
+    }
+    code = main(["search", _session_file(tmp_path, session), "THM_RCT", "--json"])
+    assert code == EXIT_INPUT
+    record = json.loads(capsys.readouterr().out)
+    assert record["status"] == "GeneratorExhausted"
+    assert "mu_d(n) <= 1" in record["reason"]
+
+
+def test_verify_prints_the_sample_count(tmp_path, capsys):
+    # 3/4 is not a dyadic unit, so THM_NK_PLUS samples the sum inclusion
+    session = {
+        "group": {"kind": "dyadic", "dim": 1},
+        "metric": {"kind": "linf", "weights": ["1"]},
+        "endos": {"T1": [["3/2^2"]], "T2": [["1/2^2"]]},
+        "sets": {"D": {"kind": "box", "lo": ["0"], "hi": ["1"]}},
+        "params": {"n0": 2, "budget": 7},
+    }
+    assert main(["verify", _session_file(tmp_path, session), "THM_NK_PLUS"]) == 2
+    assert capsys.readouterr().out == "THM_NK_PLUS: Unfalsified (7 samples)\n"
+
+
 def test_missing_session_file(capsys):
     assert main(["mu", "/nonexistent/session.json", "T"]) == EXIT_INPUT
 

@@ -65,14 +65,14 @@ def windowed_ratios(group, metric, T, points):
 # -- construction ------------------------------------------------------------
 
 def test_make_endo_scalar(z9):
-    T = make_endo(z9, [[2]], check_additivity=True)
+    T = make_endo(z9, [[2]])
     assert T.apply((4,)) == (8,)
     assert T == scaling(z9, 2)
 
 
 def test_make_endo_congruence_ok():
     g = FiniteGroup((2, 4))
-    T = make_endo(g, [[0, 1], [0, 0]], check_additivity=True)  # 1*4 = 0 mod 2
+    T = make_endo(g, [[0, 1], [0, 0]])  # 1*4 = 0 mod 2
     assert T.apply((0, 3)) == (1, 0)
 
 
@@ -81,6 +81,38 @@ def test_make_endo_congruence_violation():
     with pytest.raises(NotAHomomorphism) as err:
         make_endo(g, [[0, 1], [0, 0]])  # 1*2 = 2 != 0 mod 4
     assert (err.value.row, err.value.col) == (0, 1)
+
+
+def test_make_endo_accepts_exactly_the_additive_maps():
+    # oracle: the plain-int map x -> (sum_j a_ij x_j mod m_i) on
+    # representatives, tested for additivity on all 64 pairs of Z2xZ4
+    moduli = (2, 4)
+    g = FiniteGroup(moduli)
+    elements = list(itertools.product(*(range(m) for m in moduli)))
+
+    def plus(x, y):
+        return tuple((a + b) % m for a, b, m in zip(x, y, moduli))
+
+    def plain(rows, x):
+        return tuple(sum(a * c for a, c in zip(row, x)) % m for row, m in zip(rows, moduli))
+
+    accepted = 0
+    for entries in itertools.product(range(4), repeat=4):
+        rows = [entries[:2], entries[2:]]
+        additive = all(
+            plain(rows, plus(x, y)) == plus(plain(rows, x), plain(rows, y))
+            for x in elements
+            for y in elements
+        )
+        try:
+            T = make_endo(g, rows)
+        except NotAHomomorphism:
+            assert not additive, rows
+            continue
+        assert additive, rows
+        assert all(T.apply(x) == plain(rows, x) for x in elements), rows
+        accepted += 1
+    assert accepted == 128  # the entry (1,0) must be even, the other three are free
 
 
 def test_make_endo_shape(zplane):
