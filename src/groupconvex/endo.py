@@ -10,12 +10,17 @@ Operator norms and injectivity measures are computed exhaustively on finite
 groups and through weighted row/column-sum formulas on lattices (the matrix
 is conjugated by diag(weights); lattice suprema agree with the real-vector
 values because ratios are scale-invariant and rational vectors are dense).
+A lattice operator is carried as one integer matrix and one scale, A = M/d,
+and a weighted metric as one integer ratio matrix W/L, so these formulas
+are integer sums; the inverse N/e comes from one fraction-free (Bareiss)
+elimination of M.
 
 The spectral radius is returned as a certified rational bracket: the upper
 bound comes from m-th roots of power norms (sound because power norms are
 submultiplicative, so the root sequence converges to its infimum), the lower
-bound from injectivity measures of powers.  A bracket never certifies a
-radius below one falsely.
+bound from injectivity measures of powers.  On lattices a bracket takes one
+elimination and steps the integer powers M^m and N^m.  A bracket never
+certifies a radius below one falsely.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     GroupMismatch,
@@ -76,15 +81,7 @@ class Endomorphism:
 
     def compose(self, other: "Endomorphism") -> "Endomorphism":
         _same_group(self, other)
-        n = self.group.dim
-        rows = [
-            [
-                sum(self.matrix[i][k] * other.matrix[k][j] for k in range(n))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        return _build(self.group, rows)
+        return _build(self.group, _matmul(self.matrix, other.matrix))
 
     def add(self, other: "Endomorphism") -> "Endomorphism":
         _same_group(self, other)
@@ -121,6 +118,11 @@ class Endomorphism:
     @property
     def is_zero(self) -> bool:
         return all(a == 0 for row in self.matrix for a in row)
+
+
+def _matmul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
+    columns = tuple(zip(*b))
+    return [[sum(map(operator.mul, row, col)) for col in columns] for row in a]
 
 
 def _same_group(a: Endomorphism, b: Endomorphism) -> None:
@@ -208,25 +210,94 @@ def all_endomorphisms(group: Group) -> tuple[Endomorphism, ...]:
 # Operator norm and injectivity measure
 # ---------------------------------------------------------------------------
 
-def _induced_matrix_norm(rows: Matrix, metric: Metric) -> Fraction:
-    """Real operator norm of a rational matrix under a weighted L1/Linf norm.
+# A lattice operator A is carried as an integer matrix M and one scale d with
+# A = M / d, so its powers are M^m / d^m.  A weighted L1/Linf metric becomes
+# the integer ratio matrix W / L with W_ij = u_i * v_j and w_i / w_j = W_ij / L.
 
-    Conjugating by diag(weights) reduces to the classical max row-sum (Linf)
-    or max column-sum (L1) of absolute values.
+def _scaled(rows: Matrix) -> tuple[list[list[int]], int]:
+    """(M, d) with rows = M / d, d the lcm of the entries' denominators."""
+    d = math.lcm(*(a.denominator for row in rows for a in row))
+    return [[a.numerator * (d // a.denominator) for a in row] for row in rows], d
+
+
+def _scaled_inverse(M: list[list[int]], d: int) -> tuple[list[list[int]], int] | None:
+    """(N, e) with (M / d)^-1 = N / e in lowest terms, or None when M is singular.
+
+    Fraction-free Gauss-Jordan elimination of [M | I] (Bareiss, 1968): each
+    update divides exactly by the previous pivot, every pivoted row keeps the
+    current pivot on the diagonal, so the left block ends as D * I and the
+    right block as D * M^-1, the adjugate up to the sign of D.
     """
+    n = len(M)
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(M)]
+    previous = 1
+    for k in range(n):
+        p = next((r for r in range(k, n) if rows[r][k]), None)
+        if p is None:
+            return None
+        rows[k], rows[p] = rows[p], rows[k]
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        for i, row in enumerate(rows):
+            if i != k:
+                f = row[k]
+                rows[i] = [(pivot * a - f * b) // previous for a, b in zip(row, pivot_row)]
+        previous = pivot
+    sign = 1 if previous > 0 else -1
+    N = [[sign * d * a for a in row[n:]] for row in rows]
+    g = math.gcd(previous, *(a for row in N for a in row))
+    return [[a // g for a in row] for row in N], abs(previous) // g
+
+
+class _Weights(NamedTuple):
+    """w_i / w_j = u_i * v_j / scale; the norm sums rows (Linf) or columns (L1)."""
+
+    u: tuple[int, ...]
+    v: tuple[int, ...]
+    scale: int
+    by_rows: bool
+
+
+@lru_cache(maxsize=None)
+def _weight_ratios(metric: Metric) -> _Weights:
+    """The integer ratio matrix of the weights of an L1/Linf metric."""
+    if not isinstance(metric, (LinfMetric, L1Metric)):
+        raise MetricGroupMismatch(f"{metric.kind} norm is not defined on lattices")
     w = metric.weights
-    n = len(rows)
-    if isinstance(metric, LinfMetric):
-        return max(
-            sum((w[i] / w[j]) * abs(Fraction(rows[i][j])) for j in range(n))
-            for i in range(n)
-        )
-    if isinstance(metric, L1Metric):
-        return max(
-            sum((w[i] / w[j]) * abs(Fraction(rows[i][j])) for i in range(n))
-            for j in range(n)
-        )
-    raise MetricGroupMismatch(f"{metric.kind} norm is not defined on lattices")
+    q = math.lcm(*(x.denominator for x in w))
+    p = math.lcm(*(x.numerator for x in w))
+    u = tuple(x.numerator * (q // x.denominator) for x in w)  # q * w_i
+    v = tuple(x.denominator * (p // x.numerator) for x in w)  # p / w_j
+    return _Weights(u, v, q * p, isinstance(metric, LinfMetric))
+
+
+def _weighted_sum(M: list[list[int]], weights: _Weights) -> int:
+    """L * d times the operator norm of M / d, for any scale d > 0.
+
+    Conjugating by diag(weights) reduces the norm to the classical max row-sum
+    (Linf) or max column-sum (L1) of absolute values.
+    """
+    u, v, _, by_rows = weights
+    if by_rows:
+        return max(ui * sum(vj * abs(a) for vj, a in zip(v, row)) for ui, row in zip(u, M))
+    return max(vj * sum(ui * abs(a) for ui, a in zip(u, col)) for vj, col in zip(v, zip(*M)))
+
+
+def _lattice_norm(M: list[list[int]], d: int, weights: _Weights) -> Fraction:
+    return Fraction(_weighted_sum(M, weights), weights.scale * d)
+
+
+def _lattice_measure(N: list[list[int]], e: int, weights: _Weights) -> Fraction:
+    """1 / ||N / e||: the injectivity measure of the map whose inverse is N / e."""
+    return Fraction(weights.scale * e, _weighted_sum(N, weights))
+
+
+def _powers(M: list[list[int]], d: int):
+    """(M^m, d^m) for m = 1, 2, ...: the powers of the operator M / d."""
+    power, scale = M, d
+    while True:
+        yield power, scale
+        power, scale = _matmul(power, M), scale * d
 
 
 def _ratios(T: Endomorphism, metric: Metric):
@@ -246,30 +317,7 @@ def op_norm(T: Endomorphism, metric: Metric) -> Fraction:
     """sup of ||T(x)|| / ||x|| over nonzero x; exact in all supported cases."""
     if isinstance(T.group, FiniteGroup):
         return max(_ratios(T, metric))
-    return _induced_matrix_norm(T.matrix, metric)
-
-
-def _rational_inverse(rows: Matrix) -> Matrix | None:
-    """Inverse over the rationals via Gauss-Jordan, or None when singular."""
-    n = len(rows)
-    work = [[Fraction(a) for a in row] for row in rows]
-    inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot is None:
-            return None
-        work[col], work[pivot] = work[pivot], work[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        scale = work[col][col]
-        work[col] = [a / scale for a in work[col]]
-        inv[col] = [a / scale for a in inv[col]]
-        for r in range(n):
-            if r == col or work[r][col] == 0:
-                continue
-            factor = work[r][col]
-            work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-            inv[r] = [a - factor * b for a, b in zip(inv[r], inv[col])]
-    return tuple(tuple(row) for row in inv)
+    return _lattice_norm(*_scaled(T.matrix), _weight_ratios(metric))
 
 
 @lru_cache(maxsize=None)
@@ -282,10 +330,10 @@ def injectivity_measure(T: Endomorphism, metric: Metric) -> Fraction:
     """
     if isinstance(T.group, FiniteGroup):
         return min(_ratios(T, metric))
-    inverse = _rational_inverse(T.matrix)
+    inverse = _scaled_inverse(*_scaled(T.matrix))
     if inverse is None:
         return Fraction(0)
-    return 1 / _induced_matrix_norm(inverse, metric)
+    return _lattice_measure(*inverse, _weight_ratios(metric))
 
 
 def operator_distance(T: Endomorphism, S: Endomorphism, metric: Metric) -> Fraction:
@@ -338,6 +386,11 @@ def _prime_factor_count(n: int) -> int:
     return count + (n > 1)
 
 
+# largest power a bracket takes: each power costs a matrix product and two
+# m-th roots of numbers that grow linearly in m
+_HORIZON_CAP = 1024
+
+
 @lru_cache(maxsize=None)
 def spectral_radius(T: Endomorphism, metric: Metric, horizon: int = 8) -> RhoBracket:
     """Bracket the limit of the m-th roots of power norms.
@@ -354,25 +407,36 @@ def spectral_radius(T: Endomorphism, metric: Metric, horizon: int = 8) -> RhoBra
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    if horizon > _HORIZON_CAP:
+        raise ValueError(f"horizon {horizon} is beyond the cap of {_HORIZON_CAP}")
     g = T.group
     if isinstance(g, FiniteGroup):
         nilpotent = T.power(_prime_factor_count(g.order)).is_zero
         return _exact_bracket(0 if nilpotent else 1)
     if isinstance(g, IntLattice) and T.power(g.dim).is_zero:
         return _exact_bracket(0)
+    weights = _weight_ratios(metric)
+    M, d = _scaled(T.matrix)
+    inverse = _scaled_inverse(M, d)
+    # every power of a singular map is singular, with measure 0
+    inverse_powers = itertools.repeat(None) if inverse is None else _powers(*inverse)
     upper = None
     lower = Fraction(1) if isinstance(g, IntLattice) else Fraction(0)
-    power = T
-    for m in range(1, horizon + 1):
-        upper_m = root_upper(op_norm(power, metric), m)
-        if upper is None or upper_m < upper:
-            upper = upper_m
-        mu_m = injectivity_measure(power, metric)
-        if mu_m > 0:
+    for m, power, inverse_power in zip(range(1, horizon + 1), _powers(M, d), inverse_powers):
+        # a root can lower ``upper`` only if upper^m > q, raise ``lower``
+        # only if lower^m < mu
+        q = _lattice_norm(*power, weights)
+        if upper is None or upper ** m > q:
+            upper_m = root_upper(q, m)
+            if upper is None or upper_m < upper:
+                upper = upper_m
+        if inverse_power is None:
+            continue
+        mu_m = _lattice_measure(*inverse_power, weights)
+        if lower ** m < mu_m:
             lower_m = root_lower(mu_m, m)
             if lower_m > lower:
                 lower = lower_m
-        power = power.compose(T)
     lower = min(lower, upper)
     return RhoBracket(lower, upper, lower == upper)
 
@@ -392,8 +456,12 @@ def try_inverse(T: Endomorphism) -> Endomorphism | None:
         # column j of the inverse is the preimage of e_j, column j of I
         inverse = make_endo(g, list(zip(*(images[e] for e in zip(*ident.matrix)))))
     else:
-        rational = _rational_inverse(T.matrix)
-        if rational is None or not all(g.is_coordinate(a) for row in rational for a in row):
+        scaled = _scaled_inverse(*_scaled(T.matrix))
+        if scaled is None:
+            return None
+        N, e = scaled
+        rational = [[Fraction(a, e) for a in row] for row in N]
+        if not all(g.is_coordinate(a) for row in rational for a in row):
             return None
         inverse = _build(g, rational)
     if T.compose(inverse) != ident or inverse.compose(T) != ident:

@@ -70,6 +70,10 @@ def format_rational(q: Scalar) -> str:
     return str(Fraction(q))
 
 
+# bits of a root found one at a time before Newton's method takes over
+_SEED_BITS = 12
+
+
 def int_root_floor(n: int, m: int) -> int:
     """floor(n ** (1/m)) for n >= 0, m >= 1, in exact integer arithmetic."""
     if n < 0:
@@ -78,18 +82,23 @@ def int_root_floor(n: int, m: int) -> int:
         raise ValueError("root index must be positive")
     if m == 1 or n in (0, 1):
         return n
-    # Newton iteration on integers, then clamp defensively.
-    x = 1 << (-(-n.bit_length() // m) + 1)
+    # the floor root r of n's leading bits, set bit by bit from the top
+    shift = max(0, -(-n.bit_length() // m) - _SEED_BITS)
+    top = n >> (m * shift)
+    r = 0
+    for bit in reversed(range(-(-top.bit_length() // m))):
+        if (r | 1 << bit) ** m <= top:
+            r |= 1 << bit
+    if shift == 0:
+        return r
+    # n < ((r + 1) << shift) ** m, and integer Newton steps from any x above
+    # the floor root decrease strictly until they reach it
+    x = (r + 1) << shift
     while True:
         y = ((m - 1) * x + n // x ** (m - 1)) // m
         if y >= x:
-            break
+            return x
         x = y
-    while x ** m > n:
-        x -= 1
-    while (x + 1) ** m <= n:
-        x += 1
-    return x
 
 
 # binary digits of the certified root bounds: both are multiples of 2^-_ROOT_BITS
@@ -97,11 +106,16 @@ _ROOT_BITS = 24
 
 
 def _exact_root(q: Fraction, m: int) -> Fraction | None:
-    rn = int_root_floor(q.numerator, m)
     rd = int_root_floor(q.denominator, m)
-    if rn ** m == q.numerator and rd ** m == q.denominator:
-        return Fraction(rn, rd)
-    return None
+    if rd ** m != q.denominator:
+        return None
+    rn = int_root_floor(q.numerator, m)
+    return Fraction(rn, rd) if rn ** m == q.numerator else None
+
+
+def _scaled_root_floor(q: Fraction, m: int) -> int:
+    """floor(2^_ROOT_BITS * q ** (1/m)), as floor(x ** (1/m)) = floor(floor(x) ** (1/m))."""
+    return int_root_floor((q.numerator << (_ROOT_BITS * m)) // q.denominator, m)
 
 
 def root_upper(q: Fraction, m: int) -> Fraction:
@@ -111,11 +125,8 @@ def root_upper(q: Fraction, m: int) -> Fraction:
     exact = _exact_root(q, m)
     if exact is not None:
         return exact
-    target = q.numerator << (_ROOT_BITS * m)
-    k = int_root_floor(target // q.denominator, m)
-    while k ** m * q.denominator < target:
-        k += 1
-    return Fraction(k, 1 << _ROOT_BITS)
+    # an irrational root is never a multiple of 2^-_ROOT_BITS
+    return Fraction(_scaled_root_floor(q, m) + 1, 1 << _ROOT_BITS)
 
 
 def root_lower(q: Fraction, m: int) -> Fraction:
@@ -125,10 +136,4 @@ def root_lower(q: Fraction, m: int) -> Fraction:
     exact = _exact_root(q, m)
     if exact is not None:
         return exact
-    target = q.numerator << (_ROOT_BITS * m)
-    k = int_root_floor(target // q.denominator, m)
-    while (k + 1) ** m * q.denominator <= target:
-        k += 1
-    while k > 0 and k ** m * q.denominator > target:
-        k -= 1
-    return Fraction(k, 1 << _ROOT_BITS)
+    return Fraction(_scaled_root_floor(q, m), 1 << _ROOT_BITS)

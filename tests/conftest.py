@@ -1,6 +1,8 @@
+import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from groupconvex import (
     CyclicMetric,
@@ -9,6 +11,13 @@ from groupconvex import (
     IntLattice,
     LinfMetric,
 )
+
+# CI draws the same examples on every run and puts no deadline on one: big
+# integer roots and -X dev on a slow runner can pass 200 ms.  Local runs keep
+# random exploration.
+settings.register_profile("ci", derandomize=True, deadline=None)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture

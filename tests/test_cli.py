@@ -401,6 +401,23 @@ def test_horizon_flag_overrides_session(tmp_path, capsys):
     assert Fraction(tight["upper"]) <= Fraction(wide["upper"])
 
 
+
+def test_horizon_beyond_the_cap_is_an_input_error(tmp_path, capsys, monkeypatch):
+    import groupconvex.endo as en
+
+    def no_power(*args):
+        raise AssertionError("a power was computed")
+
+    monkeypatch.setattr(en, "_matmul", no_power)
+    session = {
+        "group": {"kind": "dyadic", "dim": 2},
+        "metric": {"kind": "linf", "weights": ["1", "1"]},
+        "endos": {"T": [["1/2^1", "1"], ["0", "3/2^2"]]},
+    }
+    args = ["rho", _session_file(tmp_path, session), "T", "--horizon", "1000000"]
+    assert main(args) == EXIT_INPUT
+    assert "beyond the cap of 1024" in capsys.readouterr().err
+
 def test_budget_flag_overrides_session(tmp_path, capsys):
     session = tmp_path / "dy.json"
     session.write_text(

@@ -35,6 +35,7 @@ from groupconvex import (
     try_inverse,
     zero,
 )
+from groupconvex.endo import RhoBracket
 from groupconvex.errors import (
     GroupMismatch,
     NotAHomomorphism,
@@ -43,6 +44,7 @@ from groupconvex.errors import (
     RhoNotCertifiedBelowOne,
     SNotInvertible,
 )
+from groupconvex.scalars import root_lower, root_upper
 
 
 def window(dim, radius):
@@ -670,6 +672,149 @@ def test_spectral_radius_against_sympy_eigenvalues():
             hi = sympy.Rational(bracket.upper) ** 2
             assert Q.count_roots(lo) >= 1, (T, bracket)
             assert Q.count_roots(hi) == (1 if Q.eval(hi) == 0 else 0), (T, bracket)
+
+
+def _weighted_metrics(rng, dim):
+    weights = tuple(Fraction(rng.choice((1, 2, 3)), rng.choice((1, 2))) for _ in range(dim))
+    return LinfMetric(weights), L1Metric(weights)
+
+
+def _ratio(rows, metric, x):
+    """||A x|| / ||x|| for a rational matrix A and a rational vector x."""
+    total = sum if isinstance(metric, L1Metric) else max
+
+    def size(y):
+        return total(w * abs(a) for w, a in zip(metric.weights, y))
+
+    return size([sum(a * b for a, b in zip(row, x)) for row in rows]) / size(x)
+
+
+def vertex_norm(rows, metric):
+    """||A|| as the largest ratio at a vertex of the metric's unit ball.
+
+    The ratio is convex in x on the ball, so its maximum sits at a vertex:
+    e_j / w_j for a weighted L1 norm, (+-1/w_1, ..., +-1/w_n) for Linf.
+    """
+    w = metric.weights
+    n = len(w)
+    if isinstance(metric, L1Metric):
+        vertices = [[Fraction(i == j) / w[j] for i in range(n)] for j in range(n)]
+    else:
+        vertices = [[s / wi for s, wi in zip(signs, w)] for signs in itertools.product((1, -1), repeat=n)]
+    return max(_ratio(rows, metric, x) for x in vertices)
+
+
+def test_lattice_norm_and_measure_against_vertex_oracle():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(23)
+    singular = 0
+    for T in _seeded_lattice_endos(19, 60):
+        g = T.group
+        box = [x for x in itertools.product(range(-3, 4), repeat=g.dim) if any(x)]
+        for metric in _weighted_metrics(rng, g.dim):
+            top = op_norm(T, metric)
+            assert top == vertex_norm(T.matrix, metric), (T, metric)
+            mu = injectivity_measure(T, metric)
+            ratios = [norm(g, metric, T.apply(x)) / norm(g, metric, x) for x in box]
+            assert mu <= min(ratios) and max(ratios) <= top, (T, metric)
+            M = sympy.Matrix(T.matrix)
+            if M.det() == 0:
+                assert mu == 0
+                singular += 1
+                continue
+            inverse = [[Fraction(int(q.p), int(q.q)) for q in row] for row in M.inv().tolist()]
+            assert mu == 1 / vertex_norm(inverse, metric), (T, metric)
+    assert singular > 0
+
+
+def _gauss_jordan_inverse(rows):
+    """Inverse over the rationals by Gauss-Jordan elimination, or None."""
+    n = len(rows)
+    work = [[Fraction(a) for a in row] for row in rows]
+    inv = [[Fraction(i == j) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
+        if pivot is None:
+            return None
+        work[col], work[pivot] = work[pivot], work[col]
+        inv[col], inv[pivot] = inv[pivot], inv[col]
+        scale = work[col][col]
+        work[col] = [a / scale for a in work[col]]
+        inv[col] = [a / scale for a in inv[col]]
+        for r in range(n):
+            if r != col and work[r][col] != 0:
+                factor = work[r][col]
+                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
+                inv[r] = [a - factor * b for a, b in zip(inv[r], inv[col])]
+    return inv
+
+
+def _fraction_norm(rows, metric):
+    w = metric.weights
+    n = len(rows)
+    if isinstance(metric, LinfMetric):
+        return max(sum(w[i] / w[j] * abs(Fraction(rows[i][j])) for j in range(n)) for i in range(n))
+    return max(sum(w[i] / w[j] * abs(Fraction(rows[i][j])) for i in range(n)) for j in range(n))
+
+
+def reference_bracket(T, metric, horizon):
+    """The lattice bracket by the plain power walk.
+
+    Each power is composed, inverted by Gauss-Jordan and measured with
+    Fraction weighted sums, and both roots are taken at every power.
+    """
+    g = T.group
+    if isinstance(g, IntLattice) and T.power(g.dim).is_zero:
+        return RhoBracket(Fraction(0), Fraction(0), True)
+    upper = None
+    lower = Fraction(1) if isinstance(g, IntLattice) else Fraction(0)
+    power = T
+    for m in range(1, horizon + 1):
+        upper_m = root_upper(_fraction_norm(power.matrix, metric), m)
+        if upper is None or upper_m < upper:
+            upper = upper_m
+        inverse = _gauss_jordan_inverse(power.matrix)
+        if inverse is not None:
+            lower_m = root_lower(1 / _fraction_norm(inverse, metric), m)
+            if lower_m > lower:
+                lower = lower_m
+        power = power.compose(T)
+    lower = min(lower, upper)
+    return RhoBracket(lower, upper, lower == upper)
+
+
+def test_spectral_radius_matches_the_plain_power_walk():
+    rng = random.Random(29)
+    fixed = [
+        make_endo(IntLattice(2), [[0, 1], [0, 0]]),
+        make_endo(IntLattice(3), [[1, 2, 0], [0, 1, 0], [0, 0, -1]]),
+        make_endo(DyadicLattice(2), [[Fraction(1, 2), 1], [0, Fraction(3, 4)]]),
+        make_endo(DyadicLattice(2), [[Fraction(1, 2), 1], [Fraction(1, 4), Fraction(1, 2)]]),
+    ]
+    kinds = set()
+    for T in fixed + _seeded_lattice_endos(31, 148):
+        metric = rng.choice(_weighted_metrics(rng, T.group.dim))
+        horizon = rng.randint(1, 14)
+        expected = reference_bracket(T, metric, horizon)
+        assert repr(spectral_radius(T, metric, horizon)) == repr(expected), (T, metric, horizon)
+        kinds.add((T.group.kind, expected.exact, expected.lower > 0))
+    assert len(kinds) >= 5
+
+
+def test_horizon_beyond_the_cap_is_refused_before_any_power(monkeypatch):
+    import groupconvex.endo as en
+
+    def no_power(*args):
+        raise AssertionError("a power was computed")
+
+    monkeypatch.setattr(en, "_matmul", no_power)
+    monkeypatch.setattr(en, "_lattice_norm", no_power)
+    T = make_endo(DyadicLattice(2), [[Fraction(1, 2), 1], [0, Fraction(3, 4)]])
+    with pytest.raises(ValueError, match=f"cap of {en._HORIZON_CAP}"):
+        spectral_radius(T, LinfMetric((1, 1)), en._HORIZON_CAP + 1)
+    with pytest.raises(ValueError, match="horizon must be >= 1"):
+        spectral_radius(T, LinfMetric((1, 1)), 0)
+
 
 _BROKEN_POSTCONDITIONS = """
 import sys

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupconvex.scalars import (
@@ -42,15 +42,40 @@ def test_dyadic_round_trip(num, exp):
     assert parse_scalar(format_dyadic(q)) == q
 
 
-@given(st.integers(0, 10 ** 12), st.integers(1, 7))
+def bitwise_root(n, m):
+    """floor(n ** (1/m)), each bit of the root set from the top when it fits."""
+    r = 0
+    for bit in reversed(range(n.bit_length() // m + 1)):
+        if (r | 1 << bit) ** m <= n:
+            r |= 1 << bit
+    return r
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(st.integers(0, 10 ** 12), st.integers(0, 2 ** 10000)),
+    st.one_of(st.integers(1, 7), st.integers(1, 256)),
+)
 def test_int_root_floor(n, m):
     r = int_root_floor(n, m)
     assert r ** m <= n < (r + 1) ** m
+    assert r == bitwise_root(n, m)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 2 ** 80), st.integers(1, 256))
+def test_int_root_floor_next_to_perfect_powers(r, m):
+    for n in (r ** m - 1, r ** m, r ** m + 1):
+        assert int_root_floor(n, m) == bitwise_root(n, m)
+
+
+@settings(deadline=None)
 @given(
-    st.fractions(min_value=0, max_value=10 ** 6, max_denominator=10 ** 4),
-    st.integers(1, 8),
+    st.one_of(
+        st.fractions(min_value=0, max_value=10 ** 6, max_denominator=10 ** 4),
+        st.builds(lambda p, k: Fraction(p, 2 ** k), st.integers(0, 2 ** 600), st.integers(0, 600)),
+    ),
+    st.one_of(st.integers(1, 8), st.integers(1, 200)),
 )
 def test_root_bounds_bracket_the_root(q, m):
     lo = root_lower(q, m)
