@@ -10,6 +10,11 @@ Operator norms and injectivity measures are computed exhaustively on finite
 groups and through weighted row/column-sum formulas on lattices (the matrix
 is conjugated by diag(weights); lattice suprema agree with the real-vector
 values because ratios are scale-invariant and rational vectors are dense).
+On a finite group both come from one integer pass per (map, metric): the
+norm table times the lcm of its denominators is a tuple of ints in lex
+order, T's columns give the lex index of T(x) for every x by linearity, and
+the pass keeps the largest and the smallest ratio by cross-multiplication,
+so only the two results become Fractions.
 A lattice operator is carried as one integer matrix and one scale, A = M/d,
 and a weighted metric as one integer ratio matrix W/L, so these formulas
 are integer sums; the inverse N/e comes from one fraction-free (Bareiss)
@@ -53,7 +58,7 @@ from .groups import (
     LinfMetric,
     Metric,
     Vector,
-    norm_table,
+    _scaled_norm_table,
 )
 from .scalars import root_lower, root_upper
 
@@ -132,7 +137,7 @@ def _same_group(a: Endomorphism, b: Endomorphism) -> None:
 
 def _build(group: Group, rows: Sequence[Sequence]) -> Endomorphism:
     # internal: canonicalize only; ring operations preserve additivity.
-    return Endomorphism(group, group.matrix(rows))
+    return Endomorphism(group, group._ring_matrix(rows))
 
 
 def make_endo(group: Group, rows: Sequence[Sequence]) -> Endomorphism:
@@ -145,7 +150,7 @@ def make_endo(group: Group, rows: Sequence[Sequence]) -> Endomorphism:
     n = group.dim
     if len(rows) != n or any(len(row) != n for row in rows):
         raise ValueError(f"matrix must be {n}x{n} for {group}")
-    endo = _build(group, rows)
+    endo = Endomorphism(group, group.matrix(rows))
     if isinstance(group, FiniteGroup):
         for i, m_i in enumerate(group.moduli):
             for j, m_j in enumerate(group.moduli):
@@ -300,23 +305,52 @@ def _powers(M: list[list[int]], d: int):
         power, scale = _matmul(power, M), scale * d
 
 
-def _ratios(T: Endomorphism, metric: Metric):
-    """||T(x)|| / ||x|| for every nonzero x of a finite group, in table order."""
-    table = norm_table(T.group, metric)
-    zero_el = T.group.zero()
-    for x, nx in table.items():
-        if x == zero_el:
-            continue
-        if nx == 0:
-            raise MetricGroupMismatch("metric is not positive definite")
-        yield table[T.apply(x)] / nx
+def _image_indices(T: Endomorphism) -> list[int]:
+    """The lex index of T(x) for every x of a finite group, x in lex order.
+
+    The index of an element is sum_i x_i * R_i, with R_(k-1) = 1 and
+    R_i = R_(i+1) * m_(i+1).  By linearity coordinate i of T(x) is
+    sum_j a_ij * x_j mod m_i, which one product over T's row i gives for
+    every x at once.
+    """
+    moduli = T.group.moduli
+    index = itertools.repeat(0)
+    place = 1
+    for row, m in zip(reversed(T.matrix), reversed(moduli)):
+        coordinate = [0]
+        for a, m_j in zip(row, moduli):
+            steps = range(0, a * m_j, a) if a else (0,) * m_j
+            coordinate = [c + s for c in coordinate for s in steps]
+        index = list(map(operator.add, index, [c % m * place for c in coordinate]))
+        place *= m
+    return index
+
+
+@lru_cache(maxsize=None)
+def _finite_bounds(T: Endomorphism, metric: Metric) -> tuple[Fraction, Fraction]:
+    """(max, min) of ||T(x)|| / ||x|| over the nonzero x of a finite group.
+
+    One pass over the image indices reads the integer-scaled norm table, in
+    which every ratio keeps its value; ratios are compared by
+    cross-multiplication over positive denominators.
+    """
+    norms = _scaled_norm_table(T.group, metric)
+    images = _image_indices(T)
+    high_num = low_num = norms[images[1]]
+    high_den = low_den = norms[1]
+    for num, den in zip(map(norms.__getitem__, images[2:]), norms[2:]):
+        if num * high_den > high_num * den:
+            high_num, high_den = num, den
+        elif num * low_den < low_num * den:
+            low_num, low_den = num, den
+    return Fraction(high_num, high_den), Fraction(low_num, low_den)
 
 
 @lru_cache(maxsize=None)
 def op_norm(T: Endomorphism, metric: Metric) -> Fraction:
     """sup of ||T(x)|| / ||x|| over nonzero x; exact in all supported cases."""
     if isinstance(T.group, FiniteGroup):
-        return max(_ratios(T, metric))
+        return _finite_bounds(T, metric)[0]
     return _lattice_norm(*_scaled(T.matrix), _weight_ratios(metric))
 
 
@@ -329,7 +363,7 @@ def injectivity_measure(T: Endomorphism, metric: Metric) -> Fraction:
     1 / ||T^-1|| otherwise.
     """
     if isinstance(T.group, FiniteGroup):
-        return min(_ratios(T, metric))
+        return _finite_bounds(T, metric)[1]
     inverse = _scaled_inverse(*_scaled(T.matrix))
     if inverse is None:
         return Fraction(0)

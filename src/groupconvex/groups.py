@@ -28,6 +28,7 @@ from .errors import (
     DimensionMismatch,
     MetricGroupMismatch,
     NotDivisible,
+    NotEnumerable,
     UnsupportedCombination,
 )
 from .scalars import (
@@ -91,6 +92,10 @@ class Group:
     def matrix(self, rows: Sequence[Sequence]) -> tuple[tuple, ...]:
         """Canonical rows of a square matrix: column j is T(e_j), an element."""
         raise NotImplementedError
+
+    def _ring_matrix(self, rows: Sequence[Sequence]) -> tuple[tuple, ...]:
+        """``matrix`` for sums, differences and products of canonical rows."""
+        return self.matrix(rows)
 
     def format_scalar(self, value: Scalar) -> str:
         """The session-file text of a coordinate or matrix entry."""
@@ -165,6 +170,10 @@ class FiniteGroup(Group):
         return tuple(
             tuple(as_int(a) % m for a in row) for row, m in zip(rows, self.moduli)
         )
+
+    def _ring_matrix(self, rows):
+        # entries built from canonical ints are ints: only the residue is new
+        return tuple(tuple(a % m for a in row) for row, m in zip(rows, self.moduli))
 
     def elements(self) -> Iterator[Vector]:
         """All elements in lexicographic order."""
@@ -350,9 +359,15 @@ class DyadicLattice(_Lattice):
 
 @dataclass(frozen=True)
 class _WeightedMetric:
-    """Shared shape of the weighted norms: one positive weight per coordinate."""
+    """Shared shape of the weighted norms: one positive weight per coordinate.
+
+    The hash is the one the dataclass would compute, ``hash((weights,))``,
+    taken once at construction: every cache lookup keyed on a metric would
+    otherwise hash each ``Fraction`` weight again.
+    """
 
     weights: tuple[Fraction, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         weights = tuple(as_fraction(w) for w in self.weights)
@@ -361,6 +376,10 @@ class _WeightedMetric:
         if any(w <= 0 for w in weights):
             raise ValueError("weights must be positive")
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "_hash", hash((weights,)))
+
+    def __hash__(self):
+        return self._hash
 
     def literal(self) -> dict:
         return {"kind": self.kind, "weights": [format_rational(w) for w in self.weights]}
@@ -388,12 +407,14 @@ class L1Metric(_WeightedMetric):
 class TableMetric:
     """Explicit norm values for every element of a finite group.
 
-    Equality and hashing come from the sorted ``entries``; ``values`` is the
-    same data as a dict, built once so that a lookup hashes one element.
+    Equality and hashing come from the sorted ``entries``, and the hash is
+    taken once at construction; ``values`` is the same data as a dict, built
+    once so that a lookup hashes one element.
     """
 
     entries: tuple[tuple[Vector, Fraction], ...]
     values: dict[Vector, Fraction] = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
     kind = "table"
 
     def __post_init__(self):
@@ -402,6 +423,10 @@ class TableMetric:
         )
         object.__setattr__(self, "entries", canon)
         object.__setattr__(self, "values", dict(canon))
+        object.__setattr__(self, "_hash", hash((canon,)))
+
+    def __hash__(self):
+        return self._hash
 
     def literal(self) -> dict:
         return {
@@ -460,14 +485,40 @@ def distance(group: Group, metric: Metric, x: Vector, y: Vector) -> Fraction:
     return norm(group, metric, group.sub(x, y))
 
 
+# most elements ``norm_table`` enumerates, and most pairs (x, y) the L1/Linf
+# and table checks of ``validate_metric`` walk; Z30xZ30 has 810,000 pairs
+_TABLE_CAP = 1 << 16
+_PAIR_CAP = 1 << 20
+
+
 @lru_cache(maxsize=None)
 def norm_table(group: FiniteGroup, metric: Metric) -> dict:
     """The norm of every element of a finite group, in lexicographic order.
 
     Metric validation, operator norms and injectivity measures all read this
-    one table, so each (group, metric) pair evaluates ``norm`` |G| times.
+    one table, so each (group, metric) pair evaluates ``norm`` |G| times;
+    beyond ``_TABLE_CAP`` elements none is evaluated.
     """
+    if group.order > _TABLE_CAP:
+        raise NotEnumerable(
+            f"{group} has {group.order} elements, beyond the norm table cap of {_TABLE_CAP}"
+        )
     return {x: norm(group, metric, x) for x in group.elements()}
+
+
+@lru_cache(maxsize=None)
+def _scaled_norm_table(group: FiniteGroup, metric: Metric) -> tuple[int, ...]:
+    """L * ||x|| for every element in lexicographic order, all ints.
+
+    L is the lcm of the norms' denominators, so a ratio of two entries is the
+    ratio of the two norms.  A nonzero element of norm 0 or below raises.
+    """
+    values = norm_table(group, metric).values()
+    scale = math.lcm(*(v.denominator for v in values))
+    scaled = tuple(v.numerator * (scale // v.denominator) for v in values)
+    if min(scaled[1:]) <= 0:
+        raise MetricGroupMismatch("metric is not positive definite")
+    return scaled
 
 
 @lru_cache(maxsize=None)
@@ -492,6 +543,12 @@ def validate_metric(group: Group, metric: Metric) -> Verdict:
         if isinstance(metric, CyclicMetric):
             _require_weight_count(metric, group)
             return proved()
+        pairs = group.order ** 2
+        if pairs > _PAIR_CAP:
+            raise NotEnumerable(
+                f"checking {metric.kind} norm axioms on {group} takes {pairs} pairs, "
+                f"beyond the cap of {_PAIR_CAP}"
+            )
         table = norm_table(group, metric)
         if isinstance(metric, TableMetric) and len(metric.values) != len(table):
             raise MetricGroupMismatch(f"table has entries outside {group}")

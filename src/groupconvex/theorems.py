@@ -211,14 +211,19 @@ def _check_lemma_mu(inst: Instance) -> Verdict:
 @lru_cache(maxsize=None)
 def _scalar_specialization(g: Group, m: Metric) -> tuple | None:
     """The measure inequalities specialized to multiplication maps."""
-    for n in range(1, _NAT_SPAN + 1):
-        mu_n = mu_of_n(g, m, n)
-        for k in range(1, _NAT_SPAN + 1):
-            if mu_n * norm_of_n(g, m, k) > norm_of_n(g, m, n * k):
+    span = range(1, _NAT_SPAN + 1)
+    # each multiplier the loop reads, n, k and n * k, is mapped once
+    multipliers = {n * k for n in span for k in span}
+    norms = {n: norm_of_n(g, m, n) for n in multipliers}
+    mus = {n: mu_of_n(g, m, n) for n in multipliers}
+    for n in span:
+        mu_n = mus[n]
+        for k in span:
+            if mu_n * norms[k] > norms[n * k]:
                 return ("scalar norm supermultiplicativity", n, k)
-            if mu_n * mu_of_n(g, m, k) > mu_of_n(g, m, n * k):
+            if mu_n * mus[k] > mus[n * k]:
                 return ("scalar measure supermultiplicativity", n, k)
-            if abs(mu_n - mu_of_n(g, m, k)) > abs(n - k):
+            if abs(mu_n - mus[k]) > abs(n - k):
                 return ("scalar Lipschitz bound", n, k)
     return None
 
@@ -274,12 +279,13 @@ def _check_lemma_sr(inst: Instance) -> Verdict:
         for T in universe:
             rho_t = en.spectral_radius(T, m, horizon).value
             for S in universe:
-                if T.compose(S) != S.compose(T):
+                composed = T.compose(S)
+                if composed != S.compose(T):
                     continue
                 rho_s = en.spectral_radius(S, m, horizon).value
                 if en.spectral_radius(T.add(S), m, horizon).value > rho_t + rho_s:
                     return refuted(("subadditivity of the radius", T, S))
-                rho_ts = en.spectral_radius(T.compose(S), m, horizon).value
+                rho_ts = en.spectral_radius(composed, m, horizon).value
                 if en.injectivity_measure(T, m) * rho_s > rho_ts:
                     return refuted(("measure-radius supermultiplicativity", T, S))
                 if rho_ts > rho_t * rho_s:

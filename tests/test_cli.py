@@ -418,6 +418,55 @@ def test_horizon_beyond_the_cap_is_an_input_error(tmp_path, capsys, monkeypatch)
     assert main(args) == EXIT_INPUT
     assert "beyond the cap of 1024" in capsys.readouterr().err
 
+@pytest.mark.parametrize(
+    "moduli, metric, size",
+    [
+        ([300, 300], "cyclic", "90000 elements"),  # beyond the norm table cap
+        ([1100], "l1", "1210000 pairs"),  # beyond the pair cap of the axiom check
+    ],
+)
+@pytest.mark.parametrize("command", ["mu", "endo-norm"])
+def test_norm_tables_beyond_the_caps_are_input_errors(tmp_path, capsys, monkeypatch, moduli, metric, size, command):
+    def no_elements(self):
+        raise AssertionError("the elements were enumerated")
+
+    monkeypatch.setattr(FiniteGroup, "elements", no_elements)
+    session = {
+        "group": {"kind": "finite", "moduli": moduli},
+        "metric": {"kind": metric, "weights": ["1"] * len(moduli)},
+        "endos": {"T": [[1 if i == j else 0 for j in moduli] for i in moduli]},
+    }
+    assert main([command, _session_file(tmp_path, session), "T"]) == EXIT_INPUT
+    assert size in capsys.readouterr().err
+
+
+def test_committed_sessions_stay_well_under_the_norm_table_caps():
+    from pathlib import Path
+
+    from groupconvex.cli import parse_session
+    from groupconvex.groups import _PAIR_CAP, _TABLE_CAP
+
+    sessions = sorted((Path(__file__).resolve().parents[1] / "bench" / "sessions").glob("*.json"))
+    orders = [
+        inst.group.order
+        for inst in map(parse_session, map(str, sessions))
+        if isinstance(inst.group, FiniteGroup)
+    ]
+    assert orders and all(16 * n <= _TABLE_CAP and 16 * n * n <= _PAIR_CAP for n in orders)
+    # the largest groups that ``gc mu`` and the axiom check are known to serve
+    assert 1000 <= _TABLE_CAP and (30 * 30) ** 2 <= _PAIR_CAP
+
+
+def test_mu_on_z1000_runs_under_the_cap(tmp_path, capsys):
+    session = {
+        "group": {"kind": "finite", "moduli": [1000]},
+        "metric": {"kind": "cyclic", "weights": ["1"]},
+        "endos": {"T": [[3]]},
+    }
+    assert main(["mu", _session_file(tmp_path, session), "T"]) == EXIT_OK
+    assert capsys.readouterr().out.strip() == "1/333"  # at x = 333, 3x = -1
+
+
 def test_budget_flag_overrides_session(tmp_path, capsys):
     session = tmp_path / "dy.json"
     session.write_text(

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import os
@@ -32,12 +33,14 @@ from groupconvex import (
     scaling,
     shifted_inverse,
     spectral_radius,
+    table_metric,
     try_inverse,
     zero,
 )
 from groupconvex.endo import RhoBracket
 from groupconvex.errors import (
     GroupMismatch,
+    MetricGroupMismatch,
     NotAHomomorphism,
     NotComplete,
     NotDivisible,
@@ -602,6 +605,107 @@ def test_halving_and_reduction_on_mixed_moduli(moduli):
         for i, m_i in enumerate(moduli):
             for j in range(len(moduli)):
                 assert reduced[i][j] == raw[i][j] % m_i
+
+
+@functools.lru_cache(maxsize=None)
+def _norms(g, metric):
+    return {x: norm(g, metric, x) for x in g.elements()}
+
+
+def _walk_bounds(T, metric):
+    """(max, min) of ||T(x)|| / ||x|| by one ``apply`` and one Fraction per x."""
+    g = T.group
+    norms = _norms(g, metric)
+    ratios = []
+    for x in g.elements():
+        if x == g.zero():
+            continue
+        if norms[x] == 0:
+            raise MetricGroupMismatch("metric is not positive definite")
+        ratios.append(norms[T.apply(x)] / norms[x])
+    return max(ratios), min(ratios)
+
+
+def _oracle_metrics(g, seed):
+    """A cyclic, an L1, an Linf and a table metric on g, with seeded weights."""
+    rng = random.Random(seed)
+    weights = [Fraction(rng.randint(1, 9), rng.randint(1, 7)) for _ in g.moduli]
+    table = {x: Fraction(rng.randint(1, 40), rng.randint(1, 12)) for x in g.elements()}
+    table[g.zero()] = Fraction(0)
+    return [CyclicMetric(weights), L1Metric(weights), LinfMetric(weights), table_metric(table)]
+
+
+def _assert_bounds_match_walk(maps, metrics, per_map=None):
+    """Compare every map under ``per_map`` metrics, rotating, or all of them."""
+    kinds = set()
+    for i, T in enumerate(maps):
+        for metric in (metrics if per_map is None else
+                       [metrics[(i + k) % len(metrics)] for k in range(per_map)]):
+            expected = _walk_bounds(T, metric)
+            got = (op_norm(T, metric), injectivity_measure(T, metric))
+            assert repr(got) == repr(expected), (T, metric.kind)
+            kinds.add((T.is_zero, expected[1] == 0))
+    return kinds
+
+
+@pytest.mark.parametrize("moduli", [(2, 4), (4, 4), (3, 6)])
+def test_finite_bounds_match_the_element_walk_on_whole_rings(moduli):
+    g = FiniteGroup(moduli)
+    metrics = _oracle_metrics(g, sum(moduli))
+    kinds = _assert_bounds_match_walk(all_endomorphisms(g), metrics)
+    # the zero map, other non-injective maps and injective maps all occur
+    assert kinds == {(True, True), (False, True), (False, False)}
+
+
+def test_finite_bounds_match_the_element_walk_on_seeded_z12x20_maps():
+    g = FiniteGroup((12, 20))
+    ring = all_endomorphisms(g)
+    maps = random.Random(9).sample(ring, 200)
+    kinds = _assert_bounds_match_walk(maps, _oracle_metrics(g, 32), per_map=2)
+    assert kinds >= {(False, True), (False, False)}
+
+
+@pytest.mark.parametrize("bad", [0, -1])
+def test_finite_bounds_refuse_a_table_that_is_not_positive(bad):
+    g = FiniteGroup((2, 3))
+    values = {x: Fraction(sum(x) + 1) for x in g.elements()}
+    values[(0, 0)] = Fraction(0)
+    values[(1, 2)] = Fraction(bad)
+    metric = table_metric(values)  # never validated
+    for measure in (op_norm, injectivity_measure):
+        with pytest.raises(MetricGroupMismatch, match="not positive definite"):
+            measure(identity(g), metric)
+
+
+def _int_entries(T):
+    return all(type(a) is int for row in T.matrix for a in row)
+
+
+def test_finite_entries_are_plain_ints():
+    g = FiniteGroup((4, 8))
+    T = make_endo(g, [[Fraction(5, 1), "2"], ["6/1", 7]])
+    S = make_endo(g, [[3, 0], [4, Fraction(-1)]])
+    assert T.matrix == ((1, 2), (6, 7)) and S.matrix == ((3, 0), (4, 7))
+    assert _int_entries(T) and _int_entries(S)
+    results = [
+        T.compose(S), T.add(S), T.sub(S), T.scale(3), T.power(3),
+        identity(g), zero(g), scaling(g, 5), halve(make_endo(FiniteGroup((3, 9)), [[1, 0], [3, 2]])),
+    ]
+    results += all_endomorphisms(g)
+    assert all(_int_entries(R) for R in results)
+
+
+def test_session_maps_have_plain_int_entries():
+    from groupconvex.cli import parse_session
+
+    sessions = sorted((Path(__file__).resolve().parents[1] / "bench" / "sessions").glob("*.json"))
+    finite = 0
+    for path in sessions:
+        inst = parse_session(str(path))
+        if isinstance(inst.group, FiniteGroup):
+            finite += len(inst.endos)
+            assert all(_int_entries(T) for T in inst.endos.values()), path.name
+    assert finite > 0
 
 
 def _seeded_lattice_endos(seed, count):

@@ -284,6 +284,24 @@ def test_table_metric_ignores_insertion_order():
     assert first.proved
 
 
+def test_metric_hash_is_the_dataclass_hash_of_its_canonical_fields():
+    forms = [["2", "1/3"], [2, Fraction(1, 3)], [Fraction(2), Fraction(2, 6)]]
+    weights = (Fraction(2), Fraction(1, 3))
+    for kind in (CyclicMetric, L1Metric, LinfMetric):
+        built = [kind(w) for w in forms]
+        assert all(m == built[0] for m in built)
+        assert {hash(m) for m in built} == {hash((weights,))}
+    integral = [CyclicMetric(w) for w in (["1", "3"], [1, 3], [Fraction(1), Fraction(3)])]
+    assert len(set(integral)) == 1 and hash(integral[0]) == hash(((Fraction(1), Fraction(3)),))
+    # equal weights under another norm family make another metric
+    assert CyclicMetric(weights) != LinfMetric(weights)
+    assert L1Metric(weights) != LinfMetric(weights)
+    assert len({CyclicMetric(weights), LinfMetric(weights), L1Metric(weights)}) == 3
+    table = table_metric({(1,): "1/2", (0,): 0, (2,): Fraction(1, 2)})
+    assert hash(table) == hash((table.entries,))
+    assert table == table_metric({(0,): "0", (1,): Fraction(1, 2), (2,): "2/4"})
+
+
 def test_validation_and_operator_norms_share_one_norm_table():
     g = FiniteGroup((5, 3))
     cyclic = CyclicMetric((Fraction(1), Fraction(1, 2)))
