@@ -362,9 +362,7 @@ def _cmd_hull(inst: Instance, args) -> int:
 def _cmd_is_convex(inst: Instance, args) -> int:
     D = _set_by_name(inst, args.set)
     family = _family(inst, args.names)
-    verdict = cx.is_family_convex(
-        D, family, samples=inst.params.budget, seed=inst.params.seed
-    )
+    verdict = cx.is_family_convex(D, family)
     _emit(args, verdict.status.value, _verdict_record(verdict, inst.group))
     return _STATUS_EXIT[verdict.status]
 

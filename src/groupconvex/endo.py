@@ -585,10 +585,29 @@ def halve(T: Endomorphism) -> Endomorphism:
     return Endomorphism(T.group, tuple(zip(*columns)))
 
 
-def midpoint_recursion(T: Endomorphism, n: int) -> Endomorphism:
-    """n-th iterate of U -> U^2 + (I - U)^2 starting from T."""
+# most steps of the midpoint recursion on a lattice: each step squares the
+# matrix, so entry bit-lengths double.  For T of bench/sessions/dyadic2.json
+# step 14 takes about 2 ms and its 8,194-bit entries still print under
+# Python's default 4,300-digit str(int) limit; step 20 takes 0.7 s and step
+# 22 over 10 s.  Finite groups reduce entries mod m_i and are not capped.
+_RECURSION_CAP = 14
+
+
+def _check_steps(T: Endomorphism, n: int) -> None:
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n > _RECURSION_CAP and not isinstance(T.group, FiniteGroup):
+        raise ValueError(
+            f"midpoint recursion to n = {n} is beyond the cap of {_RECURSION_CAP} steps on {T.group}"
+        )
+
+
+def midpoint_recursion(T: Endomorphism, n: int) -> Endomorphism:
+    """n-th iterate of U -> U^2 + (I - U)^2 starting from T.
+
+    On a lattice, n above ``_RECURSION_CAP`` is refused before the first step.
+    """
+    _check_steps(T, n)
     ident = identity(T.group)
     current = T
     for _ in range(n - 1):
@@ -601,10 +620,9 @@ def midpoint_closed_form(T: Endomorphism, n: int) -> Endomorphism:
     """Closed form of the midpoint recursion: half of I + (2T - I)^(2^(n-1)).
 
     Defined whenever the group is divisible by two; equals
-    ``midpoint_recursion(T, n)`` for every input.
+    ``midpoint_recursion(T, n)`` for every input, and is capped the same way.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_steps(T, n)
     g = T.group
     if not g.divisible_by(2):
         raise NotDivisible(f"{g} is not divisible by 2")

@@ -50,7 +50,6 @@ from .groups import (
     IntLattice,
     LinfMetric,
     Metric,
-    Vector,
     mu_of_n,
     norm_of_n,
     validate_metric,
@@ -375,10 +374,6 @@ def _check_cor_nit(inst: Instance) -> Verdict:
 # Checkers: structure of convex sets
 # ---------------------------------------------------------------------------
 
-def _family_statuses(D: PointSet, family: list[Endomorphism], params: Params):
-    return cx.is_family_convex(D, family, samples=params.budget, seed=params.seed)
-
-
 def _check_thm_0(inst: Instance) -> Verdict:
     """Convex sets are closed under intersection, chain union, addition,
     and images/preimages through commuting endomorphisms."""
@@ -391,18 +386,18 @@ def _check_thm_0(inst: Instance) -> Verdict:
     named_mode = bool(inst.sets)
     convex_sets: list[PointSet] = []
     for name, D in _candidate_sets(inst):
-        verdict = _family_statuses(D, family, params)
+        verdict = cx.is_family_convex(D, family)
         if verdict.proved:
             convex_sets.append(D)
         elif named_mode:
             raise HypothesisFailed(f"set {name!r} is family-convex")
 
     # (i) empty set, whole space, singletons
-    if not _family_statuses(cx.finite_set(g, ()), family, params).proved:
+    if not cx.is_family_convex(cx.finite_set(g, ()), family).proved:
         return refuted(("empty set",))
     if isinstance(g, FiniteGroup):
         whole = cx.finite_set(g, g.elements())
-        if not _family_statuses(whole, family, params).proved:
+        if not cx.is_family_convex(whole, family).proved:
             return refuted(("whole space",))
         singleton_pool = list(g.elements())
     else:
@@ -411,13 +406,13 @@ def _check_thm_0(inst: Instance) -> Verdict:
         box = cx.box_set(g, [-2] * g.dim, [2] * g.dim)
         singleton_pool += [cx.sample(box, rng) for _ in range(8)]
     for x in singleton_pool:
-        if not _family_statuses(cx.finite_set(g, [x]), family, params).proved:
+        if not cx.is_family_convex(cx.finite_set(g, [x]), family).proved:
             return refuted(("singleton", x))
 
     # (ii) intersections and finite chain unions
     for D1, D2 in itertools.combinations(convex_sets, 2):
         meet = cx.intersect(D1, D2)
-        if not _family_statuses(meet, family, params).proved:
+        if not cx.is_family_convex(meet, family).proved:
             return refuted(("intersection", D1, D2))
     for D1, D2 in itertools.permutations(convex_sets, 2):
         if cx.subset_of(D1, D2):
@@ -425,7 +420,7 @@ def _check_thm_0(inst: Instance) -> Verdict:
                 union = cx.finite_set(g, D1.elements + D2.elements)
             else:
                 union = D2
-            if not _family_statuses(union, family, params).proved:
+            if not cx.is_family_convex(union, family).proved:
                 return refuted(("chain union", D1, D2))
 
     # (iii) algebraic addition
@@ -433,7 +428,7 @@ def _check_thm_0(inst: Instance) -> Verdict:
         if isinstance(D1, FiniteSet) != isinstance(D2, FiniteSet):
             continue
         total = cx.sumset(D1, D2)
-        if not _family_statuses(total, family, params).proved:
+        if not cx.is_family_convex(total, family).proved:
             return refuted(("sumset", D1, D2))
 
     # (iv) images and preimages through a commuting endomorphism
@@ -455,11 +450,11 @@ def _check_thm_0(inst: Instance) -> Verdict:
         for D in convex_sets:
             if not isinstance(D, FiniteSet):
                 continue
-            if not _family_statuses(cx.image_set(D, A), family, params).proved:
+            if not cx.is_family_convex(cx.image_set(D, A), family).proved:
                 return refuted(("image", A, D))
             if isinstance(g, FiniteGroup):
                 pre = cx.preimage_set(D, A)
-                if not _family_statuses(pre, family, params).proved:
+                if not cx.is_family_convex(pre, family).proved:
                     return refuted(("preimage", A, D))
     return proved()
 
@@ -546,8 +541,7 @@ def _check_thm_2(inst: Instance) -> Verdict:
         return refuted(("exact collapse to I/2", iterates[-1]))
 
     for name, D in inst.sets.items():
-        base = cx.is_T_convex(D, T, samples=params.budget, seed=params.seed)
-        if not base.proved:
+        if not cx.is_T_convex(D, T).proved:
             raise HypothesisFailed(f"set {name!r} is T-convex")
         if not g.complete:
             continue
@@ -569,22 +563,22 @@ def _check_thm_2(inst: Instance) -> Verdict:
 # Checkers: sum inclusion results
 # ---------------------------------------------------------------------------
 
+def _diagonal(T: Endomorphism) -> tuple | None:
+    n = T.group.dim
+    for i in range(n):
+        for j in range(n):
+            if i != j and T.matrix[i][j] != 0:
+                return None
+    return tuple(T.matrix[i][i] for i in range(n))
+
+
 def _diag_or_raise(T: Endomorphism) -> tuple:
-    diag = cx._diagonal(T)
+    diag = _diagonal(T)
     if diag is None:
         raise UnsupportedRepresentation(
             "box instances require diagonal endomorphisms"
         )
     return diag
-
-
-def _interval_image(diag: tuple, lo: Vector, hi: Vector) -> tuple[list, list]:
-    los, his = [], []
-    for t, a, b in zip(diag, lo, hi):
-        images = (t * a, t * b)
-        los.append(min(images))
-        his.append(max(images))
-    return los, his
 
 
 def _nk_hypotheses(inst: Instance, need_closed_conclusion: bool):
@@ -596,7 +590,7 @@ def _nk_hypotheses(inst: Instance, need_closed_conclusion: bool):
     if not cx.is_n_convex(D, params.n0).proved:
         raise HypothesisFailed(f"D is n0-convex (n0={params.n0})")
     for name, T in inst.endos.items():
-        if not cx.is_T_convex(D, T, samples=params.budget, seed=params.seed).proved:
+        if not cx.is_T_convex(D, T).proved:
             raise HypothesisFailed(f"endomorphism {name!r} makes D convex")
     total = reduce(lambda a, b: a.add(b), family)
     if need_closed_conclusion:
@@ -634,13 +628,13 @@ def _sum_inclusion(inst: Instance, with_closure: bool) -> Verdict:
 
     diags = [_diag_or_raise(T) for T in family]
     total_diag = _diag_or_raise(total)
-    lhs_lo = [Fraction(0)] * g.dim
-    lhs_hi = [Fraction(0)] * g.dim
-    for diag in diags:
-        los, his = _interval_image(diag, D.lo, D.hi)
-        lhs_lo = [a + b for a, b in zip(lhs_lo, los)]
-        lhs_hi = [a + b for a, b in zip(lhs_hi, his)]
-    rhs_lo, rhs_hi = _interval_image(total_diag, D.lo, D.hi)
+    # coordinate i of a sum of images is the form (T1_i | T2_i | ...) on D^k
+    k = len(family)
+    lhs_lo, lhs_hi = zip(*(
+        cx.linear_bounds(sum(rows, ()), D.lo * k, D.hi * k)
+        for rows in zip(*(T.matrix for T in family))
+    ))
+    rhs_lo, rhs_hi = zip(*(cx.linear_bounds(row, D.lo, D.hi) for row in total.matrix))
 
     if with_closure:
         # densities: a nonzero dyadic multiple of the dyadic lattice is dense
@@ -692,7 +686,7 @@ def _extreme_witness(g, D, family, maximize: bool):
     # interval inclusion always yields an explicit violating combination.
     xs = []
     for T in family:
-        diag = cx._diagonal(T)
+        diag = _diagonal(T)
         if maximize:
             coords = [hi if t >= 0 else lo for t, lo, hi in zip(diag, D.lo, D.hi)]
         else:
@@ -720,7 +714,6 @@ def _check_cor_nkc1(inst: Instance) -> Verdict:
 def _check_cor_nkc2(inst: Instance) -> Verdict:
     """Normalized partial sums of a family stay in the family."""
     D, family, total = _nk_hypotheses(inst, need_closed_conclusion=True)
-    params = inst.params
     inverse = en.try_inverse(total)
     if inverse is None:
         raise HypothesisFailed("the family sum is invertible with a bounded inverse")
@@ -729,11 +722,9 @@ def _check_cor_nkc2(inst: Instance) -> Verdict:
     for T in family[:-1]:
         partial = T if partial is None else partial.add(T)
         candidate = inverse.compose(partial)
-        verdict = cx.is_T_convex(D, candidate, samples=params.budget, seed=params.seed)
+        verdict = cx.is_T_convex(D, candidate)
         if verdict.refuted:
             return refuted((candidate,) + verdict.witness)
-        if verdict.unfalsified:
-            return unfalsified(verdict.samples)
         members.append(candidate)
     return proved(witness=tuple(members))
 
@@ -969,7 +960,7 @@ def _draw_thm_2(group, metric, params, gen, rng) -> Instance:
     if isinstance(group, IntLattice):
         raise GeneratorExhausted("the integer lattice is not 2-divisible")
     T = _unit_box_diag(group, rng)
-    diag = cx._diagonal(T)
+    diag = _diagonal(T)
     if any(t in (0, 1) for t in diag):
         T = en.halve(en.identity(group))
     D = _draw_box(group, rng)

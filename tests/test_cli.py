@@ -419,6 +419,45 @@ def test_horizon_beyond_the_cap_is_an_input_error(tmp_path, capsys, monkeypatch)
     assert "beyond the cap of 1024" in capsys.readouterr().err
 
 @pytest.mark.parametrize(
+    "argv",
+    [["recursion", "T", "24"], ["verify", "THM_2", "--horizon", "30"]],
+)
+def test_recursion_beyond_the_cap_is_an_input_error(tmp_path, capsys, argv):
+    import groupconvex.endo as en
+
+    session = {
+        "group": {"kind": "dyadic", "dim": 2},
+        "metric": {"kind": "linf", "weights": ["1", "1"]},
+        "endos": {"T": [["1/2^1", "1"], ["0", "3/2^2"]]},
+    }
+    command, *rest = argv
+    assert main([command, _session_file(tmp_path, session), *rest]) == EXIT_INPUT
+    assert f"beyond the cap of {en._RECURSION_CAP} steps" in capsys.readouterr().err
+
+
+def test_recursion_cap_refuses_before_the_first_step(tmp_path, capsys, monkeypatch):
+    import groupconvex.endo as en
+
+    def no_product(*args):
+        raise AssertionError("a recursion step was computed")
+
+    monkeypatch.setattr(en, "_matmul", no_product)
+    session = {
+        "group": {"kind": "int", "dim": 1},
+        "metric": {"kind": "linf", "weights": ["1"]},
+        "endos": {"T": [["3"]]},
+    }
+    path = _session_file(tmp_path, session)
+    assert main(["recursion", path, "T", str(en._RECURSION_CAP + 1)]) == EXIT_INPUT
+    assert f"beyond the cap of {en._RECURSION_CAP} steps" in capsys.readouterr().err
+
+
+def test_finite_group_recursion_is_not_capped(z9_session, capsys):
+    assert main(["recursion", z9_session, "T", "1000"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("T_1000 = ")
+
+
+@pytest.mark.parametrize(
     "moduli, metric, size",
     [
         ([300, 300], "cyclic", "90000 elements"),  # beyond the norm table cap

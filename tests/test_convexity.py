@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupconvex import (
+    DyadicLattice,
     FiniteGroup,
     IntLattice,
     LinfMetric,
@@ -29,6 +30,8 @@ from groupconvex import (
     n_dilate,
     n_fold_sum,
     preimage_set,
+    proved,
+    refuted,
     sample,
     scaling,
     subset_of,
@@ -204,19 +207,134 @@ def test_box_diagonal_convexity(dyplane):
 def test_box_nondiagonal_sampling_refutes_with_witness(dyplane):
     D = box_set(dyplane, [0, 0], [1, 1])
     swap = make_endo(dyplane, [[0, Fraction(1, 2)], [Fraction(1, 2), 0]])
-    verdict = is_T_convex(D, swap, samples=64, seed=3)
-    assert not verdict.proved  # sampling never proves
-    if verdict.refuted:
-        x, y, point = verdict.witness
-        assert contains(D, x) and contains(D, y) and not contains(D, point)
+    verdict = is_T_convex(D, swap)
+    # corner bounds: coordinate 1 of T(x) + (I-T)(y) reaches -1/2 at y = (0, 1)
+    assert verdict.refuted
+    x, y, point = verdict.witness
+    assert contains(D, x) and contains(D, y) and not contains(D, point)
 
 
 def test_box_nondiagonal_unfalsified_on_degenerate_box(dyplane):
-    # coordinate 2 is pinned, so the off-diagonal contribution cancels
+    # coordinate 2 is pinned, so the off-diagonal contribution cancels and
+    # the box really is convex: corner bounds prove it
     D = box_set(dyplane, [0, Fraction(1, 2)], [1, Fraction(1, 2)])
     T = make_endo(dyplane, [[Fraction(1, 2), Fraction(1, 4)], [0, 1]])
-    verdict = is_T_convex(D, T, samples=32, seed=3)
-    assert verdict.unfalsified and verdict.samples == 32
+    assert is_T_convex(D, T).proved
+
+
+# -- box convexity against independent oracles ---------------------------------
+
+_BOX_ENTRIES = [Fraction(v) for v in ("-1", "-1/2", "0", "1/4", "1/2", "3/4", "1", "3/2", "2")]
+
+
+def corner_enumeration_verdict(D, T):
+    """An independent verdict for a diagonal map on a box.
+
+    It enumerates the four (x_i, y_i) corners of each axis and checks the
+    low side of an axis first.
+    """
+    g = D.group
+    if D.lo == D.hi:
+        return proved()
+    diag = [T.matrix[i][i] for i in range(g.dim)]
+    witness_x, witness_y = list(D.lo), list(D.lo)
+    violated = False
+    for i, t in enumerate(diag):
+        lo, hi = D.lo[i], D.hi[i]
+        corners = [(t * a + (1 - t) * b, a, b) for a in (lo, hi) for b in (lo, hi)]
+        low, high = min(corners), max(corners)
+        if low[0] < lo:
+            witness_x[i], witness_y[i] = low[1], low[2]
+            violated = True
+        elif high[0] > hi:
+            witness_x[i], witness_y[i] = high[1], high[2]
+            violated = True
+    if not violated:
+        return proved()
+    x, y = g.element(witness_x), g.element(witness_y)
+    point = g.add(T.apply(x), g.sub(y, T.apply(y)))
+    return refuted((x, y, point))
+
+
+def _draw_box(group, rng, step, widths):
+    lo = [step * rng.randint(-4, 4) for _ in range(group.dim)]
+    hi = [a + step * rng.choice(widths) for a in lo]
+    return box_set(group, lo, hi)
+
+
+def _draw_map(group, rng, diagonal):
+    entries = [e for e in _BOX_ENTRIES if group.is_coordinate(e)]
+    n = group.dim
+    rows = [
+        [rng.choice(entries) if i == j or not diagonal else 0 for j in range(n)]
+        for i in range(n)
+    ]
+    return make_endo(group, rows)
+
+
+def test_box_diagonal_verdicts_match_the_corner_enumeration():
+    rng = random.Random(20)
+    checked = refuted_count = 0
+    for _ in range(250):
+        for dim in (1, 2, 3):
+            for group, step in ((IntLattice(dim), 1), (DyadicLattice(dim), Fraction(1, 4))):
+                D = _draw_box(group, rng, step, range(0, 4))
+                T = _draw_map(group, rng, diagonal=True)
+                verdict = is_T_convex(D, T)
+                assert repr(verdict) == repr(corner_enumeration_verdict(D, T)), (D, T)
+                checked += 1
+                refuted_count += verdict.refuted
+    assert checked == 1500 and 0 < refuted_count < checked
+
+
+def _grid(D, step):
+    axes = [
+        [a + step * k for k in range(int((b - a) / step) + 1)] for a, b in zip(D.lo, D.hi)
+    ]
+    return [tuple(p) for p in itertools.product(*axes)]
+
+
+def _raw_combination(T, x, y):
+    # T(x) + y - T(y), by row sums on raw coordinates
+    return tuple(
+        sum(t * (a - b) for t, a, b in zip(row, x, y)) + y[i]
+        for i, row in enumerate(T.matrix)
+    )
+
+
+def _inside(D, p):
+    return all(a <= c <= b for a, c, b in zip(D.lo, p, D.hi))
+
+
+def test_box_verdicts_match_brute_force_for_every_map():
+    # a box's corners lie on the grid, so the grid pairs decide convexity
+    rng = random.Random(21)
+    proved_count = refuted_count = wide_nondiagonal_proved = 0
+    for _ in range(250):
+        for dim, widths in ((1, range(0, 5)), (2, range(0, 4)), (3, range(0, 2))):
+            for group, step in ((IntLattice(dim), 1), (DyadicLattice(dim), Fraction(1, 4))):
+                D = _draw_box(group, rng, step, widths)
+                T = _draw_map(group, rng, diagonal=False)
+                grid = _grid(D, step)
+                convex = all(
+                    _inside(D, _raw_combination(T, x, y)) for x in grid for y in grid
+                )
+                verdict = is_T_convex(D, T)
+                assert verdict.proved == convex and verdict.refuted != convex, (D, T)
+                if verdict.refuted:
+                    x, y, point = verdict.witness
+                    assert _inside(D, x) and _inside(D, y)
+                    assert point == _raw_combination(T, x, y) and not _inside(D, point)
+                    refuted_count += 1
+                else:
+                    proved_count += 1
+                    off_diagonal = any(
+                        t for i, row in enumerate(T.matrix) for j, t in enumerate(row) if i != j
+                    )
+                    wide_nondiagonal_proved += off_diagonal and D.lo != D.hi
+    assert proved_count > 100 and refuted_count > 100
+    # maps whose off-diagonal entries read only pinned axes are proved too
+    assert wide_nondiagonal_proved > 0
 
 
 def test_family_convexity(z9):

@@ -564,6 +564,28 @@ def test_midpoint_closed_form_needs_divisibility(zline):
         midpoint_closed_form(scaling(zline, 1), 2)
 
 
+def test_midpoint_recursion_is_capped_on_lattices(dyline, zline, z9, monkeypatch):
+    from groupconvex import endo as en
+
+    cap = en._RECURSION_CAP
+    half = make_endo(dyline, [[Fraction(1, 2)]])
+    assert midpoint_recursion(half, cap) == half == midpoint_closed_form(half, cap)
+    # finite groups reduce entries mod m_i, so they run past the cap
+    far = cap + 50
+    assert midpoint_recursion(scaling(z9, 2), far) == scaling(z9, 5)
+    assert midpoint_closed_form(scaling(z9, 2), far) == scaling(z9, 5)
+
+    def no_product(*args):
+        raise AssertionError("a recursion step was computed")
+
+    monkeypatch.setattr(en, "_matmul", no_product)
+    for T in (half, scaling(zline, 3)):
+        with pytest.raises(ValueError, match=f"beyond the cap of {cap} steps"):
+            midpoint_recursion(T, cap + 1)
+    with pytest.raises(ValueError, match=f"beyond the cap of {cap} steps"):
+        midpoint_closed_form(half, cap + 1)
+
+
 def test_closed_form_equals_recursion_in_product_group():
     g = FiniteGroup((3, 5))
     for T in all_endomorphisms(g):
