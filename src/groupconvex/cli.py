@@ -411,17 +411,17 @@ def _property(value: str) -> PropertyId:
         ) from None
 
 
-def _emit_property(args, inst: Instance, prop: PropertyId, verdict: Verdict, counted: str) -> int:
+def _emit_property(args, inst: Instance, prop: PropertyId, verdict: Verdict) -> int:
     human = f"{prop.name}: {verdict.status.value}"
     if verdict.samples is not None:
-        human += f" ({verdict.samples} {counted})"
+        human += f" ({verdict.samples} instances)"
     _emit(args, human, _verdict_record(verdict, inst.group, prop=prop.name))
     return _STATUS_EXIT[verdict.status]
 
 
 def _cmd_verify(inst: Instance, args) -> int:
     prop = _property(args.property)
-    return _emit_property(args, inst, prop, verify(prop, inst), "samples")
+    return _emit_property(args, inst, prop, verify(prop, inst))
 
 
 def _cmd_search(inst: Instance, args) -> int:
@@ -430,7 +430,7 @@ def _cmd_search(inst: Instance, args) -> int:
     verdict = counterexample_search(
         prop, gen, budget=inst.params.budget, seed=inst.params.seed
     )
-    return _emit_property(args, inst, prop, verdict, "instances")
+    return _emit_property(args, inst, prop, verdict)
 
 
 # ---------------------------------------------------------------------------

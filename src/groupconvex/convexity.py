@@ -10,7 +10,7 @@ related notion of n-convexity ([n]A inside n*A).  Convexity is decided,
 never sampled: finite sets exhaustively over pairs, boxes exactly for every
 T by corner bounds (each coordinate of the combination is linear in (x, y),
 so its extremes over D x D sit at corners, which are points of D).
-``sample`` draws member points for the checkers that still sample.  Convex
+``sample`` draws member points for the search's instance drawers.  Convex
 hulls are computed as least fixed points of the one-step closure.
 """
 

@@ -36,7 +36,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import (
     GroupMismatch,
@@ -602,17 +602,30 @@ def _check_steps(T: Endomorphism, n: int) -> None:
         )
 
 
-def midpoint_recursion(T: Endomorphism, n: int) -> Endomorphism:
-    """n-th iterate of U -> U^2 + (I - U)^2 starting from T.
+def midpoint_iterates(T: Endomorphism, n: int) -> Iterator[Endomorphism]:
+    """Iterates 1..n of U -> U^2 + (I - U)^2 starting from T, one step each.
 
-    On a lattice, n above ``_RECURSION_CAP`` is refused before the first step.
+    On a lattice, n above ``_RECURSION_CAP`` is refused by this call, before
+    the first step.
     """
     _check_steps(T, n)
     ident = identity(T.group)
-    current = T
-    for _ in range(n - 1):
-        residual = ident.sub(current)
-        current = current.compose(current).add(residual.compose(residual))
+
+    def steps():
+        current = T
+        yield current
+        for _ in range(n - 1):
+            residual = ident.sub(current)
+            current = current.compose(current).add(residual.compose(residual))
+            yield current
+
+    return steps()
+
+
+def midpoint_recursion(T: Endomorphism, n: int) -> Endomorphism:
+    """n-th iterate of U -> U^2 + (I - U)^2 starting from T."""
+    for current in midpoint_iterates(T, n):
+        pass
     return current
 
 

@@ -377,7 +377,6 @@ def _check_cor_nit(inst: Instance) -> Verdict:
 def _check_thm_0(inst: Instance) -> Verdict:
     """Convex sets are closed under intersection, chain union, addition,
     and images/preimages through commuting endomorphisms."""
-    params = inst.params
     family = [T for name, T in inst.endos.items() if name != "A"]
     if not family:
         raise HypothesisFailed("a nonempty family of endomorphisms is provided")
@@ -401,10 +400,11 @@ def _check_thm_0(inst: Instance) -> Verdict:
             return refuted(("whole space",))
         singleton_pool = list(g.elements())
     else:
+        # a fixed pool: 0, the unit vectors and the corners of [-2, 2]^n
+        n = g.dim
         singleton_pool = [g.zero()]
-        rng = random.Random(params.seed)
-        box = cx.box_set(g, [-2] * g.dim, [2] * g.dim)
-        singleton_pool += [cx.sample(box, rng) for _ in range(8)]
+        singleton_pool += [g.element([int(i == j) for j in range(n)]) for i in range(n)]
+        singleton_pool += [g.element(c) for c in itertools.product((-2, 2), repeat=n)]
     for x in singleton_pool:
         if not cx.is_family_convex(cx.finite_set(g, [x]), family).proved:
             return refuted(("singleton", x))
@@ -529,7 +529,7 @@ def _check_thm_2(inst: Instance) -> Verdict:
             f"bracket [{bracket.lower}, {bracket.upper}]",
         )
     half_identity = en.halve(ident)
-    iterates = [en.midpoint_recursion(T, n) for n in range(1, params.horizon + 1)]
+    iterates = list(en.midpoint_iterates(T, params.horizon))
     for n, iterate in enumerate(iterates, start=1):
         if iterate != en.midpoint_closed_form(T, n):
             return refuted(("closed form mismatch", n))
@@ -572,15 +572,6 @@ def _diagonal(T: Endomorphism) -> tuple | None:
     return tuple(T.matrix[i][i] for i in range(n))
 
 
-def _diag_or_raise(T: Endomorphism) -> tuple:
-    diag = _diagonal(T)
-    if diag is None:
-        raise UnsupportedRepresentation(
-            "box instances require diagonal endomorphisms"
-        )
-    return diag
-
-
 def _nk_hypotheses(inst: Instance, need_closed_conclusion: bool):
     g, m, params = inst.group, inst.metric, inst.params
     D = _named_set(inst, "D")
@@ -614,7 +605,7 @@ def _nk_hypotheses(inst: Instance, need_closed_conclusion: bool):
 
 def _sum_inclusion(inst: Instance, with_closure: bool) -> Verdict:
     D, family, total = _nk_hypotheses(inst, need_closed_conclusion=not with_closure)
-    g, params = inst.group, inst.params
+    g = inst.group
     if isinstance(g, IntLattice) and isinstance(D, BoxSet):
         D = cx.finite_set(g, cx._box_points(D))  # a box of Z^n is a finite set
     if isinstance(D, FiniteSet):
@@ -626,59 +617,27 @@ def _sum_inclusion(inst: Instance, with_closure: bool) -> Verdict:
                 return refuted((point,))
         return proved()
 
-    diags = [_diag_or_raise(T) for T in family]
-    total_diag = _diag_or_raise(total)
-    # coordinate i of a sum of images is the form (T1_i | T2_i | ...) on D^k
+    if any(_diagonal(T) is None for T in family):
+        raise UnsupportedRepresentation("box instances require diagonal endomorphisms")
+    # D is a dyadic box and every map is diagonal, so the right side is every
+    # dyadic point of the box [rhs_lo, rhs_hi].  With closure, because a
+    # nonzero dyadic multiple of the lattice is dense in the reals; without
+    # it, because the lattice is not complete, so the closed-image hypothesis
+    # held only through try_inverse(total) and every diagonal entry of the
+    # sum is +-2^k.  Corner points reach both ends of the left side's box
+    # [lhs_lo, lhs_hi], where coordinate i is the form (T1_i | T2_i | ...) on
+    # D^k, so the inclusion holds exactly when the two boxes nest.
     k = len(family)
     lhs_lo, lhs_hi = zip(*(
         cx.linear_bounds(sum(rows, ()), D.lo * k, D.hi * k)
         for rows in zip(*(T.matrix for T in family))
     ))
     rhs_lo, rhs_hi = zip(*(cx.linear_bounds(row, D.lo, D.hi) for row in total.matrix))
-
-    if with_closure:
-        # densities: a nonzero dyadic multiple of the dyadic lattice is dense
-        # in the reals, so the closure of the image is the full interval box.
-        high_violation = next(
-            (i for i in range(g.dim) if lhs_hi[i] > rhs_hi[i]), None
-        )
-        low_violation = next(
-            (i for i in range(g.dim) if lhs_lo[i] < rhs_lo[i]), None
-        )
-        if high_violation is None and low_violation is None:
-            return proved()
-        witness = _extreme_witness(g, D, family, maximize=high_violation is not None)
-        return refuted(witness)
-
-    # exact conclusion without closure: every sum point must be a lattice
-    # image point.  Unit diagonals keep images box-exact, so the sum of the
-    # image boxes is the box of the summed bounds; otherwise sample.
-    if _units_only(g, diags) and _units_only(g, [total_diag]):
-        if all(rl <= ll and lh <= rh for ll, lh, rl, rh in zip(lhs_lo, lhs_hi, rhs_lo, rhs_hi)):
-            return proved()
-        return refuted((cx.box_set(g, lhs_lo, lhs_hi), cx.box_set(g, rhs_lo, rhs_hi)))
-    inverse = en.try_inverse(total)
-    if inverse is None:
-        raise UnsupportedRepresentation(
-            "sampled conclusion needs an invertible endomorphism sum"
-        )
-    rng = random.Random(params.seed)
-    for _ in range(params.budget):
-        xs = [cx.sample(D, rng) for _ in family]
-        point = reduce(g.add, (T.apply(x) for T, x in zip(family, xs)))
-        if not cx.contains(D, inverse.apply(point)):
-            return refuted((tuple(xs), point))
-    return unfalsified(params.budget)
-
-
-def _units_only(g: Group, diags: list[tuple]) -> bool:
-    """True when every diagonal entry scales the lattice onto itself (or to 0).
-
-    Such entries keep images of boxes box-exact.  A nonzero entry t is a
-    lattice unit when 1/t is a lattice coordinate too: +-1 on Z^n and the
-    powers of two (up to sign) on the dyadic lattice.
-    """
-    return all(t == 0 or g.is_coordinate(Fraction(1, t)) for diag in diags for t in diag)
+    if any(lh > rh for lh, rh in zip(lhs_hi, rhs_hi)):
+        return refuted(_extreme_witness(g, D, family, maximize=True))
+    if any(ll < rl for ll, rl in zip(lhs_lo, rhs_lo)):
+        return refuted(_extreme_witness(g, D, family, maximize=False))
+    return proved()
 
 
 def _extreme_witness(g, D, family, maximize: bool):

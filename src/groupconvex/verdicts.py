@@ -1,9 +1,9 @@
 """Outcome type for executable property checks.
 
 A ``Proved`` verdict is only ever produced by exhaustive or symbolic
-reasoning; sampling can at best return ``Unfalsified`` with its sample
-count, and every ``Refuted`` verdict carries a witness that re-checks as
-a violation.
+reasoning, and every ``Refuted`` verdict carries a witness that re-checks
+as a violation.  ``Unfalsified``, with its sample count, comes only from
+``theorems.counterexample_search``: the property checkers never sample.
 """
 
 from __future__ import annotations

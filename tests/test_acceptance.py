@@ -8,6 +8,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -43,6 +44,7 @@ from groupconvex import (
     scaling,
     spectral_radius,
     sumset,
+    try_inverse,
     verify,
     zero,
 )
@@ -333,8 +335,31 @@ def image_box(T, D):
     return box_set(T.group, lo, hi)
 
 
+def grid_sum_outside(family, D):
+    """Grid oracle for T_1(D) + ... + T_k(D) inside (T_1 + ... + T_k)(D).
+
+    Each summand ranges over every combination of the corners, midpoints and
+    quarter points of the box D; a sum lies in the image of D when the
+    inverse of the summed map sends it into D.  Returns the first sum (in
+    sorted order) outside the image, or None.
+    """
+    g = D.group
+    axes = [[a + (b - a) * Fraction(q, 4) for q in range(5)] for a, b in zip(D.lo, D.hi)]
+    grid = [g.element(point) for point in itertools.product(*axes)]
+    inverse = try_inverse(reduce(lambda a, b: a.add(b), family))
+    sums = {g.zero()}
+    for T in family:
+        images = {T.apply(x) for x in grid}
+        sums = {g.add(s, y) for s in sums for y in images}
+    for point in sorted(sums):
+        preimage = inverse.apply(point)
+        if not all(a <= c <= b for a, c, b in zip(D.lo, preimage, D.hi)):
+            return point
+    return None
+
+
 def test_criterion_11_sum_inclusion_on_boxes():
-    """Sum inclusion is box-exact for halving maps and never refuted sampled."""
+    """Sum inclusion is decided exactly on boxes and matches a grid oracle."""
     D = box_set(DY1, [0], [1])
     half = halve(identity(DY1))
     inst = Instance(
@@ -349,10 +374,15 @@ def test_criterion_11_sum_inclusion_on_boxes():
     assert nkc2.proved and nkc2.witness[0] == half
     assert is_T_convex(D, nkc2.witness[0]).proved
 
+    # the oracle sees a violation: [0, 1] + [0, 1] - [0, 1] leaves [0, 1]
+    plus, minus = identity(DY1), make_endo(DY1, [[-1]])
+    assert grid_sum_outside([plus, plus, minus], D) == (Fraction(-1),)
+
     rng = random.Random(1111)
     entries = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
-    refuted_count = 0
     verified = 0
+    decided = 0
+    non_unit = 0
     for _ in range(100):
         dim = rng.randint(1, 2)
         g = DyadicLattice(dim)
@@ -367,23 +397,26 @@ def test_criterion_11_sum_inclusion_on_boxes():
                 for r in range(dim)
             ]
             endos[f"T{i + 1}"] = make_endo(g, rows)
-        sampled = Instance(g, metric, endos=endos, sets={"D": box}, params=Params(n0=2))
+        drawn = Instance(g, metric, endos=endos, sets={"D": box}, params=Params(n0=2))
         # the closure variant is always applicable; the exact variant only
         # when one of its closed-image hypotheses holds
-        verdict = verify(PropertyId.THM_NK, sampled)
+        assert verify(PropertyId.THM_NK, drawn).proved
         verified += 1
-        if verdict.status is Status.REFUTED:
-            refuted_count += 1
         try:
-            verdict = verify(PropertyId.THM_NK_PLUS, sampled)
-            verified += 1
-            if verdict.status is Status.REFUTED:
-                refuted_count += 1
+            verdict = verify(PropertyId.THM_NK_PLUS, drawn)
         except HypothesisFailed:
-            pass  # e.g. a non-invertible endomorphism sum
-    assert refuted_count == 0
+            continue  # e.g. a non-invertible endomorphism sum
+        verified += 1
+        family = list(endos.values())
+        assert grid_sum_outside(family, box) is None
+        assert verdict.proved, (endos, box, verdict)
+        decided += 1
+        # 3/4 is the one drawn entry that is not a dyadic unit (+-2^k)
+        non_unit += any(T.matrix[i][i] == Fraction(3, 4) for T in family for i in range(dim))
     assert verified >= 100
+    assert decided >= 20 and non_unit >= 5, (decided, non_unit)
     report(
         11,
-        f"box inclusion exact with equality; {verified} sampled checks never refuted",
+        f"box inclusion exact with equality; {verified} checks Proved, "
+        f"{decided} THM_NK_PLUS verdicts ({non_unit} non-unit) match the grid oracle",
     )

@@ -357,8 +357,9 @@ def test_search_json_reports_an_exhausted_generator(tmp_path, capsys):
     assert "mu_d(n) <= 1" in record["reason"]
 
 
-def test_verify_prints_the_sample_count(tmp_path, capsys):
-    # 3/4 is not a dyadic unit, so THM_NK_PLUS samples the sum inclusion
+def test_verify_decides_a_non_unit_sum_inclusion(tmp_path, capsys):
+    # 3/4 is not a dyadic unit, but the sum 3/4 + 1/4 = 1 is, so THM_NK_PLUS
+    # is decided by the interval test: no sampling, whatever the budget
     session = {
         "group": {"kind": "dyadic", "dim": 1},
         "metric": {"kind": "linf", "weights": ["1"]},
@@ -366,8 +367,8 @@ def test_verify_prints_the_sample_count(tmp_path, capsys):
         "sets": {"D": {"kind": "box", "lo": ["0"], "hi": ["1"]}},
         "params": {"n0": 2, "budget": 7},
     }
-    assert main(["verify", _session_file(tmp_path, session), "THM_NK_PLUS"]) == 2
-    assert capsys.readouterr().out == "THM_NK_PLUS: Unfalsified (7 samples)\n"
+    assert main(["verify", _session_file(tmp_path, session), "THM_NK_PLUS"]) == EXIT_OK
+    assert capsys.readouterr().out == "THM_NK_PLUS: Proved\n"
 
 
 def test_missing_session_file(capsys):
@@ -432,7 +433,10 @@ def test_recursion_beyond_the_cap_is_an_input_error(tmp_path, capsys, argv):
     }
     command, *rest = argv
     assert main([command, _session_file(tmp_path, session), *rest]) == EXIT_INPUT
-    assert f"beyond the cap of {en._RECURSION_CAP} steps" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"beyond the cap of {en._RECURSION_CAP} steps" in err
+    # the message names the step that was asked for, not the first one past the cap
+    assert f"n = {rest[-1]} " in err
 
 
 def test_recursion_cap_refuses_before_the_first_step(tmp_path, capsys, monkeypatch):

@@ -60,16 +60,24 @@ CASES = _cases()
 
 
 def run_case(prop, gen, budget, seed, monkeypatch) -> tuple[int, str, tuple]:
-    """Run one search; return (verify calls, stream digest, outcome)."""
+    """Run one search; return (verify calls, stream digest, outcome).
+
+    Also asserts that no ``verify`` call in the search answered
+    ``Unfalsified``: checkers decide, and only the search samples.
+    """
     stream = hashlib.sha256()
     calls = 0
+    sampled = []
     real_verify = theorems.verify
 
     def recorder(p, inst):
         nonlocal calls
         calls += 1
         stream.update(hashlib.sha256(format_session(inst).encode()).digest())
-        return real_verify(p, inst)
+        verdict = real_verify(p, inst)
+        if verdict.unfalsified:
+            sampled.append(format_session(inst))
+        return verdict
 
     monkeypatch.setattr(theorems, "verify", recorder)
     try:
@@ -77,6 +85,7 @@ def run_case(prop, gen, budget, seed, monkeypatch) -> tuple[int, str, tuple]:
         outcome = (verdict.status.value, verdict.samples)
     except Exception as err:  # the exception is part of the pinned outcome
         outcome = (type(err).__name__, str(err))
+    assert not sampled, f"verify answered Unfalsified on {sampled[0]}"
     return calls, stream.hexdigest()[:16], outcome
 
 
