@@ -329,12 +329,12 @@ def _cmd_invert(inst: Instance, args) -> int:
     names = args.names
     if len(names) == 1:
         T = _endo_by_name(inst, names[0])
-        result = en.neumann_inverse(T, inst.metric, max_terms=inst.params.max_iter)
+        result = en.neumann_inverse(T, inst.metric)
         label = f"(I - {names[0]})^-1"
     elif len(names) == 2:
         S = _endo_by_name(inst, names[0])
         T = _endo_by_name(inst, names[1])
-        result = en.shifted_inverse(S, T, inst.metric, max_terms=inst.params.max_iter)
+        result = en.shifted_inverse(S, T, inst.metric)
         label = f"({names[0]} - {names[1]})^-1"
     else:
         raise ParseError("invert takes one endomorphism (I - T) or two (S - T)")

@@ -25,7 +25,9 @@ bound comes from m-th roots of power norms (sound because power norms are
 submultiplicative, so the root sequence converges to its infimum), the lower
 bound from injectivity measures of powers.  On lattices a bracket takes one
 elimination and steps the integer powers M^m and N^m.  A bracket never
-certifies a radius below one falsely.
+certifies a radius below one falsely.  On the two complete groups a radius
+certified below one means T is nilpotent, so the geometric series that
+inverts I - T (and, through I - T S^-1 or I - S^-1 T, S - T) always ends.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .errors import (
     GroupMismatch,
     InvariantViolated,
     MetricGroupMismatch,
-    NoConvergenceWithinBudget,
     NotAHomomorphism,
     NotComplete,
     NotDivisible,
@@ -479,6 +480,12 @@ def spectral_radius(T: Endomorphism, metric: Metric, horizon: int = 8) -> RhoBra
 # Inversion
 # ---------------------------------------------------------------------------
 
+def inverts(A: Endomorphism, B: Endomorphism) -> bool:
+    """Whether B is a two-sided inverse of A."""
+    ident = identity(A.group)
+    return A.compose(B) == ident and B.compose(A) == ident
+
+
 def try_inverse(T: Endomorphism) -> Endomorphism | None:
     """The inverse endomorphism when T is a group automorphism, else None."""
     g = T.group
@@ -498,18 +505,16 @@ def try_inverse(T: Endomorphism) -> Endomorphism | None:
         if not all(g.is_coordinate(a) for row in rational for a in row):
             return None
         inverse = _build(g, rational)
-    if T.compose(inverse) != ident or inverse.compose(T) != ident:
-        return None
-    return inverse
+    return inverse if inverts(T, inverse) else None
 
 
-def neumann_inverse(T: Endomorphism, metric: Metric, max_terms: int = 64) -> Endomorphism:
-    """Invert I - T by the finite geometric series when some power of T is zero.
+def neumann_inverse(T: Endomorphism, metric: Metric) -> Endomorphism:
+    """Invert I - T by the finite geometric series I + T + T^2 + ...
 
-    Requires a complete group and a certified spectral radius below one; in
-    both certified cases (finite groups and nilpotent integer matrices) the
-    series terminates, and the result is verified to invert I - T on both
-    sides before it is returned.
+    Requires a complete group and a certified spectral radius below one, so
+    T is nilpotent and the series ends, with no term budget (see the module
+    docstring).  The result is verified to invert I - T on both sides
+    before it is returned.
     """
     g = T.group
     if not g.complete:
@@ -522,55 +527,39 @@ def neumann_inverse(T: Endomorphism, metric: Metric, max_terms: int = 64) -> End
         )
     terms = identity(g)
     power = T
-    count = 1
     while not power.is_zero:
-        if count > max_terms:
-            raise NoConvergenceWithinBudget(
-                f"geometric series did not terminate within {max_terms} terms"
-            )
         terms = terms.add(power)
         power = power.compose(T)
-        count += 1
-    factor = identity(g).sub(T)
-    ident = identity(g)
-    if factor.compose(terms) != ident or terms.compose(factor) != ident:
+    if not inverts(identity(g).sub(T), terms):
         raise InvariantViolated("the geometric series does not invert I - T")
     return terms
 
 
-def shifted_inverse(
-    S: Endomorphism, T: Endomorphism, metric: Metric, max_terms: int = 64
-) -> Endomorphism:
+def shifted_inverse(S: Endomorphism, T: Endomorphism, metric: Metric) -> Endomorphism:
     """Invert S - T given an invertible S and a small relative perturbation.
 
-    Uses the two factorizations (S - T) = (I - T S^-1) S = S (I - S^-1 T);
-    whichever spectral certificate holds is used, both are checked to agree
-    when available, and the result is verified to invert S - T exactly.
+    Inverts the two factorizations (S - T) = (I - T S^-1) S = S (I - S^-1 T)
+    with ``neumann_inverse``; whichever is certified is used, both are
+    checked to agree when available, and the result is verified to invert
+    S - T exactly.  Raises ``SNotInvertible`` or ``RhoNotCertifiedBelowOne``.
     """
     _same_group(S, T)
-    g = S.group
     s_inv = try_inverse(S)
     if s_inv is None:
         raise SNotInvertible("S has no representable inverse")
     candidates = []
-    failure = None
     for reduced, on_left in ((T.compose(s_inv), True), (s_inv.compose(T), False)):
         try:
-            core = neumann_inverse(reduced, metric, max_terms)
-        except (RhoNotCertifiedBelowOne, NoConvergenceWithinBudget) as err:
-            failure = err
+            core = neumann_inverse(reduced, metric)
+        except RhoNotCertifiedBelowOne:
             continue
         candidates.append(s_inv.compose(core) if on_left else core.compose(s_inv))
     if not candidates:
-        raise failure if failure is not None else RhoNotCertifiedBelowOne(
-            "neither factorization is certified"
-        )
+        raise RhoNotCertifiedBelowOne("neither factorization is certified")
     if any(c != candidates[0] for c in candidates):
         raise InvariantViolated("the two factorizations give different inverses")
     result = candidates[0]
-    difference = S.sub(T)
-    ident = identity(g)
-    if difference.compose(result) != ident or result.compose(difference) != ident:
+    if not inverts(S.sub(T), result):
         raise InvariantViolated("the computed inverse does not invert S - T")
     return result
 
@@ -629,16 +618,35 @@ def midpoint_recursion(T: Endomorphism, n: int) -> Endomorphism:
     return current
 
 
-def midpoint_closed_form(T: Endomorphism, n: int) -> Endomorphism:
-    """Closed form of the midpoint recursion: half of I + (2T - I)^(2^(n-1)).
-
-    Defined whenever the group is divisible by two; equals
-    ``midpoint_recursion(T, n)`` for every input, and is capped the same way.
-    """
+def _reflected_squares(T: Endomorphism, n: int) -> Iterator[Endomorphism]:
+    """(2T - I)^(2^(k-1)) for k = 1..n, one squaring per step; checked when called."""
     _check_steps(T, n)
-    g = T.group
-    if not g.divisible_by(2):
-        raise NotDivisible(f"{g} is not divisible by 2")
-    ident = identity(g)
-    reflected = T.scale(2).sub(ident)
-    return halve(ident.add(reflected.power(2 ** (n - 1))))
+    if not T.group.divisible_by(2):
+        raise NotDivisible(f"{T.group} is not divisible by 2")
+
+    def steps():
+        power = T.scale(2).sub(identity(T.group))
+        yield power
+        for _ in range(n - 1):
+            power = power.compose(power)
+            yield power
+
+    return steps()
+
+
+def midpoint_closed_forms(T: Endomorphism, n: int) -> Iterator[Endomorphism]:
+    """Closed forms 1..n of the midpoint recursion: half of I + (2T - I)^(2^(k-1)).
+
+    Computed apart from the recursion, squaring 2T - I once per step.
+    Defined whenever the group is divisible by two, and capped as
+    ``midpoint_iterates`` is, when called.
+    """
+    ident = identity(T.group)
+    return (halve(ident.add(power)) for power in _reflected_squares(T, n))
+
+
+def midpoint_closed_form(T: Endomorphism, n: int) -> Endomorphism:
+    """The n-th closed form; equals ``midpoint_recursion(T, n)`` for every input."""
+    for power in _reflected_squares(T, n):
+        pass
+    return halve(identity(T.group).add(power))

@@ -44,10 +44,6 @@ class NotComplete(GroupConvexError):
     pass
 
 
-class NoConvergenceWithinBudget(GroupConvexError):
-    pass
-
-
 class SNotInvertible(GroupConvexError):
     pass
 

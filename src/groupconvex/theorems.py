@@ -1,9 +1,12 @@
 """Executable verification of the package's structural results.
 
-Each property identifier has one row in ``_SPECS``: its checker, its
-instance drawer and the preconditions that ``verify`` and the search both
-read (an expansive scalar n0, the full endomorphism ring, a pairwise
-operator statement).  Adding a property means adding one row.
+Each property is one section of this module, in ``PropertyId`` order,
+holding its checker, its instance drawer and its spec row.  The rows, which
+each section appends to ``_TABLE``, are the one list of properties:
+``PropertyId`` is built from them.  A row also holds the preconditions that
+``verify`` and the search both read (an expansive scalar n0, the full
+endomorphism ring, a pairwise operator statement).  Adding a property means
+adding one section.
 
 A checker first validates its own hypotheses and raises
 :class:`HypothesisFailed` naming the violated one; only then does it test
@@ -15,9 +18,9 @@ and carry a minimal witness.
 satisfy a property's hypotheses and reports the first violation, the sample
 count, or ``GeneratorExhausted`` when the hypotheses are unsatisfiable (for
 example, no finite group admits an n with injectivity measure above one).
-With ``exhaustive`` set on a pinned finite group, pairwise properties walk
-End(G) x End(G) lazily, one instance per checked pair, and stop at the
-budget.
+With ``exhaustive`` set, a pairwise property on a pinned finite group walks
+End(G) x End(G) lazily, one instance per checked pair, and stops at the
+budget; any other exhaustive search is refused with ``NotEnumerable``.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
 from typing import Callable
 
 from . import convexity as cx
@@ -37,8 +40,8 @@ from .endo import Endomorphism
 from .errors import (
     GeneratorExhausted,
     HypothesisFailed,
-    InvariantViolated,
     NotEnumerable,
+    RhoNotCertifiedBelowOne,
     SNotInvertible,
     UnsupportedRepresentation,
 )
@@ -55,26 +58,6 @@ from .groups import (
     validate_metric,
 )
 from .verdicts import Verdict, proved, refuted, unfalsified
-
-
-class PropertyId(Enum):
-    LEMMA_MU = "LEMMA_MU"
-    COR_MU = "COR_MU"
-    LEMMA_NX = "LEMMA_NX"
-    THM_RCT = "THM_RCT"
-    LEMMA_SR = "LEMMA_SR"
-    THM_NIT = "THM_NIT"
-    COR_NIT = "COR_NIT"
-    THM_0 = "THM_0"
-    LEM_TC = "LEM_TC"
-    THM_P1 = "THM_P1"
-    COR_1 = "COR_1"
-    THM_2 = "THM_2"
-    THM_NK = "THM_NK"
-    THM_NK_PLUS = "THM_NK_PLUS"
-    COR_NKC1 = "COR_NKC1"
-    COR_NKC2 = "COR_NKC2"
-    EXA_TILDE = "EXA_TILDE"
 
 
 @dataclass(frozen=True)
@@ -97,6 +80,27 @@ class Instance:
     params: Params = field(default_factory=Params)
 
 
+@dataclass(frozen=True)
+class PropertySpec:
+    """One property's row: its name, checker, instance drawer and preconditions.
+
+    ``draw(group, metric, rng)`` returns the instance's named endomorphisms
+    and sets, consuming ``rng`` in a fixed order, so a search replays from
+    its seed.  ``finite_group(rng)``, when set, replaces the group that a
+    default finite-family search drew.  Flags: ``expansive`` needs n0 with
+    injectivity measure above one, ``finite_only`` enumerates End(G),
+    ``pairwise`` lets an exhaustive search walk End(G) x End(G).
+    """
+
+    name: str
+    check: Callable[[Instance], Verdict]
+    draw: Callable[[Group, Metric, random.Random], tuple[dict, dict]]
+    expansive: bool = False
+    finite_only: bool = False
+    pairwise: bool = False
+    finite_group: Callable[[random.Random], FiniteGroup] | None = None
+
+
 # bound for the natural-number specialization of the measure inequalities
 _NAT_SPAN = 20
 # largest finite group enumerated subset-exhaustively
@@ -109,16 +113,29 @@ _DIM_RANGE = (1, 3)
 _ENTRY_RANGE = (-3, 3)
 _SET_SIZE = (1, 4)
 
+_EXPANSIVE = "mu_d(n0) > 1"
 
+
+# the spec rows, one per property, in the order of the sections below
+_TABLE: list[PropertySpec] = []
+
+
+def _row(name: str, draw, **flags):
+    """Append the decorated checker's spec row to ``_TABLE``."""
+    def add(check):
+        _TABLE.append(PropertySpec(name, check, draw, **flags))
+        return check
+    return add
+
+
+# -- Shared by several sections: named parts of an instance, and draws --------
 def _endo_universe(inst: Instance) -> list[Endomorphism]:
     named = list(inst.endos.values())
     if named:
         return named
     if isinstance(inst.group, FiniteGroup):
         return list(en.all_endomorphisms(inst.group))
-    raise NotEnumerable(
-        "lattice instances must name their endomorphisms explicitly"
-    )
+    raise NotEnumerable("lattice instances must name their endomorphisms explicitly")
 
 
 def _named_set(inst: Instance, name: str) -> PointSet:
@@ -135,57 +152,103 @@ def _named_endo(inst: Instance, name: str) -> Endomorphism:
     raise HypothesisFailed(f"endomorphism {name!r} is provided")
 
 
-def _all_subsets(group: FiniteGroup) -> list[FiniteSet]:
-    if group.order > _SUBSET_CAP:
-        raise NotEnumerable(
-            f"subset-exhaustive mode is capped at order {_SUBSET_CAP}"
-        )
-    elems = list(group.elements())
-    out = []
-    for r in range(len(elems) + 1):
-        for combo in itertools.combinations(elems, r):
-            out.append(cx.finite_set(group, combo))
-    return out
-
-
 def _candidate_sets(inst: Instance) -> list[tuple[str, PointSet]]:
+    """The named sets, or else every subset of a small finite group."""
     if inst.sets:
         return list(inst.sets.items())
-    if isinstance(inst.group, FiniteGroup):
-        return [(str(D), D) for D in _all_subsets(inst.group)]
-    raise NotEnumerable("lattice instances must name their sets explicitly")
+    g = inst.group
+    if not isinstance(g, FiniteGroup):
+        raise NotEnumerable("lattice instances must name their sets explicitly")
+    if g.order > _SUBSET_CAP:
+        raise NotEnumerable(f"subset-exhaustive mode is capped at order {_SUBSET_CAP}")
+    elems = list(g.elements())
+    combos = (c for r in range(len(elems) + 1) for c in itertools.combinations(elems, r))
+    return [(str(D), D) for D in (cx.finite_set(g, c) for c in combos)]
 
 
-def _combo(T: Endomorphism, T1: Endomorphism, T2: Endomorphism) -> Endomorphism:
-    ident = en.identity(T.group)
-    return T.compose(T1).add(ident.sub(T).compose(T2))
+def _diagonal(T: Endomorphism) -> tuple | None:
+    n = T.group.dim
+    for i in range(n):
+        for j in range(n):
+            if i != j and T.matrix[i][j] != 0:
+                return None
+    return tuple(T.matrix[i][i] for i in range(n))
 
 
-_EXPANSIVE = "mu_d(n0) > 1"
+def _draw_endo(group: Group, rng: random.Random) -> Endomorphism:
+    n = group.dim
+    if isinstance(group, FiniteGroup):
+        ring = en.all_endomorphisms(group)
+        return ring[rng.randrange(len(ring))]
+    if isinstance(group, IntLattice):
+        rows = [[rng.randint(*_ENTRY_RANGE) for _ in range(n)] for _ in range(n)]
+        return en.make_endo(group, rows)
+    rows = [
+        [Fraction(rng.randint(*_ENTRY_RANGE), 1 << rng.randint(0, 2)) for _ in range(n)]
+        for _ in range(n)
+    ]
+    return en.make_endo(group, rows)
 
 
-def verify(prop: PropertyId, inst: Instance) -> Verdict:
-    """Run the checker for ``prop`` on ``inst``; pure in its arguments."""
-    validate_status = validate_metric(inst.group, inst.metric)
-    if not validate_status.proved:
-        raise HypothesisFailed("the metric satisfies the norm axioms")
-    spec = _SPECS[prop]
-    if spec.expansive:
-        n0 = inst.params.n0
-        if n0 is None:
-            raise HypothesisFailed("parameter n0 is provided")
-        mu0 = mu_of_n(inst.group, inst.metric, n0)
-        if mu0 <= 1:
-            raise HypothesisFailed(_EXPANSIVE, f"mu_d({n0}) = {mu0}")
-    if spec.finite_only and not isinstance(inst.group, FiniteGroup):
-        raise NotEnumerable("the full endomorphism ring is needed; use a finite group")
-    return spec.check(inst)
+def _draw_endos(group: Group, rng: random.Random) -> dict:
+    return {f"T{i + 1}": _draw_endo(group, rng) for i in range(rng.randint(1, 3))}
 
 
-# ---------------------------------------------------------------------------
-# Checkers: operator inequalities
-# ---------------------------------------------------------------------------
+def _draw_endo_until(group, rng, accept, attempts: int = 200) -> Endomorphism:
+    for _ in range(attempts):
+        T = _draw_endo(group, rng)
+        if accept(T):
+            return T
+    raise GeneratorExhausted("could not satisfy the hypotheses within the retry budget")
 
+
+def _below_one(T: Endomorphism, metric: Metric) -> bool:
+    return en.spectral_radius(T, metric, 4).certified_below_one
+
+
+def _unit_box_diag(group: Group, rng: random.Random) -> Endomorphism:
+    choices = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
+    n = group.dim
+    rows = [[choices[rng.randrange(len(choices))] if i == j else 0 for j in range(n)] for i in range(n)]
+    return en.make_endo(group, rows)
+
+
+def _draw_point(group: Group, rng: random.Random) -> list:
+    if isinstance(group, FiniteGroup):
+        return [rng.randrange(m) for m in group.moduli]
+    if isinstance(group, IntLattice):
+        return [rng.randint(-3, 3) for _ in range(group.dim)]
+    return [Fraction(rng.randint(-8, 8), 1 << rng.randint(0, 2)) for _ in range(group.dim)]
+
+
+def _draw_finite_set(group: Group, rng: random.Random) -> FiniteSet:
+    size = rng.randint(*_SET_SIZE)
+    return cx.finite_set(group, [_draw_point(group, rng) for _ in range(size)])
+
+
+def _draw_box(group: DyadicLattice, rng: random.Random) -> BoxSet:
+    lo, hi = [], []
+    for _ in range(group.dim):
+        a = Fraction(rng.randint(-8, 4), 4)
+        lo.append(a)
+        hi.append(a + Fraction(rng.randint(0, 8), 4))
+    return cx.box_set(group, lo, hi)
+
+
+def _draw_operators(group, metric, rng):
+    return _draw_endos(group, rng), {}
+
+
+def _draw_operators_and_set(group, metric, rng):
+    return _draw_endos(group, rng), {"D1": _draw_finite_set(group, rng)}
+
+
+def _draw_set(group, metric, rng):
+    return {}, {"D": _draw_finite_set(group, rng)}
+
+
+# -- LEMMA_MU: supermultiplicativity and Lipschitz bounds of the measure ------
+@_row("LEMMA_MU", _draw_operators, pairwise=True)
 def _check_lemma_mu(inst: Instance) -> Verdict:
     """Supermultiplicativity and Lipschitz bounds of the injectivity measure."""
     m = inst.metric
@@ -227,6 +290,8 @@ def _scalar_specialization(g: Group, m: Metric) -> tuple | None:
     return None
 
 
+# -- COR_MU: maps of positive measure form an open semigroup ------------------
+@_row("COR_MU", _draw_operators, pairwise=True)
 def _check_cor_mu(inst: Instance) -> Verdict:
     """Operators of positive measure form an open multiplicative semigroup."""
     m = inst.metric
@@ -244,6 +309,8 @@ def _check_cor_mu(inst: Instance) -> Verdict:
     return proved()
 
 
+# -- LEMMA_NX: images of bounded sets -----------------------------------------
+@_row("LEMMA_NX", _draw_operators_and_set)
 def _check_lemma_nx(inst: Instance) -> Verdict:
     """Bounded sets map to bounded sets; injective maps preserve cardinality."""
     m = inst.metric
@@ -262,19 +329,55 @@ def _check_lemma_nx(inst: Instance) -> Verdict:
     return proved()
 
 
+# -- THM_RCT: Radstrom cancellation -------------------------------------------
+def _draw_thm_rct(group, metric, rng):
+    if isinstance(group, DyadicLattice):
+        B = _draw_box(group, rng)
+    else:
+        B = cx.finite_set(group, [[rng.randint(-2, 2) for _ in range(group.dim)]])
+    C = _draw_finite_set(group, rng)
+    inner = random.Random(rng.randrange(2 ** 30))
+    size = rng.randint(*_SET_SIZE)
+    A = cx.finite_set(group, [cx.sample(B, inner) for _ in range(size)])
+    return {}, {"A": A, "B": B, "C": C}
+
+
+@_row("THM_RCT", _draw_thm_rct, expansive=True)
+def _check_thm_rct(inst: Instance) -> Verdict:
+    """Cancellation: from A+C inside B+C conclude A inside B."""
+    params, g = inst.params, inst.group
+    A, B, C = (_named_set(inst, name) for name in "ABC")
+    if not isinstance(A, FiniteSet) or not isinstance(C, FiniteSet):
+        raise UnsupportedRepresentation("A and C must be explicit finite sets")
+    if cx.is_empty(C):
+        raise HypothesisFailed("C is nonempty")
+    if not cx.is_n_convex(B, params.n0).proved:
+        raise HypothesisFailed(f"B is n0-convex (n0={params.n0})")
+    for a in A.elements:
+        for c in C.elements:
+            if not cx.member_of_sum(g.add(a, c), B, C):
+                raise HypothesisFailed("A+C is included in B+C")
+    for a in A.elements:
+        if not cx.contains(B, a):
+            return refuted((a,))
+    return proved()
+
+
+# -- LEMMA_SR: measure, spectral radius and norm ------------------------------
+@_row("LEMMA_SR", _draw_operators, pairwise=True)
 def _check_lemma_sr(inst: Instance) -> Verdict:
     """Ordering of measure, spectral radius and norm; commuting-pair bounds."""
     m = inst.metric
     horizon = inst.params.horizon
     universe = _endo_universe(inst)
-    exact = isinstance(inst.group, FiniteGroup)
     for T in universe:
         bracket = en.spectral_radius(T, m, horizon)
         if en.injectivity_measure(T, m) > bracket.upper:
             return refuted(("measure below radius", T))
         if bracket.upper > en.op_norm(T, m):
             return refuted(("radius below norm", T))
-    if exact:
+    if isinstance(inst.group, FiniteGroup):
+        # radii are exact here, so the commuting-pair bounds compare values
         for T in universe:
             rho_t = en.spectral_radius(T, m, horizon).value
             for S in universe:
@@ -292,88 +395,103 @@ def _check_lemma_sr(inst: Instance) -> Verdict:
     return proved()
 
 
-# ---------------------------------------------------------------------------
-# Checkers: cancellation and inversion
-# ---------------------------------------------------------------------------
-
-def _check_thm_rct(inst: Instance) -> Verdict:
-    """Cancellation: from A+C inside B+C conclude A inside B."""
-    params, g = inst.params, inst.group
-    A = _named_set(inst, "A")
-    B = _named_set(inst, "B")
-    C = _named_set(inst, "C")
-    if not isinstance(A, FiniteSet) or not isinstance(C, FiniteSet):
-        raise UnsupportedRepresentation("A and C must be explicit finite sets")
-    if cx.is_empty(C):
-        raise HypothesisFailed("C is nonempty")
-    if not cx.is_n_convex(B, params.n0).proved:
-        raise HypothesisFailed(f"B is n0-convex (n0={params.n0})")
-    for a in A.elements:
-        for c in C.elements:
-            if not cx.member_of_sum(g.add(a, c), B, C):
-                raise HypothesisFailed("A+C is included in B+C")
-    for a in A.elements:
-        if not cx.contains(B, a):
-            return refuted((a,))
-    return proved()
+# -- THM_NIT: the Neumann series inverts I - T --------------------------------
+def _require_complete(group: Group) -> None:
+    if not group.complete:
+        raise GeneratorExhausted("the dyadic lattice is not complete")
 
 
+def _draw_nilpotent(group: Group, rng: random.Random) -> Endomorphism:
+    """A strictly upper-triangular lattice matrix, so its radius is zero."""
+    n = group.dim
+    rows = [[rng.randint(*_ENTRY_RANGE) if j > i else 0 for j in range(n)] for i in range(n)]
+    return en.make_endo(group, rows)
+
+
+def _draw_thm_nit(group, metric, rng):
+    _require_complete(group)
+    if isinstance(group, FiniteGroup):
+        T = _draw_endo_until(group, rng, lambda T: _below_one(T, metric))
+    else:
+        T = _draw_nilpotent(group, rng)
+    return {"T": T}, {}
+
+
+@_row("THM_NIT", _draw_thm_nit)
 def _check_thm_nit(inst: Instance) -> Verdict:
     """I - T inverts through the geometric series when the radius is below one."""
     if not inst.endos:
         raise HypothesisFailed("an endomorphism to invert is provided")
-    g, m = inst.group, inst.metric
-    if not g.complete:
+    if not inst.group.complete:
         raise HypothesisFailed("the group is complete")
     inverses = []
     for name, T in inst.endos.items():
-        bracket = en.spectral_radius(T, m, inst.params.horizon)
-        if not bracket.certified_below_one:
-            raise HypothesisFailed(
-                f"spectral radius of {name} is certified below one"
-            )
-        series = en.neumann_inverse(T, m, max_terms=inst.params.max_iter)
-        factor = en.identity(g).sub(T)
-        ident = en.identity(g)
-        if factor.compose(series) != ident or series.compose(factor) != ident:
+        try:
+            series = en.neumann_inverse(T, inst.metric)
+        except RhoNotCertifiedBelowOne as err:
+            raise HypothesisFailed(f"spectral radius of {name} is certified below one") from err
+        if not en.inverts(en.identity(inst.group).sub(T), series):
             return refuted((name, series))
         inverses.append(series)
     return proved(witness=tuple(inverses))
 
 
+# -- COR_NIT: S - T inverts for a small relative perturbation T ---------------
+def _draw_cor_nit(group, metric, rng):
+    _require_complete(group)
+    if isinstance(group, FiniteGroup):
+        S = _draw_endo_until(group, rng, lambda S: en.try_inverse(S) is not None)
+        s_inv = en.try_inverse(S)
+        T = _draw_endo_until(
+            group, rng,
+            lambda T: _below_one(T.compose(s_inv), metric) or _below_one(s_inv.compose(T), metric),
+        )
+    else:
+        S = en.identity(group)
+        T = _draw_nilpotent(group, rng)
+    return {"S": S, "T": T}, {}
+
+
+@_row("COR_NIT", _draw_cor_nit)
 def _check_cor_nit(inst: Instance) -> Verdict:
     """S - T inverts when S does and the relative perturbation is small."""
-    g, m = inst.group, inst.metric
-    if not g.complete:
+    if not inst.group.complete:
         raise HypothesisFailed("the group is complete")
     S = _named_endo(inst, "S")
     T = _named_endo(inst, "T")
-    s_inv = en.try_inverse(S)
-    if s_inv is None:
-        raise HypothesisFailed("S is invertible with a representable inverse")
-    certified = False
-    for reduced in (T.compose(s_inv), s_inv.compose(T)):
-        if en.spectral_radius(reduced, m, inst.params.horizon).certified_below_one:
-            certified = True
-    if not certified:
-        raise HypothesisFailed(
-            "one of rho(T S^-1), rho(S^-1 T) is certified below one"
-        )
     try:
-        result = en.shifted_inverse(S, T, m, max_terms=inst.params.max_iter)
+        result = en.shifted_inverse(S, T, inst.metric)
     except SNotInvertible as err:
         raise HypothesisFailed("S is invertible with a representable inverse") from err
-    difference = S.sub(T)
-    ident = en.identity(g)
-    if difference.compose(result) != ident or result.compose(difference) != ident:
+    except RhoNotCertifiedBelowOne as err:
+        raise HypothesisFailed("one of rho(T S^-1), rho(S^-1 T) is certified below one") from err
+    if not en.inverts(S.sub(T), result):
         return refuted((result,))
     return proved(witness=(result,))
 
 
-# ---------------------------------------------------------------------------
-# Checkers: structure of convex sets
-# ---------------------------------------------------------------------------
+# -- THM_0: operations that keep sets convex ----------------------------------
+def _draw_thm_0(group, metric, rng):
+    endos = _draw_endos(group, rng)
+    family = list(endos.values())
+    seed_set = _draw_finite_set(group, rng)
+    endos["A"] = en.scaling(group, rng.randint(0, 6))  # commutes with all
+    if isinstance(group, FiniteGroup):
+        # family-convex sets are produced by closing a random seed
+        D1, complete = cx.convex_hull(seed_set, family, max_iter=40)
+        if not complete:
+            raise GeneratorExhausted("hull iteration did not close")
+    else:
+        # singletons are family-convex for any endomorphisms
+        rng_pts = random.Random(rng.randrange(2 ** 30))
+        single = _draw_finite_set(group, rng_pts).elements[:1]
+        D1 = cx.finite_set(group, single)
+    return endos, {"D1": D1}
 
+
+# a default search draws one cyclic factor: the checker's cost grows with the
+# cube of the order
+@_row("THM_0", _draw_thm_0, finite_group=lambda rng: FiniteGroup((rng.randint(4, 9),)))
 def _check_thm_0(inst: Instance) -> Verdict:
     """Convex sets are closed under intersection, chain union, addition,
     and images/preimages through commuting endomorphisms."""
@@ -382,13 +500,12 @@ def _check_thm_0(inst: Instance) -> Verdict:
         raise HypothesisFailed("a nonempty family of endomorphisms is provided")
     g = inst.group
 
-    named_mode = bool(inst.sets)
     convex_sets: list[PointSet] = []
     for name, D in _candidate_sets(inst):
         verdict = cx.is_family_convex(D, family)
         if verdict.proved:
             convex_sets.append(D)
-        elif named_mode:
+        elif inst.sets:
             raise HypothesisFailed(f"set {name!r} is family-convex")
 
     # (i) empty set, whole space, singletons
@@ -416,10 +533,8 @@ def _check_thm_0(inst: Instance) -> Verdict:
             return refuted(("intersection", D1, D2))
     for D1, D2 in itertools.permutations(convex_sets, 2):
         if cx.subset_of(D1, D2):
-            if isinstance(D1, FiniteSet) and isinstance(D2, FiniteSet):
-                union = cx.finite_set(g, D1.elements + D2.elements)
-            else:
-                union = D2
+            both_finite = isinstance(D1, FiniteSet) and isinstance(D2, FiniteSet)
+            union = cx.finite_set(g, D1.elements + D2.elements) if both_finite else D2
             if not cx.is_family_convex(union, family).proved:
                 return refuted(("chain union", D1, D2))
 
@@ -459,28 +574,28 @@ def _check_thm_0(inst: Instance) -> Verdict:
     return proved()
 
 
+# -- LEM_TC: the pair test and the translate test agree -----------------------
+@_row("LEM_TC", _draw_operators_and_set)
 def _check_lem_tc(inst: Instance) -> Verdict:
     """The pair test and the translate test for convexity agree."""
     universe = _endo_universe(inst)
-    candidates = [
-        D for _, D in _candidate_sets(inst) if isinstance(D, FiniteSet)
-    ]
+    candidates = [D for _, D in _candidate_sets(inst) if isinstance(D, FiniteSet)]
     if not candidates:
         raise HypothesisFailed("at least one finite set is provided")
     for D in candidates:
         for T in universe:
-            direct = cx.is_T_convex(D, T).status
-            pointwise = cx.t_convex_pointwise(D, T).status
-            if direct is not pointwise:
+            if cx.is_T_convex(D, T).status is not cx.t_convex_pointwise(D, T).status:
                 return refuted((D, T))
     return proved()
 
 
+# -- THM_P1: F(D) is closed under its own combinations ------------------------
+@_row("THM_P1", _draw_set, finite_only=True)
 def _check_thm_p1(inst: Instance) -> Verdict:
     """The family of a set is convex under its own induced combinations."""
-    for name, D in _candidate_sets(inst):
+    ident = en.identity(inst.group)
+    for _, D in _candidate_sets(inst):
         family = frozenset(cx.family_of(D))
-        ident = en.identity(inst.group)
         if en.zero(inst.group) not in family or ident not in family:
             return refuted(("zero and identity membership", D))
         for T in family:
@@ -495,10 +610,12 @@ def _check_thm_p1(inst: Instance) -> Verdict:
     return proved()
 
 
+# -- COR_1: F(D) under composition, reflection and pair mixing ----------------
+@_row("COR_1", _draw_set, finite_only=True)
 def _check_cor_1(inst: Instance) -> Verdict:
     """Families are closed under composition, reflection and pair mixing."""
     ident = en.identity(inst.group)
-    for name, D in _candidate_sets(inst):
+    for _, D in _candidate_sets(inst):
         family = frozenset(cx.family_of(D))
         reflections = {T: ident.sub(T) for T in family}
         for T in family:
@@ -514,6 +631,33 @@ def _check_cor_1(inst: Instance) -> Verdict:
     return proved()
 
 
+# -- THM_2: the midpoint recursion and midpoint convexity ---------------------
+def _draw_thm_2(group, metric, rng):
+    if isinstance(group, FiniteGroup):
+        if not group.divisible_by(2):
+            raise GeneratorExhausted("the pinned group is not 2-divisible")
+        ident = en.identity(group)
+        T = _draw_endo_until(
+            group, rng, lambda T: _below_one(T.scale(2).sub(ident), metric), attempts=400
+        )
+        hull, _ = cx.convex_hull(_draw_finite_set(group, rng), [T])
+        return {"T": T}, {"D": hull}
+    if isinstance(group, IntLattice):
+        raise GeneratorExhausted("the integer lattice is not 2-divisible")
+    T = _unit_box_diag(group, rng)
+    if any(t in (0, 1) for t in _diagonal(T)):
+        T = en.halve(en.identity(group))
+    return {"T": T}, {"D": _draw_box(group, rng)}
+
+
+def _odd_order_group(rng: random.Random) -> FiniteGroup:
+    """A default search's group: odd moduli, so it is uniquely 2-divisible."""
+    odd = [m for m in range(_MODULI_RANGE[0], _MODULI_RANGE[1] + 1) if m % 2 == 1]
+    count = rng.randint(1, _MAX_FACTORS)
+    return FiniteGroup(tuple(odd[rng.randrange(len(odd))] for _ in range(count)))
+
+
+@_row("THM_2", _draw_thm_2, finite_group=_odd_order_group)
 def _check_thm_2(inst: Instance) -> Verdict:
     """The midpoint recursion stays inside the family and collapses to I/2."""
     g, m, params = inst.group, inst.metric, inst.params
@@ -521,8 +665,7 @@ def _check_thm_2(inst: Instance) -> Verdict:
     if not g.divisible_by(2):
         raise HypothesisFailed("the group is uniquely 2-divisible")
     ident = en.identity(g)
-    reflected = T.scale(2).sub(ident)
-    bracket = en.spectral_radius(reflected, m, params.horizon)
+    bracket = en.spectral_radius(T.scale(2).sub(ident), m, params.horizon)
     if not bracket.certified_below_one:
         raise HypothesisFailed(
             "spectral radius of 2T - I is certified below one",
@@ -530,8 +673,9 @@ def _check_thm_2(inst: Instance) -> Verdict:
         )
     half_identity = en.halve(ident)
     iterates = list(en.midpoint_iterates(T, params.horizon))
-    for n, iterate in enumerate(iterates, start=1):
-        if iterate != en.midpoint_closed_form(T, n):
+    closed_forms = en.midpoint_closed_forms(T, params.horizon)
+    for n, (iterate, closed) in enumerate(zip(iterates, closed_forms), start=1):
+        if iterate != closed:
             return refuted(("closed form mismatch", n))
     distances = [en.operator_distance(it, half_identity, m) for it in iterates]
     for earlier, later in zip(distances, distances[1:]):
@@ -559,17 +703,25 @@ def _check_thm_2(inst: Instance) -> Verdict:
     return proved()
 
 
-# ---------------------------------------------------------------------------
-# Checkers: sum inclusion results
-# ---------------------------------------------------------------------------
+# -- THM_NK: sum inclusion up to closure --------------------------------------
+def _draw_sum_box(group: Group, rng: random.Random) -> BoxSet:
+    if not isinstance(group, DyadicLattice):
+        raise GeneratorExhausted(
+            "box instances for sum-inclusion properties use the dyadic lattice"
+        )
+    return _draw_box(group, rng)
 
-def _diagonal(T: Endomorphism) -> tuple | None:
-    n = T.group.dim
-    for i in range(n):
-        for j in range(n):
-            if i != j and T.matrix[i][j] != 0:
-                return None
-    return tuple(T.matrix[i][i] for i in range(n))
+
+def _draw_thm_nk(group, metric, rng):
+    D = _draw_sum_box(group, rng)
+    endos = {f"T{i + 1}": _unit_box_diag(group, rng) for i in range(rng.randint(2, 3))}
+    return endos, {"D": D}
+
+
+@_row("THM_NK", _draw_thm_nk, expansive=True)
+def _check_thm_nk(inst: Instance) -> Verdict:
+    """T1(D) + ... + Tk(D) lies in the closure of (T1 + ... + Tk)(D)."""
+    return _sum_inclusion(inst, with_closure=True)
 
 
 def _nk_hypotheses(inst: Instance, need_closed_conclusion: bool):
@@ -587,19 +739,17 @@ def _nk_hypotheses(inst: Instance, need_closed_conclusion: bool):
     if need_closed_conclusion:
         # closedness of the image set: compactness of D, completeness with
         # positive measure, or a closed image through a lattice automorphism.
-        if isinstance(D, FiniteSet):
-            pass
-        elif g.complete and en.injectivity_measure(total, m) > 0:
-            pass
-        elif en.try_inverse(total) is not None:
-            pass
-        else:
+        closed = (
+            isinstance(D, FiniteSet)
+            or (g.complete and en.injectivity_measure(total, m) > 0)
+            or en.try_inverse(total) is not None
+        )
+        if not closed:
             raise HypothesisFailed(
                 "one of: D compact, X complete with mu(sum) > 0, sum image closed"
             )
-    else:
-        if not (g.complete or g.divisible_by(params.n0)):
-            raise HypothesisFailed("the group is complete or n0*X is closed")
+    elif not (g.complete or g.divisible_by(params.n0)):
+        raise HypothesisFailed("the group is complete or n0*X is closed")
     return D, family, total
 
 
@@ -609,8 +759,7 @@ def _sum_inclusion(inst: Instance, with_closure: bool) -> Verdict:
     if isinstance(g, IntLattice) and isinstance(D, BoxSet):
         D = cx.finite_set(g, cx._box_points(D))  # a box of Z^n is a finite set
     if isinstance(D, FiniteSet):
-        images = [cx.image_set(D, T) for T in family]
-        lhs = reduce(cx.sumset, images)
+        lhs = reduce(cx.sumset, (cx.image_set(D, T) for T in family))
         rhs = cx.image_set(D, total)
         for point in lhs.elements:
             if not cx.contains(rhs, point):
@@ -642,19 +791,29 @@ def _sum_inclusion(inst: Instance, with_closure: bool) -> Verdict:
 
 def _extreme_witness(g, D, family, maximize: bool):
     # corner points attain the interval endpoints of the sum, so a failed
-    # interval inclusion always yields an explicit violating combination.
+    # interval inclusion always yields an explicit violating combination:
+    # each x is the corner of D that maximizes (minimizes) T(x) coordinatewise
     xs = []
     for T in family:
-        diag = _diagonal(T)
-        if maximize:
-            coords = [hi if t >= 0 else lo for t, lo, hi in zip(diag, D.lo, D.hi)]
-        else:
-            coords = [lo if t >= 0 else hi for t, lo, hi in zip(diag, D.lo, D.hi)]
+        coords = [hi if (t >= 0) == maximize else lo for t, lo, hi in zip(_diagonal(T), D.lo, D.hi)]
         xs.append(g.element(coords))
     point = reduce(g.add, (T.apply(x) for T, x in zip(family, xs)))
     return (tuple(xs), point)
 
 
+# -- THM_NK_PLUS: sum inclusion without closure -------------------------------
+@_row("THM_NK_PLUS", _draw_thm_nk, expansive=True)
+def _check_thm_nk_plus(inst: Instance) -> Verdict:
+    """T1(D) + ... + Tk(D) lies in (T1 + ... + Tk)(D) itself."""
+    return _sum_inclusion(inst, with_closure=False)
+
+
+# -- COR_NKC1: a compact n0-convex set is n-convex for every n ----------------
+def _draw_cor_nkc1(group, metric, rng):
+    return {}, {"D": cx.finite_set(group, [_draw_point(group, rng)])}
+
+
+@_row("COR_NKC1", _draw_cor_nkc1, expansive=True)
 def _check_cor_nkc1(inst: Instance) -> Verdict:
     """A compact n0-convex set is n-convex for every n."""
     params = inst.params
@@ -670,6 +829,16 @@ def _check_cor_nkc1(inst: Instance) -> Verdict:
     return proved()
 
 
+# -- COR_NKC2: normalized partial sums stay in the family ---------------------
+def _draw_cor_nkc2(group, metric, rng):
+    D = _draw_sum_box(group, rng)
+    # an invertible total: the drawn diagonal and its complement sum to the
+    # identity, and both keep any box convex.
+    first = _unit_box_diag(group, rng)
+    return {"T1": first, "T2": en.identity(group).sub(first)}, {"D": D}
+
+
+@_row("COR_NKC2", _draw_cor_nkc2, expansive=True)
 def _check_cor_nkc2(inst: Instance) -> Verdict:
     """Normalized partial sums of a family stay in the family."""
     D, family, total = _nk_hypotheses(inst, need_closed_conclusion=True)
@@ -677,10 +846,8 @@ def _check_cor_nkc2(inst: Instance) -> Verdict:
     if inverse is None:
         raise HypothesisFailed("the family sum is invertible with a bounded inverse")
     members = []
-    partial = None
-    for T in family[:-1]:
-        partial = T if partial is None else partial.add(T)
-        candidate = inverse.compose(partial)
+    for prefix in itertools.accumulate(family[:-1], lambda a, b: a.add(b)):
+        candidate = inverse.compose(prefix)
         verdict = cx.is_T_convex(D, candidate)
         if verdict.refuted:
             return refuted((candidate,) + verdict.witness)
@@ -688,6 +855,8 @@ def _check_cor_nkc2(inst: Instance) -> Verdict:
     return proved(witness=tuple(members))
 
 
+# -- EXA_TILDE: scalar families are not closed under combinations -------------
+@_row("EXA_TILDE", lambda group, metric, rng: ({}, {}))
 def _check_exa_tilde(inst: Instance) -> Verdict:
     """Negative control: scalar families are not closed under combinations.
 
@@ -697,19 +866,40 @@ def _check_exa_tilde(inst: Instance) -> Verdict:
     """
     g = inst.group
     three, four, five = (en.scaling(g, k) for k in (3, 4, 5))
-    combined = _combo(three, four, five)
-    expected = en.scaling(g, 2)
-    if combined != expected:
+    # 3 * 4 + (1 - 3) * 5 = 2
+    combined = three.compose(four).add(en.identity(g).sub(three).compose(five))
+    if combined != en.scaling(g, 2):
         return refuted(("ring identity", combined))
     if combined in (three, four, five):
         return refuted(("family coincidence", combined))
     return proved(witness=(combined,))
 
 
-# ---------------------------------------------------------------------------
-# The property table: instance drawers, specs and the seeded search
-# ---------------------------------------------------------------------------
+# -- The property identifiers, built from the table, and verification ---------
+PropertyId = Enum(
+    "PropertyId", [(row.name, row.name) for row in _TABLE], module=__name__, qualname="PropertyId"
+)
+_SPECS: dict[PropertyId, PropertySpec] = dict(zip(PropertyId, _TABLE))
 
+
+def verify(prop: PropertyId, inst: Instance) -> Verdict:
+    """Run the checker for ``prop`` on ``inst``; pure in its arguments."""
+    if not validate_metric(inst.group, inst.metric).proved:
+        raise HypothesisFailed("the metric satisfies the norm axioms")
+    spec = _SPECS[prop]
+    if spec.expansive:
+        n0 = inst.params.n0
+        if n0 is None:
+            raise HypothesisFailed("parameter n0 is provided")
+        mu0 = mu_of_n(inst.group, inst.metric, n0)
+        if mu0 <= 1:
+            raise HypothesisFailed(_EXPANSIVE, f"mu_d({n0}) = {mu0}")
+    if spec.finite_only and not isinstance(inst.group, FiniteGroup):
+        raise NotEnumerable("the full endomorphism ring is needed; use a finite group")
+    return spec.check(inst)
+
+
+# -- The seeded search --------------------------------------------------------
 @dataclass(frozen=True)
 class GeneratorConfig:
     """Shape of the instance distribution used by the search."""
@@ -739,258 +929,6 @@ def _metric_for(gen: GeneratorConfig, group: Group) -> Metric:
     return LinfMetric(unit)
 
 
-def _draw_endo(group: Group, rng: random.Random) -> Endomorphism:
-    n = group.dim
-    if isinstance(group, FiniteGroup):
-        ring = en.all_endomorphisms(group)
-        return ring[rng.randrange(len(ring))]
-    if isinstance(group, IntLattice):
-        rows = [[rng.randint(*_ENTRY_RANGE) for _ in range(n)] for _ in range(n)]
-        return en.make_endo(group, rows)
-    rows = [
-        [
-            Fraction(rng.randint(*_ENTRY_RANGE), 1 << rng.randint(0, 2))
-            for _ in range(n)
-        ]
-        for _ in range(n)
-    ]
-    return en.make_endo(group, rows)
-
-
-def _draw_endos(group: Group, rng: random.Random) -> dict:
-    return {f"T{i + 1}": _draw_endo(group, rng) for i in range(rng.randint(1, 3))}
-
-
-def _draw_nilpotent(group: Group, rng: random.Random) -> Endomorphism:
-    """A strictly upper-triangular lattice matrix, so its radius is zero."""
-    n = group.dim
-    rows = [
-        [rng.randint(*_ENTRY_RANGE) if j > i else 0 for j in range(n)]
-        for i in range(n)
-    ]
-    return en.make_endo(group, rows)
-
-
-def _unit_box_diag(group: Group, rng: random.Random) -> Endomorphism:
-    choices = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
-    n = group.dim
-    rows = [[choices[rng.randrange(len(choices))] if i == j else 0 for j in range(n)] for i in range(n)]
-    return en.make_endo(group, rows)
-
-
-def _draw_point(group: Group, rng: random.Random) -> list:
-    if isinstance(group, FiniteGroup):
-        return [rng.randrange(m) for m in group.moduli]
-    if isinstance(group, IntLattice):
-        return [rng.randint(-3, 3) for _ in range(group.dim)]
-    return [Fraction(rng.randint(-8, 8), 1 << rng.randint(0, 2)) for _ in range(group.dim)]
-
-
-def _draw_finite_set(group: Group, rng: random.Random) -> FiniteSet:
-    size = rng.randint(*_SET_SIZE)
-    return cx.finite_set(group, [_draw_point(group, rng) for _ in range(size)])
-
-
-def _draw_box(group: DyadicLattice, rng: random.Random) -> BoxSet:
-    lo, hi = [], []
-    for _ in range(group.dim):
-        a = Fraction(rng.randint(-8, 4), 4)
-        lo.append(a)
-        hi.append(a + Fraction(rng.randint(0, 8), 4))
-    return cx.box_set(group, lo, hi)
-
-
-def _draw_endo_until(group, rng, accept, attempts: int = 200) -> Endomorphism:
-    for _ in range(attempts):
-        T = _draw_endo(group, rng)
-        if accept(T):
-            return T
-    raise GeneratorExhausted("could not satisfy the hypotheses within the retry budget")
-
-
-def _below_one(T: Endomorphism, metric: Metric) -> bool:
-    return en.spectral_radius(T, metric, 4).certified_below_one
-
-
-def _require_complete(group: Group) -> None:
-    if not group.complete:
-        raise GeneratorExhausted("the dyadic lattice is not complete")
-
-
-def _draw_sum_box(group: Group, rng: random.Random) -> BoxSet:
-    if not isinstance(group, DyadicLattice):
-        raise GeneratorExhausted(
-            "box instances for sum-inclusion properties use the dyadic lattice"
-        )
-    return _draw_box(group, rng)
-
-
-def _draw_operators(group, metric, params, gen, rng) -> Instance:
-    return Instance(group, metric, endos=_draw_endos(group, rng), params=params)
-
-
-def _draw_operators_and_set(group, metric, params, gen, rng) -> Instance:
-    endos = _draw_endos(group, rng)
-    sets = {"D1": _draw_finite_set(group, rng)}
-    return Instance(group, metric, endos=endos, sets=sets, params=params)
-
-
-def _draw_set(group, metric, params, gen, rng) -> Instance:
-    return Instance(group, metric, sets={"D": _draw_finite_set(group, rng)}, params=params)
-
-
-def _draw_thm_rct(group, metric, params, gen, rng) -> Instance:
-    if isinstance(group, DyadicLattice):
-        B = _draw_box(group, rng)
-    else:
-        B = cx.finite_set(group, [[rng.randint(-2, 2) for _ in range(group.dim)]])
-    C = _draw_finite_set(group, rng)
-    inner = random.Random(rng.randrange(2 ** 30))
-    size = rng.randint(*_SET_SIZE)
-    A = cx.finite_set(group, [cx.sample(B, inner) for _ in range(size)])
-    return Instance(group, metric, sets={"A": A, "B": B, "C": C}, params=params)
-
-
-def _draw_thm_nit(group, metric, params, gen, rng) -> Instance:
-    _require_complete(group)
-    if isinstance(group, FiniteGroup):
-        T = _draw_endo_until(group, rng, lambda T: _below_one(T, metric))
-    else:
-        T = _draw_nilpotent(group, rng)
-    return Instance(group, metric, endos={"T": T}, params=params)
-
-
-def _draw_cor_nit(group, metric, params, gen, rng) -> Instance:
-    _require_complete(group)
-    if isinstance(group, FiniteGroup):
-        S = _draw_endo_until(group, rng, lambda S: en.try_inverse(S) is not None)
-        s_inv = en.try_inverse(S)
-        T = _draw_endo_until(
-            group, rng,
-            lambda T: _below_one(T.compose(s_inv), metric) or _below_one(s_inv.compose(T), metric),
-        )
-    else:
-        S = en.identity(group)
-        T = _draw_nilpotent(group, rng)
-    return Instance(group, metric, endos={"S": S, "T": T}, params=params)
-
-
-def _draw_thm_0(group, metric, params, gen, rng) -> Instance:
-    if gen.family == "finite" and gen.group is None:
-        # the checker's cost grows with the cube of the order
-        group = FiniteGroup((rng.randint(4, 9),))
-        metric = _metric_for(gen, group)
-    endos = _draw_endos(group, rng)
-    family = list(endos.values())
-    seed_set = _draw_finite_set(group, rng)
-    endos["A"] = en.scaling(group, rng.randint(0, 6))  # commutes with all
-    if isinstance(group, FiniteGroup):
-        # family-convex sets are produced by closing a random seed
-        D1, complete = cx.convex_hull(seed_set, family, max_iter=40)
-        if not complete:
-            raise GeneratorExhausted("hull iteration did not close")
-    else:
-        # singletons are family-convex for any endomorphisms
-        rng_pts = random.Random(rng.randrange(2 ** 30))
-        single = _draw_finite_set(group, rng_pts).elements[:1]
-        D1 = cx.finite_set(group, single)
-    return Instance(group, metric, endos=endos, sets={"D1": D1}, params=params)
-
-
-def _draw_thm_2(group, metric, params, gen, rng) -> Instance:
-    if gen.family == "finite" and gen.group is None:
-        lo, hi = _MODULI_RANGE
-        odd = [m for m in range(lo, hi + 1) if m % 2 == 1 and m >= 3]
-        if not odd:
-            raise GeneratorExhausted("no odd moduli in range; 2-divisibility fails")
-        count = rng.randint(1, _MAX_FACTORS)
-        group = FiniteGroup(tuple(odd[rng.randrange(len(odd))] for _ in range(count)))
-        metric = _metric_for(gen, group)
-    if isinstance(group, FiniteGroup):
-        if not group.divisible_by(2):
-            raise GeneratorExhausted("the pinned group is not 2-divisible")
-        ident = en.identity(group)
-        T = _draw_endo_until(
-            group, rng, lambda T: _below_one(T.scale(2).sub(ident), metric), attempts=400
-        )
-        seed_set = _draw_finite_set(group, rng)
-        hull, _ = cx.convex_hull(seed_set, [T])
-        return Instance(group, metric, endos={"T": T}, sets={"D": hull}, params=params)
-    if isinstance(group, IntLattice):
-        raise GeneratorExhausted("the integer lattice is not 2-divisible")
-    T = _unit_box_diag(group, rng)
-    diag = _diagonal(T)
-    if any(t in (0, 1) for t in diag):
-        T = en.halve(en.identity(group))
-    D = _draw_box(group, rng)
-    return Instance(group, metric, endos={"T": T}, sets={"D": D}, params=params)
-
-
-def _draw_thm_nk(group, metric, params, gen, rng) -> Instance:
-    D = _draw_sum_box(group, rng)
-    endos = {f"T{i + 1}": _unit_box_diag(group, rng) for i in range(rng.randint(2, 3))}
-    return Instance(group, metric, endos=endos, sets={"D": D}, params=params)
-
-
-def _draw_cor_nkc1(group, metric, params, gen, rng) -> Instance:
-    D = cx.finite_set(group, [_draw_point(group, rng)])
-    return Instance(group, metric, sets={"D": D}, params=params)
-
-
-def _draw_cor_nkc2(group, metric, params, gen, rng) -> Instance:
-    D = _draw_sum_box(group, rng)
-    # an invertible total: the drawn diagonal and its complement sum to the
-    # identity, and both keep any box convex.
-    first = _unit_box_diag(group, rng)
-    endos = {"T1": first, "T2": en.identity(group).sub(first)}
-    return Instance(group, metric, endos=endos, sets={"D": D}, params=params)
-
-
-def _draw_bare(group, metric, params, gen, rng) -> Instance:
-    return Instance(group, metric, params=params)
-
-
-@dataclass(frozen=True)
-class PropertySpec:
-    """One property: its checker, its instance drawer and its preconditions.
-
-    ``draw(group, metric, params, gen, rng)`` consumes ``rng`` in a fixed
-    order, so a search replays from its seed.  Flags: ``expansive`` needs n0
-    with injectivity measure above one, ``finite_only`` enumerates End(G),
-    ``pairwise`` lets an exhaustive search walk End(G) x End(G).
-    """
-
-    check: Callable[[Instance], Verdict]
-    draw: Callable[..., Instance]
-    expansive: bool = False
-    finite_only: bool = False
-    pairwise: bool = False
-
-
-_SPECS: dict[PropertyId, PropertySpec] = {
-    PropertyId.LEMMA_MU: PropertySpec(_check_lemma_mu, _draw_operators, pairwise=True),
-    PropertyId.COR_MU: PropertySpec(_check_cor_mu, _draw_operators, pairwise=True),
-    PropertyId.LEMMA_NX: PropertySpec(_check_lemma_nx, _draw_operators_and_set),
-    PropertyId.THM_RCT: PropertySpec(_check_thm_rct, _draw_thm_rct, expansive=True),
-    PropertyId.LEMMA_SR: PropertySpec(_check_lemma_sr, _draw_operators, pairwise=True),
-    PropertyId.THM_NIT: PropertySpec(_check_thm_nit, _draw_thm_nit),
-    PropertyId.COR_NIT: PropertySpec(_check_cor_nit, _draw_cor_nit),
-    PropertyId.THM_0: PropertySpec(_check_thm_0, _draw_thm_0),
-    PropertyId.LEM_TC: PropertySpec(_check_lem_tc, _draw_operators_and_set),
-    PropertyId.THM_P1: PropertySpec(_check_thm_p1, _draw_set, finite_only=True),
-    PropertyId.COR_1: PropertySpec(_check_cor_1, _draw_set, finite_only=True),
-    PropertyId.THM_2: PropertySpec(_check_thm_2, _draw_thm_2),
-    PropertyId.THM_NK: PropertySpec(partial(_sum_inclusion, with_closure=True), _draw_thm_nk, expansive=True),
-    PropertyId.THM_NK_PLUS: PropertySpec(partial(_sum_inclusion, with_closure=False), _draw_thm_nk, expansive=True),
-    PropertyId.COR_NKC1: PropertySpec(_check_cor_nkc1, _draw_cor_nkc1, expansive=True),
-    PropertyId.COR_NKC2: PropertySpec(_check_cor_nkc2, _draw_cor_nkc2, expansive=True),
-    PropertyId.EXA_TILDE: PropertySpec(_check_exa_tilde, _draw_bare),
-}
-
-if set(_SPECS) != set(PropertyId):
-    raise InvariantViolated("every property has exactly one spec row")
-
-
 def _build_instance(spec: PropertySpec, gen: GeneratorConfig, rng: random.Random) -> Instance:
     group = _draw_group(gen, rng)
     metric = _metric_for(gen, group)
@@ -1006,7 +944,11 @@ def _build_instance(spec: PropertySpec, gen: GeneratorConfig, rng: random.Random
         params = Params(n0=n0, seed=rng.randrange(2 ** 30), budget=8)
     if spec.finite_only and not isinstance(group, FiniteGroup):
         raise GeneratorExhausted("the full endomorphism ring must be enumerable")
-    return spec.draw(group, metric, params, gen, rng)
+    if spec.finite_group is not None and gen.family == "finite" and gen.group is None:
+        group = spec.finite_group(rng)
+        metric = _metric_for(gen, group)
+    endos, sets = spec.draw(group, metric, rng)
+    return Instance(group, metric, endos=endos, sets=sets, params=params)
 
 
 def counterexample_search(
@@ -1022,7 +964,13 @@ def counterexample_search(
         raise ValueError("budget must be >= 1")
     spec = _SPECS[prop]
 
-    if gen.exhaustive and spec.pairwise and isinstance(gen.group, FiniteGroup):
+    if gen.exhaustive:
+        if not (spec.pairwise and isinstance(gen.group, FiniteGroup)):
+            pairwise = ", ".join(row.name for row in _TABLE if row.pairwise)
+            raise NotEnumerable(
+                f"an exhaustive search walks End(G) x End(G): it needs a pairwise "
+                f"property ({pairwise}) on a pinned finite group"
+            )
         metric = _metric_for(gen, gen.group)
         ring = en.all_endomorphisms(gen.group)
         for checked, (T, S) in enumerate(itertools.product(ring, ring)):
@@ -1044,9 +992,7 @@ def counterexample_search(
         except HypothesisFailed:
             stalls += 1
             if stalls > 50 * budget:
-                raise GeneratorExhausted(
-                    "could not draw hypothesis-satisfying instances"
-                )
+                raise GeneratorExhausted("could not draw hypothesis-satisfying instances")
             continue
         checked += 1
         if verdict.refuted:

@@ -1,6 +1,7 @@
 import copy
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -484,8 +485,6 @@ def test_norm_tables_beyond_the_caps_are_input_errors(tmp_path, capsys, monkeypa
 
 
 def test_committed_sessions_stay_well_under_the_norm_table_caps():
-    from pathlib import Path
-
     from groupconvex.cli import parse_session
     from groupconvex.groups import _PAIR_CAP, _TABLE_CAP
 
@@ -684,3 +683,45 @@ def test_malformed_sessions_never_escape_main(tmp_path_factory, session):
     path = tmp_path_factory.getbasetemp() / "malformed.json"
     path.write_text(json.dumps(session))
     assert main(["norm", str(path), "0"]) in (EXIT_OK, EXIT_INPUT)
+
+
+_Z9 = {"group": {"kind": "finite", "moduli": [9]}, "metric": {"kind": "cyclic", "weights": ["1"]}}
+_DYADIC = {"group": {"kind": "dyadic", "dim": 1}, "metric": {"kind": "linf", "weights": ["1"]}}
+
+
+@pytest.mark.parametrize("prop, base, endos, hypothesis", [
+    ("THM_NIT", _Z9, {}, "an endomorphism to invert is provided"),
+    ("THM_NIT", _DYADIC, {"T": [["0"]]}, "the group is complete"),
+    ("THM_NIT", _Z9, {"T": [["2"]]}, "spectral radius of T is certified below one"),
+    ("COR_NIT", _DYADIC, {"S": [["1"]], "T": [["0"]]}, "the group is complete"),
+    ("COR_NIT", _Z9, {"S": [["3"]], "T": [["0"]]}, "S is invertible with a representable inverse"),
+    ("COR_NIT", _Z9, {"S": [["1"]], "T": [["2"]]},
+     "one of rho(T S^-1), rho(S^-1 T) is certified below one"),
+])
+def test_inversion_hypotheses_are_named(tmp_path, capsys, prop, base, endos, hypothesis):
+    session = _session_file(tmp_path, dict(base, endos=endos))
+    assert main(["verify", session, prop, "--json"]) == EXIT_HYPOTHESIS
+    record = json.loads(capsys.readouterr().out)
+    assert record == {"status": "HypothesisFailed", "hypothesis_failed": hypothesis}
+
+
+@pytest.mark.parametrize("session, prop", [("z4x4.json", "LEM_TC"), ("int2.json", "LEMMA_MU")])
+def test_exhaustive_search_that_cannot_enumerate_is_an_input_error(capsys, session, prop):
+    # LEM_TC is not a pairwise statement, and Z^2 has no finite ring to walk
+    path = str(Path(__file__).resolve().parents[1] / "bench" / "sessions" / session)
+    assert main(["search", path, prop, "--exhaustive", "--budget", "5"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exhaustive search" in captured.err
+
+
+def test_invert_needs_no_term_budget(tmp_path, capsys):
+    # 2 is nilpotent on Z_(2^70), so the series has 70 terms
+    session = {
+        "group": {"kind": "finite", "moduli": [2 ** 70]},
+        "metric": {"kind": "cyclic", "weights": ["1"]},
+        "endos": {"T": [["2"]]},
+    }
+    path = _session_file(tmp_path, session)
+    assert main(["invert", path, "T", "--max-iter", "10"]) == EXIT_OK
+    assert capsys.readouterr().out == f"(I - T)^-1 = [{2 ** 70 - 1}]\n"

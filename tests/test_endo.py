@@ -485,6 +485,15 @@ def test_neumann_zero_and_identity(z9, cyclic1):
         neumann_inverse(identity(z9), cyclic1)
 
 
+def test_neumann_series_has_no_term_budget():
+    # 2 is nilpotent on Z_(2^70): its series has 70 terms, and rho is exactly 0
+    g = FiniteGroup((2 ** 70,))
+    metric = CyclicMetric((Fraction(1),))
+    T = scaling(g, 2)
+    assert spectral_radius(T, metric).value == 0
+    assert neumann_inverse(T, metric) == scaling(g, -1)
+
+
 def test_neumann_requires_completeness(dyline, linf1):
     T = make_endo(dyline, [[Fraction(1, 2)]])
     with pytest.raises(NotComplete):

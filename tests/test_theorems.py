@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -37,6 +38,18 @@ def dy_inst(dyline, linf1):
 
 def test_every_property_has_a_checker():
     assert len(PropertyId) == 17
+
+
+def test_property_ids_keep_their_names_values_and_order():
+    names = [
+        "LEMMA_MU", "COR_MU", "LEMMA_NX", "THM_RCT", "LEMMA_SR", "THM_NIT",
+        "COR_NIT", "THM_0", "LEM_TC", "THM_P1", "COR_1", "THM_2", "THM_NK",
+        "THM_NK_PLUS", "COR_NKC1", "COR_NKC2", "EXA_TILDE",
+    ]
+    assert [(p.name, p.value) for p in PropertyId] == [(n, n) for n in names]
+    assert PropertyId["THM_2"] is PropertyId("THM_2")
+    assert repr(PropertyId.THM_2) == "<PropertyId.THM_2: 'THM_2'>"
+    assert pickle.loads(pickle.dumps(PropertyId.THM_2)) is PropertyId.THM_2
 
 
 # -- canonical instances per property -----------------------------------------
@@ -383,3 +396,80 @@ def test_sum_inclusion_on_integer_boxes(zplane, linf2):
     with pytest.raises(HypothesisFailed) as err:
         verify(PropertyId.THM_NK, wide)
     assert "n0-convex" in err.value.hypothesis
+
+
+# -- refutation paths ---------------------------------------------------------
+#
+# On a correct library these checkers always prove, so each case patches one
+# library function so that the checker's first conclusion fails, and pins
+# the verdict's witness: its label and the maps it names.
+
+_Z9 = FiniteGroup((9,))
+_CYC = CyclicMetric((Fraction(1),))
+_I9 = scaling(_Z9, 1)
+_ZERO9 = scaling(_Z9, 0)
+_D9 = finite_set(_Z9, [[0], [3], [6]])
+
+
+def _always(value):
+    return lambda *args, **kwargs: value
+
+
+_REFUTATIONS = {
+    # mu(I) = 2 makes mu(T) ||S|| exceed ||T S|| on the pair (I, I)
+    "LEMMA_MU": (
+        PropertyId.LEMMA_MU, {"T": _I9}, {}, "endo", "injectivity_measure",
+        _always(Fraction(2)), ("norm supermultiplicativity", _I9, _I9),
+    ),
+    # mu vanishes on 2 * 2 = 4 only, so the product of two positive maps is not
+    "COR_MU": (
+        PropertyId.COR_MU, {"T": scaling(_Z9, 2)}, {}, "endo", "injectivity_measure",
+        lambda T, metric: Fraction(int(T != scaling(_Z9, 4))),
+        ("semigroup closure", scaling(_Z9, 2), scaling(_Z9, 2)),
+    ),
+    # a measure of 2 lies above every radius of a finite group
+    "LEMMA_SR": (
+        PropertyId.LEMMA_SR, {"T": _I9}, {}, "endo", "injectivity_measure",
+        _always(Fraction(2)), ("measure below radius", _I9),
+    ),
+    # the identity does not invert I - 3
+    "THM_NIT": (
+        PropertyId.THM_NIT, {"T": scaling(_Z9, 3)}, {}, "endo", "neumann_inverse",
+        _always(_I9), ("T", _I9),
+    ),
+    # the identity does not invert I - 3
+    "COR_NIT": (
+        PropertyId.COR_NIT, {"S": _I9, "T": scaling(_Z9, 3)}, {}, "endo", "shifted_inverse",
+        _always(_I9), (_I9,),
+    ),
+    # a family without the zero map
+    "THM_P1": (
+        PropertyId.THM_P1, {}, {"D": _D9}, "convexity", "family_of",
+        _always((_I9,)), ("zero and identity membership", _D9),
+    ),
+    # a family {0} misses the reflection I - 0
+    "COR_1": (
+        PropertyId.COR_1, {}, {"D": _D9}, "convexity", "family_of",
+        _always((_ZERO9,)), ("reflection", _D9, _ZERO9),
+    ),
+    # zero iterates disagree with the closed form at n = 1
+    "THM_2": (
+        PropertyId.THM_2, {"T": scaling(_Z9, 5)}, {"D": _D9}, "endo", "midpoint_iterates",
+        lambda T, n: iter([_ZERO9] * n), ("closed form mismatch", 1),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUTATIONS))
+def test_first_conclusion_refutes_with_its_witness(case, monkeypatch):
+    import groupconvex.convexity
+    import groupconvex.endo
+
+    prop, endos, sets, module, name, patched, witness = _REFUTATIONS[case]
+    inst = Instance(_Z9, _CYC, endos=endos, sets=sets)
+    assert verify(prop, inst).proved
+    modules = {"endo": groupconvex.endo, "convexity": groupconvex.convexity}
+    monkeypatch.setattr(modules[module], name, patched)
+    verdict = verify(prop, inst)
+    assert verdict.status is Status.REFUTED
+    assert verdict.witness == witness
