@@ -490,7 +490,8 @@ def convex_hull(
     return FiniteSet(g, tuple(map(decode, sorted(current)))), complete
 
 
-@lru_cache(maxsize=None)
+# a search asks about one set per draw, so only the last 256 families are kept
+@lru_cache(maxsize=256)
 def family_of(D: PointSet) -> tuple[Endomorphism, ...]:
     """All endomorphisms of a finite group that make D convex.
 
@@ -530,10 +531,12 @@ def image_set(D: FiniteSet, A: Endomorphism) -> FiniteSet:
 
 
 def preimage_set(D: PointSet, A: Endomorphism) -> FiniteSet:
-    """Exact preimage by fiber enumeration over a finite group."""
+    """Exact preimage: the x whose image index is the lex index of a point of D."""
     g = A.group
     if not isinstance(g, FiniteGroup):
         raise NotEnumerable("preimages are enumerated over finite groups")
     if D.group != g:
         raise GroupMismatch(f"{D.group} vs {g}")
-    return finite_set(g, (x for x in g.elements() if contains(D, A.apply(x))))
+    images = g.image_indices(A.matrix)
+    hits = [contains(D, y) for y in g.elements()]
+    return FiniteSet(g, tuple(x for x, i in zip(g.elements(), images) if hits[i]))

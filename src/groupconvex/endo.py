@@ -11,10 +11,10 @@ groups and through weighted row/column-sum formulas on lattices (the matrix
 is conjugated by diag(weights); lattice suprema agree with the real-vector
 values because ratios are scale-invariant and rational vectors are dense).
 On a finite group both come from one integer pass per (map, metric): the
-norm table times the lcm of its denominators is a tuple of ints in lex
-order, T's columns give the lex index of T(x) for every x by linearity, and
+norm table holds L * ||x|| as ints in lex order, T's columns give the lex
+index of T(x) for every x by linearity (``FiniteGroup.image_indices``), and
 the pass keeps the largest and the smallest ratio by cross-multiplication,
-so only the two results become Fractions.
+so only the two results become Fractions.  The same array decides inverses.
 A lattice operator is carried as one integer matrix and one scale, A = M/d,
 and a weighted metric as one integer ratio matrix W/L, so these formulas
 are integer sums; the inverse N/e comes from one fraction-free (Bareiss)
@@ -59,7 +59,7 @@ from .groups import (
     LinfMetric,
     Metric,
     Vector,
-    _scaled_norm_table,
+    norm_table,
 )
 from .scalars import root_lower, root_upper
 
@@ -306,27 +306,6 @@ def _powers(M: list[list[int]], d: int):
         power, scale = _matmul(power, M), scale * d
 
 
-def _image_indices(T: Endomorphism) -> list[int]:
-    """The lex index of T(x) for every x of a finite group, x in lex order.
-
-    The index of an element is sum_i x_i * R_i, with R_(k-1) = 1 and
-    R_i = R_(i+1) * m_(i+1).  By linearity coordinate i of T(x) is
-    sum_j a_ij * x_j mod m_i, which one product over T's row i gives for
-    every x at once.
-    """
-    moduli = T.group.moduli
-    index = itertools.repeat(0)
-    place = 1
-    for row, m in zip(reversed(T.matrix), reversed(moduli)):
-        coordinate = [0]
-        for a, m_j in zip(row, moduli):
-            steps = range(0, a * m_j, a) if a else (0,) * m_j
-            coordinate = [c + s for c in coordinate for s in steps]
-        index = list(map(operator.add, index, [c % m * place for c in coordinate]))
-        place *= m
-    return index
-
-
 @lru_cache(maxsize=None)
 def _finite_bounds(T: Endomorphism, metric: Metric) -> tuple[Fraction, Fraction]:
     """(max, min) of ||T(x)|| / ||x|| over the nonzero x of a finite group.
@@ -335,8 +314,10 @@ def _finite_bounds(T: Endomorphism, metric: Metric) -> tuple[Fraction, Fraction]
     which every ratio keeps its value; ratios are compared by
     cross-multiplication over positive denominators.
     """
-    norms = _scaled_norm_table(T.group, metric)
-    images = _image_indices(T)
+    norms = norm_table(T.group, metric)
+    if min(norms[1:]) <= 0:
+        raise MetricGroupMismatch("metric is not positive definite")
+    images = T.group.image_indices(T.matrix)
     high_num = low_num = norms[images[1]]
     high_den = low_den = norms[1]
     for num, den in zip(map(norms.__getitem__, images[2:]), norms[2:]):
@@ -489,13 +470,13 @@ def inverts(A: Endomorphism, B: Endomorphism) -> bool:
 def try_inverse(T: Endomorphism) -> Endomorphism | None:
     """The inverse endomorphism when T is a group automorphism, else None."""
     g = T.group
-    ident = identity(g)
     if isinstance(g, FiniteGroup):
-        images = {T.apply(x): x for x in g.elements()}
-        if len(images) != g.order:
+        preimage = dict(zip(g.image_indices(T.matrix), g.elements()))
+        if len(preimage) != g.order:
             return None
-        # column j of the inverse is the preimage of e_j, column j of I
-        inverse = make_endo(g, list(zip(*(images[e] for e in zip(*ident.matrix)))))
+        # column j of the inverse is the preimage of e_j, of lex index m_(j+1)...m_(k-1)
+        columns = [preimage[math.prod(g.moduli[j + 1:])] for j in range(g.dim)]
+        inverse = make_endo(g, list(zip(*columns)))
     else:
         scaled = _scaled_inverse(*_scaled(T.matrix))
         if scaled is None:

@@ -206,6 +206,27 @@ class FiniteGroup(Group):
     def literal(self) -> dict:
         return {"kind": self.kind, "moduli": list(self.moduli)}
 
+    def image_indices(self, matrix: Sequence[Sequence[int]]) -> list[int]:
+        """The lex index of T(x) for every x in lex order, T given by its matrix.
+
+        The index of an element is sum_i x_i * R_i, with R_(k-1) = 1 and
+        R_i = R_(i+1) * m_(i+1).  By linearity coordinate i of T(x) is
+        sum_j a_ij * x_j mod m_i, which one product over row i gives for
+        every x at once.  Beyond ``_TABLE_CAP`` elements none is built.
+        """
+        if self.order > _TABLE_CAP:
+            raise NotEnumerable(f"{self} has {self.order} elements, beyond the cap of {_TABLE_CAP}")
+        index = itertools.repeat(0)
+        place = 1
+        for row, m in zip(reversed(matrix), reversed(self.moduli)):
+            coordinate = [0]
+            for a, m_j in zip(row, self.moduli):
+                steps = range(0, a * m_j, a) if a else (0,) * m_j
+                coordinate = [c + s for c in coordinate for s in steps]
+            index = list(map(operator.add, index, [c % m * place for c in coordinate]))
+            place *= m
+        return index
+
     def code(self, x: Vector) -> int:
         """The padded code of a canonical element."""
         return sum(map(operator.mul, x, self._radix))
@@ -485,40 +506,30 @@ def distance(group: Group, metric: Metric, x: Vector, y: Vector) -> Fraction:
     return norm(group, metric, group.sub(x, y))
 
 
-# most elements ``norm_table`` enumerates, and most pairs (x, y) the L1/Linf
-# and table checks of ``validate_metric`` walk; Z30xZ30 has 810,000 pairs
+# most elements ``norm_table`` and ``FiniteGroup.image_indices`` enumerate, and
+# most pairs (x, y) the L1/Linf and table checks of ``validate_metric`` walk;
+# Z30xZ30 has 810,000 pairs
 _TABLE_CAP = 1 << 16
 _PAIR_CAP = 1 << 20
 
 
 @lru_cache(maxsize=None)
-def norm_table(group: FiniteGroup, metric: Metric) -> dict:
-    """The norm of every element of a finite group, in lexicographic order.
+def norm_table(group: FiniteGroup, metric: Metric) -> tuple[int, ...]:
+    """L * ||x|| for every element of a finite group, in lexicographic order.
 
-    Metric validation, operator norms and injectivity measures all read this
-    one table, so each (group, metric) pair evaluates ``norm`` |G| times;
-    beyond ``_TABLE_CAP`` elements none is evaluated.
+    L is the lcm of the norms' denominators, so entries compare as the norms
+    do and a ratio of entries is the ratio of the norms.  Metric validation,
+    operator norms and injectivity measures all read this one table, so each
+    (group, metric) pair evaluates ``norm`` |G| times; beyond ``_TABLE_CAP``
+    elements none is evaluated.
     """
     if group.order > _TABLE_CAP:
         raise NotEnumerable(
             f"{group} has {group.order} elements, beyond the norm table cap of {_TABLE_CAP}"
         )
-    return {x: norm(group, metric, x) for x in group.elements()}
-
-
-@lru_cache(maxsize=None)
-def _scaled_norm_table(group: FiniteGroup, metric: Metric) -> tuple[int, ...]:
-    """L * ||x|| for every element in lexicographic order, all ints.
-
-    L is the lcm of the norms' denominators, so a ratio of two entries is the
-    ratio of the two norms.  A nonzero element of norm 0 or below raises.
-    """
-    values = norm_table(group, metric).values()
+    values = [norm(group, metric, x) for x in group.elements()]
     scale = math.lcm(*(v.denominator for v in values))
-    scaled = tuple(v.numerator * (scale // v.denominator) for v in values)
-    if min(scaled[1:]) <= 0:
-        raise MetricGroupMismatch("metric is not positive definite")
-    return scaled
+    return tuple(v.numerator * (scale // v.denominator) for v in values)
 
 
 @lru_cache(maxsize=None)
@@ -536,8 +547,9 @@ def validate_metric(group: Group, metric: Metric) -> Verdict:
 
     L1/Linf and table norms on finite groups are checked exhaustively over
     all elements and then all pairs (x, y) in lexicographic order, reading
-    ``norm_table``.  A refutation carries the violated axiom and the
-    offending elements.  A table must list exactly the elements of the group.
+    ``norm_table``, whose scale L > 0 keeps every comparison.  A refutation
+    carries the violated axiom and the offending elements.  A table must
+    list exactly the elements of the group.
     """
     if isinstance(group, FiniteGroup):
         if isinstance(metric, CyclicMetric):
@@ -549,7 +561,7 @@ def validate_metric(group: Group, metric: Metric) -> Verdict:
                 f"checking {metric.kind} norm axioms on {group} takes {pairs} pairs, "
                 f"beyond the cap of {_PAIR_CAP}"
             )
-        table = norm_table(group, metric)
+        table = dict(zip(group.elements(), norm_table(group, metric)))
         if isinstance(metric, TableMetric) and len(metric.values) != len(table):
             raise MetricGroupMismatch(f"table has entries outside {group}")
         zero = group.zero()

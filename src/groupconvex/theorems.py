@@ -53,6 +53,7 @@ from .groups import (
     IntLattice,
     LinfMetric,
     Metric,
+    _PAIR_CAP,
     mu_of_n,
     norm_of_n,
     validate_metric,
@@ -512,6 +513,10 @@ def _check_thm_0(inst: Instance) -> Verdict:
     if not cx.is_family_convex(cx.finite_set(g, ()), family).proved:
         return refuted(("empty set",))
     if isinstance(g, FiniteGroup):
+        if g.order ** 2 > _PAIR_CAP:
+            raise NotEnumerable(
+                f"the whole space of {g} has {g.order ** 2} pairs, beyond the cap of {_PAIR_CAP}"
+            )
         whole = cx.finite_set(g, g.elements())
         if not cx.is_family_convex(whole, family).proved:
             return refuted(("whole space",))

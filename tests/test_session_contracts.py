@@ -1,0 +1,114 @@
+"""The exit-code contract of ``gc`` over drawn sessions.
+
+Exit 1 means Refuted and nothing else: it comes with a ``Refuted`` record
+that carries a witness, and an ``is-convex`` witness re-checks.  Work that
+cannot be done exits 4 with a named error; no exception escapes ``main``.
+Groups too large to enumerate, such as Z_(2^70), are drawn alongside small
+ones.
+"""
+
+import contextlib
+import io
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from groupconvex import FiniteGroup, make_endo
+from groupconvex.cli import EXIT_INPUT, EXIT_REFUTED, main
+from groupconvex.groups import _PAIR_CAP, _TABLE_CAP
+from groupconvex.theorems import PropertyId
+
+HUGE = 2 ** 70
+
+
+def _run(session: dict, command: list[str]) -> tuple[int, str, str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "session.json"
+        path.write_text(json.dumps(session))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command[0], str(path), *command[1:]])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _huge_session() -> dict:
+    return {
+        "group": {"kind": "finite", "moduli": [HUGE]},
+        "metric": {"kind": "cyclic", "weights": ["1"]},
+        "endos": {"S": [["1"]], "T": [["2"]]},
+        "sets": {"D": {"kind": "finite", "elements": [["0"]]}},
+    }
+
+
+@pytest.mark.parametrize(
+    "command, cap",
+    [
+        (["invert", "S", "T"], _TABLE_CAP),
+        (["verify", "COR_NIT"], _TABLE_CAP),
+        (["verify", "THM_0"], _PAIR_CAP),
+    ],
+)
+def test_groups_beyond_the_caps_are_input_errors(command, cap):
+    code, out, err = _run(_huge_session(), command)
+    assert code == EXIT_INPUT, (out, err)
+    assert f"cap of {cap}" in err
+
+
+@st.composite
+def sessions(draw):
+    moduli = draw(st.one_of(st.lists(st.integers(2, 6), min_size=1, max_size=2), st.just([HUGE])))
+
+    def matrix():
+        # a_ij * m_j = 0 (mod m_i) exactly for the multiples of m_i / gcd(m_i, m_j)
+        return [
+            [str(draw(st.integers(0, 5)) * (m_i // math.gcd(m_i, m_j))) for m_j in moduli]
+            for m_i in moduli
+        ]
+
+    point = st.lists(st.integers(0, 7).map(str), min_size=len(moduli), max_size=len(moduli))
+    return {
+        "group": {"kind": "finite", "moduli": moduli},
+        "metric": {"kind": "cyclic", "weights": [str(draw(st.integers(1, 3))) for _ in moduli]},
+        "endos": {"S": matrix(), "T": matrix()},
+        "sets": {"D": {"kind": "finite", "elements": draw(st.lists(point, min_size=1, max_size=3))}},
+        "params": {"n0": draw(st.integers(1, 3))},
+    }
+
+
+COMMANDS = [
+    ["is-convex", "D"],
+    ["is-convex", "D", "T"],
+    ["is-n-convex", "D", "2"],
+    ["is-n-convex", "D", "3"],
+    ["invert", "T"],
+    ["invert", "S", "T"],
+] + [["verify", prop.name] for prop in PropertyId]
+
+
+def _recheck_is_convex(session: dict, record: dict) -> None:
+    """point = T(x) + y - T(y) and point lies outside D."""
+    group = FiniteGroup(session["group"]["moduli"])
+    endo, x, y, point = record["witness"]
+    T = make_endo(group, endo["endo"])
+    x, y, point = (group.element([int(c) for c in v]) for v in (x, y, point))
+    assert point == group.add(T.apply(x), group.sub(y, T.apply(y)))
+    D = {group.element([int(c) for c in v]) for v in session["sets"]["D"]["elements"]}
+    assert point not in D
+
+
+@settings(max_examples=200, deadline=None)
+@given(sessions(), st.sampled_from(COMMANDS))
+def test_exit_one_always_carries_a_witness_that_rechecks(session, command):
+    code, out, err = _run(session, [*command, "--json"])
+    assert code in range(5), (code, err)
+    if code != EXIT_REFUTED:
+        return
+    record = json.loads(out.splitlines()[-1])
+    assert record["status"] == "Refuted" and record.get("witness"), record
+    if command[0] == "is-convex":
+        _recheck_is_convex(session, record)
