@@ -43,7 +43,9 @@ from .endo import (
     make_endo,
     midpoint_closed_form,
     midpoint_recursion,
+    mu_of_n,
     neumann_inverse,
+    norm_of_n,
     op_norm,
     operator_distance,
     scaling,
@@ -63,9 +65,7 @@ from .groups import (
     Metric,
     TableMetric,
     distance,
-    mu_of_n,
     norm,
-    norm_of_n,
     table_metric,
     validate_metric,
 )

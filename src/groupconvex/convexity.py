@@ -20,6 +20,7 @@ import itertools
 import math
 import operator
 import random
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -29,7 +30,6 @@ from .endo import Endomorphism, all_endomorphisms, identity
 from .endo import zero as zero_endo
 from .errors import (
     EmptySet,
-    GroupMismatch,
     InvariantViolated,
     NotEnumerable,
     NotFinite,
@@ -37,6 +37,7 @@ from .errors import (
     UnsupportedRepresentation,
 )
 from .groups import DyadicLattice, FiniteGroup, Group, IntLattice, Metric, Vector, norm
+from .groups import _PAIR_CAP, _check_cap, _positive_index, _same_group
 from .verdicts import Verdict, proved, refuted
 
 
@@ -132,11 +133,6 @@ def sample(A: PointSet, rng: random.Random) -> Vector:
     return A.group.element(coords)
 
 
-def _same_group(A: PointSet, B: PointSet) -> None:
-    if A.group != B.group:
-        raise GroupMismatch(f"{A.group} vs {B.group}")
-
-
 def sumset(A: PointSet, B: PointSet) -> PointSet:
     """Minkowski sum; exact for finite+finite and box+box, refused for mixes."""
     _same_group(A, B)
@@ -150,8 +146,7 @@ def sumset(A: PointSet, B: PointSet) -> PointSet:
 
 def n_fold_sum(A: PointSet, n: int) -> PointSet:
     """[n]A: all sums of n members of A. The dilation n*A is always inside."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _positive_index(n)
     result = A
     for _ in range(n - 1):
         result = sumset(result, A)
@@ -162,8 +157,7 @@ def n_fold_sum(A: PointSet, n: int) -> PointSet:
 
 def n_dilate(A: PointSet, n: int) -> PointSet:
     """n*A: elementwise n-fold multiples; always a subset of [n]A."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _positive_index(n)
     g = A.group
     if isinstance(A, FiniteSet):
         return finite_set(g, (g.nat_mul(n, x) for x in A.elements))
@@ -201,9 +195,7 @@ _BOX_CAP = 4096
 def _box_points(A: BoxSet) -> list[Vector]:
     if not isinstance(A.group, IntLattice):
         raise NotEnumerable("dyadic boxes contain infinitely many points")
-    count = math.prod(hi - lo + 1 for lo, hi in zip(A.lo, A.hi))
-    if count > _BOX_CAP:
-        raise NotEnumerable(f"box holds {count} points, beyond the cap of {_BOX_CAP}")
+    _check_cap(str(A), math.prod(hi - lo + 1 for lo, hi in zip(A.lo, A.hi)), "points", _BOX_CAP)
     return [tuple(p) for p in itertools.product(*[range(lo, hi + 1) for lo, hi in zip(A.lo, A.hi)])]
 
 
@@ -225,36 +217,50 @@ def subset_of(A: PointSet, B: PointSet) -> bool:
 # Convexity tests
 # ---------------------------------------------------------------------------
 
+# most sums one n-fold check builds; [10000]H for H = 11*Z121 builds 1.21 million
+_SUM_CAP = 1 << 21
+
+
 def is_n_convex(A: PointSet, n: int) -> Verdict:
     """Check [n]A inside n*A.
 
-    Finite sets are checked exhaustively with witness reconstruction.  Boxes
+    Finite sets are checked exhaustively, one round of sums per summand;
+    each new sum keeps a back-pointer to the first (sum, point) pair that
+    reached it, from which a refutation rebuilds its decomposition.  A round
+    that would pass ``_SUM_CAP`` sums is refused before it starts.  Boxes
     are proved symbolically when the group is divisible by n (the interval
     identity) and refuted with a constructed witness otherwise.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _positive_index(n)
     g = A.group
     if n == 1:
         return proved()
     if isinstance(A, FiniteSet):
         if not A.elements:
             return proved()
+        points = A.elements
         dilation = n_dilate(A, n).members
-        # provenance map: each reachable sum remembers one decomposition.
-        layer = {x: (x,) for x in A.elements}
-        for _ in range(n - 1):
+        # back-pointer p * |A| + j: sum p of the round before (0 before round 1) plus point j
+        layer, back, built = (g.zero(),), [], 0
+        for _ in range(n):
+            built += len(layer) * len(points)
+            _check_cap(f"[{n}]A for {len(points)} points", built, "sums", _SUM_CAP)
             grown = {}
-            for point, parts in layer.items():
-                for x in A.elements:
-                    s = g.add(point, x)
+            pairs = itertools.count()
+            for point in layer:
+                for s, pair in zip(map(g.add, itertools.repeat(point), points), pairs):
                     if s not in grown:
-                        grown[s] = parts + (x,)
+                        grown[s] = pair
+            back.append(array("q", grown.values()))
             layer = grown
-        for point, parts in sorted(layer.items()):
-            if point not in dilation:
-                return refuted((parts, point))
-        return proved()
+        missing = min((s for s in layer if s not in dilation), default=None)
+        if missing is None:
+            return proved()
+        position, parts = list(layer).index(missing), []
+        for pointers in reversed(back):
+            position, j = divmod(pointers[position], len(points))
+            parts.append(points[j])
+        return refuted((tuple(reversed(parts)), missing))
     if A.lo == A.hi:
         return proved()
     if g.divisible_by(n):
@@ -365,8 +371,7 @@ def is_T_convex(D: PointSet, T: Endomorphism) -> Verdict:
     coordinate in turn moves every still-unset x_j and y_j that its form
     reads to the corner minimizing it.
     """
-    if D.group != T.group:
-        raise GroupMismatch(f"{D.group} vs {T.group}")
+    _same_group(D, T)
     g = D.group
     if isinstance(D, FiniteSet):
         on_codes = _on_codes(g, len(D))
@@ -459,12 +464,12 @@ def convex_hull(
     adds every sum of a T(x) and a y - T(y) over the points so far that
     misses their landing set, on padded codes when S is large enough
     (``_on_codes``), so the passes and the result do not depend on order.
+    A pass of more than ``_PAIR_CAP`` sums for one map is refused unbuilt.
     """
     if not isinstance(S, FiniteSet):
         raise NotFinite("hulls are computed from explicit finite seeds")
     for T in Ts:
-        if T.group != S.group:
-            raise GroupMismatch(f"{S.group} vs {T.group}")
+        _same_group(S, T)
     g = S.group
     on_codes = _on_codes(g, len(S))
     code, decode, reduce, add, landing_of = _coding(g, on_codes)
@@ -476,8 +481,9 @@ def convex_hull(
         grown = False
         for T in Ts:
             pairs = _split(T, map(decode, snapshot), on_codes)
-            tails = {b for _, b in pairs}
-            for a in {a for a, _ in pairs}:
+            heads, tails = {a for a, _ in pairs}, {b for _, b in pairs}
+            _check_cap(f"a hull pass through {T}", len(heads) * len(tails), "sums", _PAIR_CAP)
+            for a in heads:
                 for s in map(add, itertools.repeat(a), tails):
                     if s not in landing:
                         c = reduce(s)
@@ -525,8 +531,7 @@ def image_set(D: FiniteSet, A: Endomorphism) -> FiniteSet:
     """Exact image of a finite set."""
     if not isinstance(D, FiniteSet):
         raise NotEnumerable("images are computed for explicit finite sets")
-    if D.group != A.group:
-        raise GroupMismatch(f"{D.group} vs {A.group}")
+    _same_group(D, A)
     return finite_set(D.group, (A.apply(x) for x in D.elements))
 
 
@@ -535,8 +540,7 @@ def preimage_set(D: PointSet, A: Endomorphism) -> FiniteSet:
     g = A.group
     if not isinstance(g, FiniteGroup):
         raise NotEnumerable("preimages are enumerated over finite groups")
-    if D.group != g:
-        raise GroupMismatch(f"{D.group} vs {g}")
+    _same_group(D, A)
     images = g.image_indices(A.matrix)
     hits = [contains(D, y) for y in g.elements()]
     return FiniteSet(g, tuple(x for x, i in zip(g.elements(), images) if hits[i]))

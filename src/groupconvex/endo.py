@@ -41,7 +41,6 @@ from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import (
-    GroupMismatch,
     InvariantViolated,
     MetricGroupMismatch,
     NotAHomomorphism,
@@ -61,6 +60,7 @@ from .groups import (
     Vector,
     norm_table,
 )
+from .groups import _check_cap, _positive_index, _same_group
 from .scalars import root_lower, root_upper
 
 Matrix = tuple[tuple, ...]
@@ -131,11 +131,6 @@ def _matmul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
     return [[sum(map(operator.mul, row, col)) for col in columns] for row in a]
 
 
-def _same_group(a: Endomorphism, b: Endomorphism) -> None:
-    if a.group != b.group:
-        raise GroupMismatch(f"{a.group} vs {b.group}")
-
-
 def _build(group: Group, rows: Sequence[Sequence]) -> Endomorphism:
     # internal: canonicalize only; ring operations preserve additivity.
     return Endomorphism(group, group._ring_matrix(rows))
@@ -195,10 +190,7 @@ def all_endomorphisms(group: Group) -> tuple[Endomorphism, ...]:
     if not isinstance(group, FiniteGroup):
         raise NotEnumerable(f"the endomorphism ring of {group} is not enumerable")
     size = math.prod(math.gcd(m_i, m_j) for m_i in group.moduli for m_j in group.moduli)
-    if size > _RING_CAP:
-        raise NotEnumerable(
-            f"the endomorphism ring of {group} has {size} maps, beyond the cap of {_RING_CAP}"
-        )
+    _check_cap(f"the endomorphism ring of {group}", size, "maps", _RING_CAP)
     cells = []
     for m_i in group.moduli:
         for m_j in group.moduli:
@@ -350,6 +342,18 @@ def injectivity_measure(T: Endomorphism, metric: Metric) -> Fraction:
     if inverse is None:
         return Fraction(0)
     return _lattice_measure(*inverse, _weight_ratios(metric))
+
+
+def norm_of_n(group: Group, metric: Metric, n: int) -> Fraction:
+    """Operator norm of multiplication by n: sup of ||n*x|| / ||x|| over x != 0."""
+    _positive_index(n)
+    return op_norm(scaling(group, n), metric)
+
+
+def mu_of_n(group: Group, metric: Metric, n: int) -> Fraction:
+    """Injectivity measure of multiplication by n: inf of ||n*x|| / ||x||."""
+    _positive_index(n)
+    return injectivity_measure(scaling(group, n), metric)
 
 
 def operator_distance(T: Endomorphism, S: Endomorphism, metric: Metric) -> Fraction:
@@ -564,8 +568,7 @@ _RECURSION_CAP = 14
 
 
 def _check_steps(T: Endomorphism, n: int) -> None:
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _positive_index(n)
     if n > _RECURSION_CAP and not isinstance(T.group, FiniteGroup):
         raise ValueError(
             f"midpoint recursion to n = {n} is beyond the cap of {_RECURSION_CAP} steps on {T.group}"

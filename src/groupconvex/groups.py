@@ -26,6 +26,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     DimensionMismatch,
+    GroupMismatch,
     MetricGroupMismatch,
     NotDivisible,
     NotEnumerable,
@@ -113,8 +114,21 @@ class Group:
 
 
 def _positive_index(n: int) -> None:
+    """The one check that a multiplier or a step count n is at least 1."""
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
+
+
+def _same_group(a, b) -> None:
+    """The one check that two operands, maps or sets, live on one group."""
+    if a.group != b.group:
+        raise GroupMismatch(f"{a.group} vs {b.group}")
+
+
+def _check_cap(what: str, count: int, unit: str, cap: int) -> None:
+    """The one refusal of work beyond a cap, made before any of it is done."""
+    if count > cap:
+        raise NotEnumerable(f"{what} has {count} {unit}, beyond the cap of {cap}")
 
 
 @dataclass(frozen=True)
@@ -214,8 +228,7 @@ class FiniteGroup(Group):
         sum_j a_ij * x_j mod m_i, which one product over row i gives for
         every x at once.  Beyond ``_TABLE_CAP`` elements none is built.
         """
-        if self.order > _TABLE_CAP:
-            raise NotEnumerable(f"{self} has {self.order} elements, beyond the cap of {_TABLE_CAP}")
+        _check_cap(str(self), self.order, "elements", _TABLE_CAP)
         index = itertools.repeat(0)
         place = 1
         for row, m in zip(reversed(matrix), reversed(self.moduli)):
@@ -523,10 +536,7 @@ def norm_table(group: FiniteGroup, metric: Metric) -> tuple[int, ...]:
     (group, metric) pair evaluates ``norm`` |G| times; beyond ``_TABLE_CAP``
     elements none is evaluated.
     """
-    if group.order > _TABLE_CAP:
-        raise NotEnumerable(
-            f"{group} has {group.order} elements, beyond the norm table cap of {_TABLE_CAP}"
-        )
+    _check_cap(str(group), group.order, "elements", _TABLE_CAP)
     values = [norm(group, metric, x) for x in group.elements()]
     scale = math.lcm(*(v.denominator for v in values))
     return tuple(v.numerator * (scale // v.denominator) for v in values)
@@ -555,12 +565,7 @@ def validate_metric(group: Group, metric: Metric) -> Verdict:
         if isinstance(metric, CyclicMetric):
             _require_weight_count(metric, group)
             return proved()
-        pairs = group.order ** 2
-        if pairs > _PAIR_CAP:
-            raise NotEnumerable(
-                f"checking {metric.kind} norm axioms on {group} takes {pairs} pairs, "
-                f"beyond the cap of {_PAIR_CAP}"
-            )
+        _check_cap(f"the {metric.kind} check on {group}", group.order ** 2, "pairs", _PAIR_CAP)
         table = dict(zip(group.elements(), norm_table(group, metric)))
         if isinstance(metric, TableMetric) and len(metric.values) != len(table):
             raise MetricGroupMismatch(f"table has entries outside {group}")
@@ -585,18 +590,3 @@ def validate_metric(group: Group, metric: Metric) -> Verdict:
         f"{metric.kind} norm is not supported on {group}"
     )
 
-
-def norm_of_n(group: Group, metric: Metric, n: int) -> Fraction:
-    """Operator norm of multiplication by n: sup of ||n*x|| / ||x|| over x != 0."""
-    from .endo import op_norm, scaling
-
-    _positive_index(n)
-    return op_norm(scaling(group, n), metric)
-
-
-def mu_of_n(group: Group, metric: Metric, n: int) -> Fraction:
-    """Injectivity measure of multiplication by n: inf of ||n*x|| / ||x||."""
-    from .endo import injectivity_measure, scaling
-
-    _positive_index(n)
-    return injectivity_measure(scaling(group, n), metric)

@@ -4,7 +4,7 @@ Each property is one section of this module, in ``PropertyId`` order,
 holding its checker, its instance drawer and its spec row.  The rows, which
 each section appends to ``_TABLE``, are the one list of properties:
 ``PropertyId`` is built from them.  A row also holds the preconditions that
-``verify`` and the search both read (an expansive scalar n0, the full
+``verify`` and the search read (an expansive scalar n0, the full
 endomorphism ring, a pairwise operator statement).  Adding a property means
 adding one section.
 
@@ -54,8 +54,7 @@ from .groups import (
     LinfMetric,
     Metric,
     _PAIR_CAP,
-    mu_of_n,
-    norm_of_n,
+    _check_cap,
     validate_metric,
 )
 from .verdicts import Verdict, proved, refuted, unfalsified
@@ -89,7 +88,7 @@ class PropertySpec:
     and sets, consuming ``rng`` in a fixed order, so a search replays from
     its seed.  ``finite_group(rng)``, when set, replaces the group that a
     default finite-family search drew.  Flags: ``expansive`` needs n0 with
-    injectivity measure above one, ``finite_only`` enumerates End(G),
+    injectivity measure above one, ``finite_only`` draws only finite groups,
     ``pairwise`` lets an exhaustive search walk End(G) x End(G).
     """
 
@@ -131,12 +130,8 @@ def _row(name: str, draw, **flags):
 
 # -- Shared by several sections: named parts of an instance, and draws --------
 def _endo_universe(inst: Instance) -> list[Endomorphism]:
-    named = list(inst.endos.values())
-    if named:
-        return named
-    if isinstance(inst.group, FiniteGroup):
-        return list(en.all_endomorphisms(inst.group))
-    raise NotEnumerable("lattice instances must name their endomorphisms explicitly")
+    """The named maps, or else End(G), which ``all_endomorphisms`` may refuse."""
+    return list(inst.endos.values()) or list(en.all_endomorphisms(inst.group))
 
 
 def _named_set(inst: Instance, name: str) -> PointSet:
@@ -160,8 +155,7 @@ def _candidate_sets(inst: Instance) -> list[tuple[str, PointSet]]:
     g = inst.group
     if not isinstance(g, FiniteGroup):
         raise NotEnumerable("lattice instances must name their sets explicitly")
-    if g.order > _SUBSET_CAP:
-        raise NotEnumerable(f"subset-exhaustive mode is capped at order {_SUBSET_CAP}")
+    _check_cap(f"subset-exhaustive mode on {g}", g.order, "elements", _SUBSET_CAP)
     elems = list(g.elements())
     combos = (c for r in range(len(elems) + 1) for c in itertools.combinations(elems, r))
     return [(str(D), D) for D in (cx.finite_set(g, c) for c in combos)]
@@ -277,8 +271,8 @@ def _scalar_specialization(g: Group, m: Metric) -> tuple | None:
     span = range(1, _NAT_SPAN + 1)
     # each multiplier the loop reads, n, k and n * k, is mapped once
     multipliers = {n * k for n in span for k in span}
-    norms = {n: norm_of_n(g, m, n) for n in multipliers}
-    mus = {n: mu_of_n(g, m, n) for n in multipliers}
+    norms = {n: en.norm_of_n(g, m, n) for n in multipliers}
+    mus = {n: en.mu_of_n(g, m, n) for n in multipliers}
     for n in span:
         mu_n = mus[n]
         for k in span:
@@ -513,10 +507,7 @@ def _check_thm_0(inst: Instance) -> Verdict:
     if not cx.is_family_convex(cx.finite_set(g, ()), family).proved:
         return refuted(("empty set",))
     if isinstance(g, FiniteGroup):
-        if g.order ** 2 > _PAIR_CAP:
-            raise NotEnumerable(
-                f"the whole space of {g} has {g.order ** 2} pairs, beyond the cap of {_PAIR_CAP}"
-            )
+        _check_cap(f"the whole space of {g}", g.order ** 2, "pairs", _PAIR_CAP)
         whole = cx.finite_set(g, g.elements())
         if not cx.is_family_convex(whole, family).proved:
             return refuted(("whole space",))
@@ -531,17 +522,11 @@ def _check_thm_0(inst: Instance) -> Verdict:
         if not cx.is_family_convex(cx.finite_set(g, [x]), family).proved:
             return refuted(("singleton", x))
 
-    # (ii) intersections and finite chain unions
+    # (ii) intersections; a finite chain's union is its largest member, proved convex above
     for D1, D2 in itertools.combinations(convex_sets, 2):
         meet = cx.intersect(D1, D2)
         if not cx.is_family_convex(meet, family).proved:
             return refuted(("intersection", D1, D2))
-    for D1, D2 in itertools.permutations(convex_sets, 2):
-        if cx.subset_of(D1, D2):
-            both_finite = isinstance(D1, FiniteSet) and isinstance(D2, FiniteSet)
-            union = cx.finite_set(g, D1.elements + D2.elements) if both_finite else D2
-            if not cx.is_family_convex(union, family).proved:
-                return refuted(("chain union", D1, D2))
 
     # (iii) algebraic addition
     for D1, D2 in itertools.combinations_with_replacement(convex_sets, 2):
@@ -896,11 +881,9 @@ def verify(prop: PropertyId, inst: Instance) -> Verdict:
         n0 = inst.params.n0
         if n0 is None:
             raise HypothesisFailed("parameter n0 is provided")
-        mu0 = mu_of_n(inst.group, inst.metric, n0)
+        mu0 = en.mu_of_n(inst.group, inst.metric, n0)
         if mu0 <= 1:
             raise HypothesisFailed(_EXPANSIVE, f"mu_d({n0}) = {mu0}")
-    if spec.finite_only and not isinstance(inst.group, FiniteGroup):
-        raise NotEnumerable("the full endomorphism ring is needed; use a finite group")
     return spec.check(inst)
 
 
