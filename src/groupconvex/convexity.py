@@ -20,7 +20,6 @@ import itertools
 import math
 import operator
 import random
-from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -217,19 +216,26 @@ def subset_of(A: PointSet, B: PointSet) -> bool:
 # Convexity tests
 # ---------------------------------------------------------------------------
 
-# most sums one n-fold check builds; [10000]H for H = 11*Z121 builds 1.21 million
+# most pairs one n-fold check adds, and most parts of its witness
 _SUM_CAP = 1 << 21
 
 
 def is_n_convex(A: PointSet, n: int) -> Verdict:
     """Check [n]A inside n*A.
 
-    Finite sets are checked exhaustively, one round of sums per summand;
-    each new sum keeps a back-pointer to the first (sum, point) pair that
-    reached it, from which a refutation rebuilds its decomposition.  A round
-    that would pass ``_SUM_CAP`` sums is refused before it starts.  Boxes
-    are proved symbolically when the group is divisible by n (the interval
-    identity) and refuted with a constructed witness otherwise.
+    A finite nonempty set is decided from its pairs: with a0 its first
+    point and n >= 2, [n]A is inside n*A exactly when every total
+    x + y + (n-2)*a0 over x, y in A lands in n*A.  Each total is in [n]A,
+    so the condition is necessary.  It is sufficient: let H = A - a0, which
+    holds 0; the condition says H + H is inside n*H, so
+    |H| <= |H + H| <= |n*H| <= |H|.  Then H + H = H, a finite subset closed
+    under addition, is a subgroup, and n*H, inside H and as large, is H.
+    So [n]A = n*a0 + H = n*A.  A refutation is ((x, y, a0, ..., a0), total)
+    for the least missing total and the first pair reaching it.  More than
+    ``_SUM_CAP`` pairs, or a witness of more than ``_SUM_CAP`` parts, is
+    refused unbuilt.  Boxes are proved symbolically when the group is
+    divisible by n (the interval identity) and refuted with a constructed
+    witness otherwise.
     """
     _positive_index(n)
     g = A.group
@@ -238,29 +244,21 @@ def is_n_convex(A: PointSet, n: int) -> Verdict:
     if isinstance(A, FiniteSet):
         if not A.elements:
             return proved()
-        points = A.elements
+        points, a0 = A.elements, A.elements[0]
+        _check_cap(f"[{n}]A for {len(points)} points", len(points) ** 2, "pairs", _SUM_CAP)
+        pad = g.sub(g.nat_mul(n - 1, a0), a0)  # (n-2)*a0; nat_mul takes n >= 1
         dilation = n_dilate(A, n).members
-        # back-pointer p * |A| + j: sum p of the round before (0 before round 1) plus point j
-        layer, back, built = (g.zero(),), [], 0
-        for _ in range(n):
-            built += len(layer) * len(points)
-            _check_cap(f"[{n}]A for {len(points)} points", built, "sums", _SUM_CAP)
-            grown = {}
-            pairs = itertools.count()
-            for point in layer:
-                for s, pair in zip(map(g.add, itertools.repeat(point), points), pairs):
-                    if s not in grown:
-                        grown[s] = pair
-            back.append(array("q", grown.values()))
-            layer = grown
-        missing = min((s for s in layer if s not in dilation), default=None)
-        if missing is None:
+        shifted = [g.add(y, pad) for y in points]
+        least = None
+        for x in points:
+            for y, total in zip(points, map(g.add, itertools.repeat(x), shifted)):
+                if total not in dilation and (least is None or total < least[1]):
+                    least = ((x, y), total)
+        if least is None:
             return proved()
-        position, parts = list(layer).index(missing), []
-        for pointers in reversed(back):
-            position, j = divmod(pointers[position], len(points))
-            parts.append(points[j])
-        return refuted((tuple(reversed(parts)), missing))
+        _check_cap(f"a witness of [{n}]A", n, "parts", _SUM_CAP)
+        pair, total = least
+        return refuted((pair + (a0,) * (n - 2), total))
     if A.lo == A.hi:
         return proved()
     if g.divisible_by(n):

@@ -586,8 +586,6 @@ def _check_thm_p1(inst: Instance) -> Verdict:
     ident = en.identity(inst.group)
     for _, D in _candidate_sets(inst):
         family = frozenset(cx.family_of(D))
-        if en.zero(inst.group) not in family or ident not in family:
-            return refuted(("zero and identity membership", D))
         for T in family:
             # T(T1) + (I - T)(T2), with both compositions made once per pair
             heads = [T.compose(T1) for T1 in family]

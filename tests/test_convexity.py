@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -45,6 +46,7 @@ from groupconvex.errors import (
     NotFinite,
     UnsupportedMixedSum,
 )
+from groupconvex.verdicts import Status
 
 
 # -- sumsets and dilations ---------------------------------------------------
@@ -154,6 +156,48 @@ def test_composite_n_convexity():
             hits += 1
             assert is_n_convex(D, 6).proved
     assert hits >= 2  # the check is not vacuous
+
+
+_ORACLE_GROUPS = [
+    FiniteGroup(moduli) for moduli in ((9,), (12,), (2, 4), (2, 6), (3, 3), (3, 9), (4, 4))
+] + [IntLattice(1), IntLattice(2), DyadicLattice(1)]
+
+
+def _draw_n_convex_candidate(g, rng):
+    """A drawn finite set; on a finite group a third are cosets of a cyclic subgroup."""
+    if not isinstance(g, FiniteGroup):
+        scale = 4 if isinstance(g, DyadicLattice) else 1
+        size = rng.randint(1, 4)
+        return finite_set(g, [[Fraction(rng.randint(-6, 6), scale) for _ in range(g.dim)] for _ in range(size)])
+    elements = list(g.elements())
+    if rng.randrange(3):
+        return finite_set(g, rng.sample(elements, rng.randint(1, 5)))
+    start, step = rng.choice(elements), rng.choice(elements)
+    coset = [start]
+    while (point := g.add(coset[-1], step)) != start:
+        coset.append(point)
+    return finite_set(g, coset)
+
+
+@pytest.mark.parametrize("g", _ORACLE_GROUPS, ids=str)
+def test_n_convexity_agrees_with_the_n_fold_sum(g):
+    """The pair criterion against [n]A built by repeated sumsets, with every witness re-checked."""
+    rng = random.Random(7)
+    outcomes = set()
+    for _ in range(40):
+        A = _draw_n_convex_candidate(g, rng)
+        for n in range(1, 7):
+            verdict = is_n_convex(A, n)
+            dilation = n_dilate(A, n)
+            assert verdict.proved == subset_of(n_fold_sum(A, n), dilation), (A, n)
+            if n > 1:
+                outcomes.add(verdict.status)
+            if verdict.refuted:
+                parts, total = verdict.witness
+                assert len(parts) == n and all(contains(A, p) for p in parts), (A, n)
+                assert functools.reduce(g.add, parts) == total, (A, n)
+                assert not contains(dilation, total), (A, n)
+    assert outcomes == {Status.PROVED, Status.REFUTED}  # neither side is vacuous
 
 
 # -- T-convexity -------------------------------------------------------------

@@ -46,7 +46,7 @@ from groupconvex import (
 from groupconvex import convexity as cx
 from groupconvex import endo as en
 from groupconvex import theorems
-from groupconvex.cli import EXIT_INPUT, EXIT_OK, main
+from groupconvex.cli import EXIT_INPUT, EXIT_OK, EXIT_REFUTED, main
 from groupconvex.errors import (
     GeneratorExhausted,
     GroupConvexError,
@@ -290,9 +290,25 @@ def test_a_hull_beyond_the_pair_cap_is_an_input_error(tmp_path, capsys, group_li
 
 
 def test_n_fold_sums_beyond_the_cap_are_an_input_error(tmp_path, capsys):
+    """Too many pairs, or a witness of too many parts, is refused before it is built."""
+    session = _two_points({"kind": "int", "dim": 1}, "1")
+    session["sets"]["L"] = {"kind": "finite", "elements": [[str(i)] for i in range(1449)]}
+    path = _session_file(tmp_path, session)
+    assert main(["is-n-convex", path, "L", "2"]) == EXIT_INPUT
+    assert f"2099601 pairs, beyond the cap of {cx._SUM_CAP}" in capsys.readouterr().err
+    assert main(["is-n-convex", path, "S", str(10 ** 9)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"{10 ** 9} parts, beyond the cap of {cx._SUM_CAP}" in err
+    assert "MemoryError" not in err and "Traceback" not in err
+
+
+def test_long_n_fold_witnesses_recheck(tmp_path, capsys):
     path = _session_file(tmp_path, _two_points({"kind": "int", "dim": 1}, "1"))
-    assert main(["is-n-convex", path, "S", "3000"]) == EXIT_INPUT
-    assert f"sums, beyond the cap of {cx._SUM_CAP}" in capsys.readouterr().err
+    assert main(["is-n-convex", path, "S", "3000", "--json"]) == EXIT_REFUTED
+    parts, total = json.loads(capsys.readouterr().out)["witness"]
+    assert len(parts) == 3000 and all(part in (["0"], ["1"]) for part in parts)
+    assert total == [str(sum(int(part[0]) for part in parts))]
+    assert int(total[0]) % 3000  # outside 3000*{0, 1} = {0, 3000}
 
 
 def test_n_fold_sums_under_the_cap_still_decide(capsys):
@@ -303,18 +319,28 @@ def test_n_fold_sums_under_the_cap_still_decide(capsys):
     assert capsys.readouterr().out.strip() == "Proved"
 
 
+def test_n_convexity_of_a_coset_is_decided_for_any_n(capsys):
+    """H = 11*Z121 is a subgroup, so its 11^2 pairs decide it whatever n is."""
+    from pathlib import Path
+
+    session = Path(__file__).resolve().parents[1] / "bench" / "sessions" / "z121.json"
+    assert main(["is-n-convex", str(session), "H", "1000000"]) == EXIT_OK
+    assert capsys.readouterr().out.strip() == "Proved"
+
+
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_n_convex_witnesses_rebuild_the_first_decomposition(n):
-    """The witness is the first decomposition that reaches the first missing sum."""
+    """The witness is the first pair reaching the least missing pair total, then n - 2 copies of a0.
+
+    Here a0 = (0, 0), so the totals x + y + (n - 2)*a0 are the sums of [2]A.
+    """
     g = IntLattice(2)
     A = finite_set(g, [[0, 0], [1, 0], [0, 1], [3, 1]])
     layer = {x: (x,) for x in A.elements}
-    for _ in range(n - 1):
-        grown = {}
-        for point, parts in layer.items():
-            for x in A.elements:
-                grown.setdefault(g.add(point, x), parts + (x,))
-        layer = grown
+    grown = {}
+    for point, parts in layer.items():
+        for x in A.elements:
+            grown.setdefault(g.add(point, x), parts + (x,))
     dilation = n_dilate(A, n).members
-    point, parts = min((p, parts) for p, parts in layer.items() if p not in dilation)
-    assert is_n_convex(A, n).witness == (parts, point)
+    point, parts = min((p, parts) for p, parts in grown.items() if p not in dilation)
+    assert is_n_convex(A, n).witness == (parts + (A.elements[0],) * (n - 2), point)

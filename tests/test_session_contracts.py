@@ -1,13 +1,14 @@
 """The exit-code contract of ``gc`` over drawn sessions.
 
 Exit 1 means Refuted and nothing else: it comes with a ``Refuted`` record
-that carries a witness, and an ``is-convex`` witness re-checks.  Work that
-cannot be done exits 4 with a named error; no exception escapes ``main``.
-Groups too large to enumerate, such as Z_(2^70), are drawn alongside small
-ones.
+that carries a witness, and an ``is-convex`` or ``is-n-convex`` witness
+re-checks.  Work that cannot be done exits 4 with a named error; no
+exception escapes ``main``.  Groups too large to enumerate, such as
+Z_(2^70), are drawn alongside small ones.
 """
 
 import contextlib
+import functools
 import io
 import json
 import math
@@ -101,6 +102,18 @@ def _recheck_is_convex(session: dict, record: dict) -> None:
     assert point not in D
 
 
+def _recheck_is_n_convex(session: dict, record: dict, n: int) -> None:
+    """n parts from D sum to the total, and the total is n*d for no d in D."""
+    group = FiniteGroup(session["group"]["moduli"])
+    parts, total = record["witness"]
+    parts = [group.element([int(c) for c in v]) for v in parts]
+    total = group.element([int(c) for c in total])
+    D = {group.element([int(c) for c in v]) for v in session["sets"]["D"]["elements"]}
+    assert len(parts) == n and set(parts) <= D
+    assert total == functools.reduce(group.add, parts)
+    assert all(total != group.nat_mul(n, d) for d in D)
+
+
 @settings(max_examples=200, deadline=None)
 @given(sessions(), st.sampled_from(COMMANDS))
 def test_exit_one_always_carries_a_witness_that_rechecks(session, command):
@@ -112,3 +125,5 @@ def test_exit_one_always_carries_a_witness_that_rechecks(session, command):
     assert record["status"] == "Refuted" and record.get("witness"), record
     if command[0] == "is-convex":
         _recheck_is_convex(session, record)
+    if command[0] == "is-n-convex":
+        _recheck_is_n_convex(session, record, int(command[2]))

@@ -442,10 +442,10 @@ _REFUTATIONS = {
         PropertyId.COR_NIT, {"S": _I9, "T": scaling(_Z9, 3)}, {}, "endo", "shifted_inverse",
         _always(_I9), (_I9,),
     ),
-    # a family without the zero map
+    # 2 * 0 + (I - 2) * I = -I is not in the family (0, I, 2)
     "THM_P1": (
         PropertyId.THM_P1, {}, {"D": _D9}, "convexity", "family_of",
-        _always((_I9,)), ("zero and identity membership", _D9),
+        _always((_ZERO9, _I9, scaling(_Z9, 2))), (_D9, scaling(_Z9, 2), _ZERO9, _I9),
     ),
     # a family {0} misses the reflection I - 0
     "COR_1": (
