@@ -22,8 +22,8 @@ import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, reduce
-from typing import Iterable, Sequence
+from functools import cache, lru_cache, partial, reduce
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .endo import Endomorphism, all_endomorphisms, identity
 from .endo import zero as zero_endo
@@ -292,46 +292,54 @@ def _kernel_fault(what: str) -> InvariantViolated:
     return InvariantViolated(f"the pair loop refuted {what}, but the tuple re-check does not")
 
 
-def _on_codes(group: Group, size: int) -> bool:
-    """Whether a pass over ``size`` points of ``group`` runs on padded codes.
-
-    Only on a finite group whose 2^k landing offsets per point (see
-    ``FiniteGroup``) are no more than the points themselves, so a landing
-    set costs at most the size^2 pairs it serves.
-    """
-    return isinstance(group, FiniteGroup) and 1 << group.dim <= size
-
-
 def _same(x):
     return x
 
 
-def _coding(group: Group, on_codes: bool) -> tuple:
-    """(code, decode, reduce, add, landing) for one pass of a pair loop.
+class _Coding(NamedTuple):
+    """How one pass of a pair loop codes the points of a group.
 
-    On padded codes: ``FiniteGroup.code``/``decode``/``reduce``, int ``+``
-    and ``FiniteGroup.landing``.  On tuples: the identity three times,
-    ``group.add`` and ``frozenset``.  Either way the sum of a coded T(x) and
-    a coded y - T(y) is in the landing set of D's codes exactly when
-    T(x) + (y - T(y)) is in D, and ``reduce`` makes such a sum a code.
+    ``code`` and ``point`` turn an element into its code and back,
+    ``plus(a)`` is b -> the code of a + b, ``neg`` gives the code of -x, and
+    ``image(T)`` is x -> the code of T(x).
     """
-    if on_codes:
-        return group.code, group.decode, group.reduce, operator.add, group.landing
-    return _same, _same, _same, group.add, frozenset
+
+    code: Callable
+    point: Callable
+    plus: Callable
+    neg: Callable
+    image: Callable
 
 
-def _split(T: Endomorphism, xs: Iterable[Vector], on_codes: bool) -> list[tuple]:
-    """(T(x), x - T(x)) for each element x, coded as ``_coding`` does.
+def _coding(group: Group) -> _Coding:
+    """Lex indices where the group has tables, the tuples themselves elsewhere.
 
-    On codes, code(x) - code(T(x)) + code(m_1, ..., m_k) holds
-    x_j - T(x)_j + m_j in slot j, which is below 2*m_j, so ``reduce`` makes
-    it the code of x - T(x).
+    On indices (``FiniteGroup.tables``) every step is a lookup: a sum is a
+    row of the sum table and T(x) is T's image array (``_image_array``).
+    Groups whose tables are refused, and the lattices, run on tuples:
+    ``group.add``, ``group.neg`` and ``T.apply``, each T(x) computed once
+    per pass.
     """
-    g = T.group
-    if not on_codes:
-        return [(a := T.apply(x), g.sub(x, a)) for x in xs]
-    shift = g.code(g.moduli)
-    return [(a := g.code(T.apply(x)), g.reduce(g.code(x) + shift - a)) for x in xs]
+    if isinstance(group, FiniteGroup):
+        try:
+            t = group.tables()
+        except NotEnumerable:
+            pass
+        else:
+            return _Coding(
+                t.index.__getitem__,
+                t.elements.__getitem__,
+                lambda a: t.sums[a].__getitem__,
+                t.negs.__getitem__,
+                lambda T: _image_array(T).__getitem__,
+            )
+    return _Coding(_same, _same, lambda a: partial(group.add, a), group.neg, lambda T: cache(T.apply))
+
+
+# the image arrays of the last 1,024 maps that a pass on lex indices met
+@lru_cache(maxsize=1024)
+def _image_array(T: Endomorphism) -> tuple[int, ...]:
+    return tuple(T.group.image_indices(T.matrix))
 
 
 def linear_bounds(row: Sequence, lo: Sequence, hi: Sequence) -> tuple:
@@ -354,11 +362,10 @@ def linear_bounds(row: Sequence, lo: Sequence, hi: Sequence) -> tuple:
 def is_T_convex(D: PointSet, T: Endomorphism) -> Verdict:
     """Check T(x) + (I-T)(y) in D for all x, y in D.
 
-    Exhaustive over ordered pairs on finite sets: T(x) and y - T(y) are
-    computed once per element, on padded codes over a finite group when
-    that pays (``_on_codes``), and a row whose T(x) passed already is
-    skipped.  The witness is the first failing pair in ``D.elements``
-    order, re-checked on tuples.
+    Exhaustive over ordered pairs on finite sets, in the group's coding
+    (``_coding``): T(x) and y - T(y) are computed once per element, and a
+    row whose T(x) passed already is skipped.  The witness is the first
+    failing pair in ``D.elements`` order, re-checked on tuples.
 
     Boxes are decided exactly for every T by corner bounds: coordinate i of
     the combination is the linear form (T_i | e_i - T_i) in (x, y), so its
@@ -372,17 +379,19 @@ def is_T_convex(D: PointSet, T: Endomorphism) -> Verdict:
     _same_group(D, T)
     g = D.group
     if isinstance(D, FiniteSet):
-        on_codes = _on_codes(g, len(D))
-        code, _, _, add, landing_of = _coding(g, on_codes)
-        landing = landing_of(map(code, D.elements))
-        pairs = _split(T, D.elements, on_codes)
-        tails = {b for _, b in pairs}
+        c = _coding(g)
+        codes = list(map(c.code, D.elements))
+        members = frozenset(codes)
+        heads = list(map(c.image(T), codes))
+        tails = [c.plus(x)(c.neg(a)) for x, a in zip(codes, heads)]
+        distinct = set(tails)
         passed = set()
-        for x, (a, _) in zip(D.elements, pairs):
+        for x, a in zip(D.elements, heads):
             if a in passed:
                 continue
-            if not landing.issuperset(map(add, itertools.repeat(a), tails)):
-                y = next(y for y, (_, b) in zip(D.elements, pairs) if add(a, b) not in landing)
+            plus_a = c.plus(a)
+            if not members.issuperset(map(plus_a, distinct)):
+                y = next(y for y, b in zip(D.elements, tails) if plus_a(b) not in members)
                 point = _combination(T, x, y)
                 if point in D.members:
                     raise _kernel_fault(f"({x}, {y})")
@@ -412,28 +421,23 @@ def t_convex_pointwise(D: FiniteSet, T: Endomorphism) -> Verdict:
 
     T is applied to the members v of each translate, never to D and p
     separately, so this test does not lean on additivity the way
-    ``is_T_convex`` does.  Each translate is a set in the pass's coding
-    (``_on_codes``), and T(v) is in D - p when T(v) + p is in D's landing
-    set; T is applied once to each v met in any translate.  The witness is
-    the failing v that a loop over the tuple translate meets first,
-    re-checked on tuples.
+    ``is_T_convex`` does.  Each translate is a set in the group's coding
+    (``_coding``), where T(v) is a lookup in T's image array or, on tuples,
+    one ``T.apply`` per v met in any translate.  The witness is the failing
+    v that a loop over the tuple translate meets first, re-checked on
+    tuples.
     """
     if not isinstance(D, FiniteSet):
         raise NotFinite("the pointwise test enumerates translates")
     g = D.group
-    code, decode, reduce, add, landing_of = _coding(g, _on_codes(g, len(D)))
-    codes = tuple(map(code, D.elements))
-    landing = landing_of(codes)
-    images = {}
+    c = _coding(g)
+    codes = list(map(c.code, D.elements))
+    image = c.image(T)
     for p, cp in zip(D.elements, codes):
-        minus_p = code(g.neg(p))
-        translate = {reduce(add(c, minus_p)) for c in codes}
-        for v in translate.difference(images):
-            images[v] = code(T.apply(decode(v)))
-        failing = {v for v in translate if add(images[v], cp) not in landing}
-        if failing:
+        coded = set(map(c.plus(c.neg(cp)), codes))
+        if not coded.issuperset(map(image, coded)):
             translate = frozenset(g.sub(d, p) for d in D.elements)
-            v = next(v for v in translate if code(v) in failing)
+            v = next(v for v in translate if image(c.code(v)) not in coded)
             if T.apply(v) in translate:
                 raise _kernel_fault(f"T({v}) in the translate by {p}")
             return refuted((p, g.add(v, p)))
@@ -459,39 +463,34 @@ def convex_hull(
 
     The result is extensive and monotone; when the fixed point is reached
     the ``complete`` flag is set and the hull is family-convex.  Each pass
-    adds every sum of a T(x) and a y - T(y) over the points so far that
-    misses their landing set, on padded codes when S is large enough
-    (``_on_codes``), so the passes and the result do not depend on order.
-    A pass of more than ``_PAIR_CAP`` sums for one map is refused unbuilt.
+    adds every sum of a T(x) and a y - T(y) over the points so far, in the
+    group's coding (``_coding``), so the passes and the result do not
+    depend on order.  A pass of more than ``_PAIR_CAP`` sums for one map is
+    refused unbuilt.
     """
     if not isinstance(S, FiniteSet):
         raise NotFinite("hulls are computed from explicit finite seeds")
     for T in Ts:
         _same_group(S, T)
     g = S.group
-    on_codes = _on_codes(g, len(S))
-    code, decode, reduce, add, landing_of = _coding(g, on_codes)
-    current = set(map(code, S.elements))
-    landing = set(landing_of(current))
+    c = _coding(g)
+    current = set(map(c.code, S.elements))
+    images = [(T, c.image(T)) for T in Ts]
     complete = False
     for _ in range(max_iter):
         snapshot = list(current)
-        grown = False
-        for T in Ts:
-            pairs = _split(T, map(decode, snapshot), on_codes)
-            heads, tails = {a for a, _ in pairs}, {b for _, b in pairs}
+        size = len(current)
+        for T, image in images:
+            heads = list(map(image, snapshot))
+            tails = {c.plus(x)(c.neg(a)) for x, a in zip(snapshot, heads)}
+            heads = set(heads)
             _check_cap(f"a hull pass through {T}", len(heads) * len(tails), "sums", _PAIR_CAP)
             for a in heads:
-                for s in map(add, itertools.repeat(a), tails):
-                    if s not in landing:
-                        c = reduce(s)
-                        current.add(c)
-                        landing |= landing_of((c,))
-                        grown = True
-        if not grown:
+                current.update(map(c.plus(a), tails))
+        if len(current) == size:
             complete = True
             break
-    return FiniteSet(g, tuple(map(decode, sorted(current)))), complete
+    return FiniteSet(g, tuple(map(c.point, sorted(current)))), complete
 
 
 # a search asks about one set per draw, so only the last 256 families are kept
@@ -499,10 +498,24 @@ def convex_hull(
 def family_of(D: PointSet) -> tuple[Endomorphism, ...]:
     """All endomorphisms of a finite group that make D convex.
 
-    Always contains the zero map and the identity.
+    R makes D convex exactly when R(d) is in A_d for every d in D - D,
+    where A_d is the intersection of the translates D - y over the y in D
+    with y + d in D: for x = y + d, R(x) + (y - R(y)) = R(d) + y.  So each
+    map costs |D - D| lookups in the group's coding (``_coding``).  Always
+    contains the zero map and the identity.
     """
+    ring = all_endomorphisms(D.group)
+    c = _coding(D.group)
+    codes = list(map(c.code, D.elements))
+    targets = {}
+    for y in codes:
+        shifted = frozenset(map(c.plus(c.neg(y)), codes))
+        for d in shifted:
+            targets[d] = targets.get(d, shifted) & shifted
+    differences, allowed = list(targets), list(targets.values())
     members = tuple(
-        T for T in all_endomorphisms(D.group) if is_T_convex(D, T).proved
+        R for R in ring
+        if all(map(operator.contains, allowed, map(c.image(R), differences)))
     )
     if identity(D.group) not in members or zero_endo(D.group) not in members:
         raise InvariantViolated("the family of a set holds the zero map and the identity")

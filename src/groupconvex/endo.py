@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
@@ -66,12 +66,24 @@ from .scalars import root_lower, root_upper
 Matrix = tuple[tuple, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Endomorphism:
-    """An additive self-map of ``group`` given by an exact square matrix."""
+    """An additive self-map of ``group`` given by an exact square matrix.
+
+    The hash is the one the dataclass would compute, ``hash((group,
+    matrix))``, taken once at construction: maps key many caches and sets,
+    and each lookup would otherwise hash every row of the matrix again.
+    """
 
     group: Group
     matrix: Matrix
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.group, self.matrix)))
+
+    def __hash__(self):
+        return self._hash
 
     def __str__(self):
         rows = "; ".join(" ".join(str(e) for e in row) for row in self.matrix)

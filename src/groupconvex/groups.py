@@ -22,7 +22,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -131,23 +131,25 @@ def _check_cap(what: str, count: int, unit: str, cap: int) -> None:
         raise NotEnumerable(f"{what} has {count} {unit}, beyond the cap of {cap}")
 
 
+class LexTables(NamedTuple):
+    """A finite group's elements coded by their lex index (``FiniteGroup.tables``)."""
+
+    elements: tuple[Vector, ...]  # the element of each index, in lex order
+    index: dict[Vector, int]  # the index of each element
+    sums: tuple[tuple[int, ...], ...]  # sums[i][j]: the index of element i + element j
+    negs: tuple[int, ...]  # negs[i]: the index of -(element i)
+
+
 @dataclass(frozen=True)
 class FiniteGroup(Group):
     """Product of cyclic groups Z_m1 x ... x Z_mk; elements are residue tuples.
 
-    Each element also has a padded integer code: coordinate j sits in a slot
-    of width 2*m_j, so code(x) = sum_j x_j * P_j with P_(k-1) = 1 and
-    P_j = P_(j+1) * 2 * m_(j+1).  The plain sum of two codes never carries
-    from one slot into the next: slot j of code(x) + code(y) holds
-    x_j + y_j, which is the residue of the group sum or that residue plus
-    m_j.  So the sum lands on code(x + y) plus one of 2^k offsets
-    (sum_(j in S) m_j * P_j over the subsets S of slots), and the sum of x
-    and y lies in D exactly when code(x) + code(y) lies in D's landing set
-    (``landing``).  Codes are ordered as the elements are.
+    The hash is the one the dataclass would compute, ``hash((moduli,))``,
+    taken once at construction, since every map's hash reads it.
     """
 
     moduli: tuple[int, ...]
-    _radix: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
     kind = "finite"
     complete = True
 
@@ -160,10 +162,10 @@ class FiniteGroup(Group):
             raise ValueError("a finite group needs at least one modulus")
         if any(m < 2 for m in self.moduli):
             raise ValueError("all moduli must be >= 2")
-        radix = [1]
-        for m in reversed(self.moduli[1:]):
-            radix.insert(0, radix[0] * 2 * m)
-        object.__setattr__(self, "_radix", tuple(radix))
+        object.__setattr__(self, "_hash", hash((self.moduli,)))
+
+    def __hash__(self):
+        return self._hash
 
     def __str__(self):
         return "x".join(f"Z{m}" for m in self.moduli)
@@ -196,11 +198,16 @@ class FiniteGroup(Group):
     def add(self, x, y):
         self._check_dim(x)
         self._check_dim(y)
-        return tuple((a + b) % m for a, b, m in zip(x, y, self.moduli))
+        return tuple(map(operator.mod, map(operator.add, x, y), self.moduli))
 
     def neg(self, x):
         self._check_dim(x)
-        return tuple((-a) % m for a, m in zip(x, self.moduli))
+        return tuple(map(operator.mod, map(operator.neg, x), self.moduli))
+
+    def sub(self, x, y):
+        self._check_dim(x)
+        self._check_dim(y)
+        return tuple(map(operator.mod, map(operator.sub, x, y), self.moduli))
 
     def nat_mul(self, n, x):
         _positive_index(n)
@@ -240,41 +247,26 @@ class FiniteGroup(Group):
             place *= m
         return index
 
-    def code(self, x: Vector) -> int:
-        """The padded code of a canonical element."""
-        return sum(map(operator.mul, x, self._radix))
+    # a pass meets one or two groups, so only the last 8 groups' tables are kept
+    @lru_cache(maxsize=8)
+    def tables(self) -> LexTables:
+        """The lex index of every element, and sums and negatives on indices.
 
-    def reduce(self, s: int) -> int:
-        """The code of the element a padded value stands for.
-
-        ``s`` is a code plus one of the offsets, as the sum of two codes is;
-        a slot holding m_j or more gives m_j back.
+        The index is that of ``image_indices``, so G = H x Z_m (m the last
+        modulus) gives the element (h, r) the index i*m + r, with i that of
+        h in H.  The sum table of G follows from H's in one pass:
+        (h, r) + (h', r') has the index sums_H[i][i']*m + (r + r') mod m.
+        The |G|^2 sums are refused beyond ``_PAIR_CAP``, so only groups of
+        at most 1,024 elements get tables.
         """
-        for m, p in zip(self.moduli, self._radix):
-            if s % (2 * m * p) >= m * p:
-                s -= m * p
-        return s
-
-    def decode(self, s: int) -> Vector:
-        """The element a padded value stands for, as a canonical tuple."""
-        out = []
-        for m, p in zip(self.moduli, self._radix):
-            digit, s = divmod(s, p)
-            out.append(digit % m)
-        return tuple(out)
-
-    def landing(self, codes: Iterable[int]) -> frozenset[int]:
-        """Every padded value that reduces to one of ``codes``.
-
-        A sum of two codes lies in this set exactly when the group sum of
-        their elements has one of ``codes``; it holds 2^k ints per code, so
-        the convexity pair loops use it, in place of a frozenset of the
-        points, only on sets of at least 2^k points.
-        """
-        offsets = [0]
-        for m, p in zip(self.moduli, self._radix):
-            offsets += [o + m * p for o in offsets]
-        return frozenset(c + o for c in codes for o in offsets)
+        _check_cap(f"the sum table of {self}", self.order ** 2, "pairs", _PAIR_CAP)
+        sums, negs = [(0,)], (0,)
+        for m in self.moduli:
+            shifts = [tuple(range(r, m)) + tuple(range(r)) for r in range(m)]
+            sums = [tuple(a * m + b for a in row for b in shift) for row in sums for shift in shifts]
+            negs = tuple(a * m + -r % m for a in negs for r in range(m))
+        elements = tuple(self.elements())
+        return LexTables(elements, dict(zip(elements, itertools.count())), tuple(sums), negs)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,16 @@
 """The one pair loop of each convexity test against plain tuple loops.
 
-``is_T_convex``, ``t_convex_pointwise`` and ``convex_hull`` each run one
-pair loop on a coding that ``convexity._on_codes`` picks per call: padded
-integer codes over a finite group once a set has at least 2^k points (see
-``FiniteGroup``), the tuples themselves otherwise, lattice finite sets
-included.  The reference functions below are direct tuple loops over every
-pair, kept here as the oracle: every status, witness and hull must agree
-with them on both codings, both as the functions route themselves and with
-every finite-group set sent to the codes.
+``is_T_convex``, ``t_convex_pointwise``, ``convex_hull`` and ``family_of``
+each run one pair loop on the coding that ``convexity._coding`` picks per
+group: lex indices over a finite group whose tables exist
+(``FiniteGroup.tables``, for |G|^2 within ``_PAIR_CAP``), the tuples
+themselves otherwise, lattice finite sets included.  The reference
+functions below are direct tuple loops over every pair, kept here as the
+oracle: every status, witness and hull must agree with them on both
+codings, both as the functions route themselves and with every group's
+tables refused.  A sum table corrupted on purpose must turn a refutation
+that the tuple re-check denies into ``InvariantViolated``, also under
+``python -O``.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from pathlib import Path
 
 import pytest
 
-from groupconvex import convexity
 from groupconvex import (
     DyadicLattice,
     FiniteGroup,
@@ -37,7 +39,7 @@ from groupconvex import (
     t_convex_pointwise,
     zero,
 )
-from groupconvex.errors import InvariantViolated
+from groupconvex.errors import InvariantViolated, NotEnumerable
 from groupconvex.verdicts import proved, refuted
 
 
@@ -92,14 +94,16 @@ def _same(verdict, reference):
     return (verdict.status, verdict.witness) == (reference.status, reference.witness)
 
 
+def _refuse_tables(self):
+    raise NotEnumerable(f"no tables for {self}")
+
+
 def _routings(monkeypatch):
-    """Yield as the functions route themselves, then with every finite-group
-    set sent to the codes."""
+    """Yield as the functions route themselves, then with every group's
+    tables refused, so that finite-group sets run on tuples."""
     yield
     with monkeypatch.context() as patched:
-        patched.setattr(
-            convexity, "_on_codes", lambda group, size: isinstance(group, FiniteGroup)
-        )
+        patched.setattr(FiniteGroup, "tables", _refuse_tables)
         yield
 
 
@@ -215,71 +219,85 @@ def test_finite_set_does_not_depend_on_insertion_order(group):
 def test_codec_on_every_pair_of_z2_z3_z4():
     group = FiniteGroup((2, 3, 4))
     elems = list(group.elements())
-    code = group.code
-    assert [code(x) for x in elems] == sorted(code(x) for x in elems)
-    rng = random.Random(3)
-    sets = [finite_set(group, [x]) for x in elems] + _seeded_sets(group, rng, 20)
-    landings = [(D, group.landing(code(d) for d in D.elements)) for D in sets]
-    for x in elems:
-        assert group.decode(code(x)) == x
-        for y in elems:
-            total = code(x) + code(y)
-            assert group.reduce(total) == code(group.add(x, y)), (x, y)
-            assert group.decode(total) == group.add(x, y), (x, y)
-            for D, landing in landings:
-                assert (total in landing) == (group.add(x, y) in D.elements), (x, y, D)
+    tables = group.tables()
+    assert list(tables.elements) == elems == sorted(elems)
+    assert tables.index == {x: i for i, x in enumerate(elems)}
+    for i, x in enumerate(elems):
+        assert tables.negs[i] == tables.index[group.neg(x)], x
+        for j, y in enumerate(elems):
+            assert tables.sums[i][j] == tables.index[group.add(x, y)], (x, y)
+    # the tables exist while |G|^2 is within the pair cap: Z1024 has them
+    assert len(FiniteGroup((1024,)).tables().sums) == 1024
+    with pytest.raises(NotEnumerable, match="1050625 pairs, beyond the cap"):
+        FiniteGroup((5, 205)).tables()
 
 
-def test_codes_run_only_on_sets_of_at_least_2_to_the_k_points(monkeypatch):
-    def landing(self, codes):
-        raise AssertionError("landing set built")
+def _misroute_zero_sum(monkeypatch):
+    """Corrupt every sum table: 0 + 0 gets the index 1."""
+    real = FiniteGroup.tables
 
-    monkeypatch.setattr(FiniteGroup, "landing", landing)
+    def tables(self):
+        t = real(self)
+        return t._replace(sums=((1,) + t.sums[0][1:],) + t.sums[1:])
+
+    monkeypatch.setattr(FiniteGroup, "tables", tables)
+
+
+def test_tables_run_on_sets_of_every_size(monkeypatch):
+    _misroute_zero_sum(monkeypatch)
     group = FiniteGroup((2, 3, 4))
     elems = sorted(group.elements())
-    T = all_endomorphisms(group)[5]
-    small = finite_set(group, elems[:7])
-    assert _same(is_T_convex(small, T), ref_is_T_convex(small, T))
-    assert _same(t_convex_pointwise(small, T), ref_pointwise(small, T))
-    assert convex_hull(small, [T]) == ref_hull(small, [T])
-    large = finite_set(group, elems[:8])
-    for run in (is_T_convex, t_convex_pointwise, lambda D, T: convex_hull(D, [T])):
-        with pytest.raises(AssertionError, match="landing set built"):
-            run(large, T)
-
-
-def _drop_landing_member(monkeypatch):
-    real = FiniteGroup.landing
-
-    def landing(self, codes):
-        return real(self, codes) - {0}  # the landing of the zero element
-
-    monkeypatch.setattr(FiniteGroup, "landing", landing)
+    del elems[1]  # the element of index 1, where 0 + 0 now lands
+    for size in (1, 2, 7, 8, len(elems)):
+        D = finite_set(group, elems[:size])
+        for T in (zero(group), identity(group)):
+            with pytest.raises(InvariantViolated):
+                is_T_convex(D, T)
+        with pytest.raises(InvariantViolated):
+            t_convex_pointwise(D, zero(group))
+    # the hull reads the same table, so the hull of {0} takes in index 1
+    origin = finite_set(group, elems[:1])
+    assert convex_hull(origin, [zero(group)], max_iter=1)[0] != origin
+    # a group beyond the cap has no tables, so its pair loops run on tuples
+    big = FiniteGroup((2048,))
+    D = finite_set(big, [[0], [6], [10]])
+    for T in (zero(big), identity(big), make_endo(big, [[3]])):
+        assert _same(is_T_convex(D, T), ref_is_T_convex(D, T))
+        assert _same(t_convex_pointwise(D, T), ref_pointwise(D, T))
+        assert convex_hull(D, [T], max_iter=2) == ref_hull(D, [T], 2)
 
 
 def test_a_refutation_that_does_not_recheck_raises(monkeypatch):
-    _drop_landing_member(monkeypatch)
+    _misroute_zero_sum(monkeypatch)
     z9 = FiniteGroup((9,))
-    whole = finite_set(z9, z9.elements())
+    subgroup = finite_set(z9, [[0], [3], [6]])
+    for T in (zero(z9), identity(z9)):
+        with pytest.raises(InvariantViolated):
+            is_T_convex(subgroup, T)
     with pytest.raises(InvariantViolated):
-        is_T_convex(whole, identity(z9))
-    with pytest.raises(InvariantViolated):
-        t_convex_pointwise(finite_set(z9, z9.elements()), identity(z9))
+        t_convex_pointwise(subgroup, zero(z9))
 
 
-_BROKEN_LANDING = """
+_BROKEN_SUMS = """
 import sys
 
-from groupconvex import FiniteGroup, finite_set, identity, is_T_convex, t_convex_pointwise
+from groupconvex import FiniteGroup, finite_set, is_T_convex, t_convex_pointwise, zero
 from groupconvex.errors import InvariantViolated
 
 print("optimize", sys.flags.optimize)
-real = FiniteGroup.landing
-FiniteGroup.landing = lambda self, codes: real(self, codes) - {0}
+real = FiniteGroup.tables
+
+
+def tables(self):
+    t = real(self)
+    return t._replace(sums=((1,) + t.sums[0][1:],) + t.sums[1:])  # 0 + 0 lands on 1
+
+
+FiniteGroup.tables = tables
 z9 = FiniteGroup((9,))
 for test in (is_T_convex, t_convex_pointwise):
     try:
-        print("returned", test(finite_set(z9, z9.elements()), identity(z9)))
+        print("returned", test(finite_set(z9, [[0], [3], [6]]), zero(z9)))
     except InvariantViolated:
         print("raised")
 print("numpy", "numpy" in sys.modules)
@@ -292,8 +310,56 @@ def test_refutation_recheck_survives_optimized_mode():
     src = str(Path(groupconvex.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     result = subprocess.run(
-        [sys.executable, "-O", "-c", _BROKEN_LANDING],
+        [sys.executable, "-O", "-c", _BROKEN_SUMS],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == ["optimize 1", "raised", "raised", "numpy False"]
+
+
+def _cube_endos(cube, rng):
+    """A swap of two coordinates, a projection and a random 0/1 matrix on Z2^64."""
+    swap = [[int(j == (1 - i if i < 2 else i)) for j in range(64)] for i in range(64)]
+    projection = [[int(i == j < 32) for j in range(64)] for i in range(64)]
+    binary = [[rng.randrange(2) for _ in range(64)] for _ in range(64)]
+    return [make_endo(cube, rows) for rows in (swap, projection, binary)]
+
+
+def test_groups_without_tables_agree_with_tuple_loops():
+    rng = random.Random(23)
+    big, cube = FiniteGroup((2**70,)), FiniteGroup((2,) * 64)
+    e = [tuple(int(i == j) for j in range(64)) for i in range(64)]
+    big_endos = [make_endo(big, [[a]]) for a in (3, 2**69 + 1, -1)]
+    cases = [
+        (big, [[0], [1], [2**69]], big_endos),
+        (big, [[0], [2**68], [2**69], [3 * 2**68]], big_endos),
+        (cube, [e[0], e[1], cube.add(e[0], e[1])], _cube_endos(cube, rng)),
+        (cube, [cube.zero(), e[0], e[5], e[63]], _cube_endos(cube, rng)),
+    ]
+    outcomes = set()
+    for group, points, endos in cases:
+        with pytest.raises(NotEnumerable, match="beyond the cap"):
+            group.tables()
+        D = finite_set(group, points)
+        for T in [zero(group), identity(group)] + endos:
+            direct = ref_is_T_convex(D, T)
+            outcomes.add(direct.status)
+            assert _same(is_T_convex(D, T), direct), (D, T)
+            assert _same(t_convex_pointwise(D, T), ref_pointwise(D, T)), (D, T)
+        for max_iter in (1, 2):
+            hull = convex_hull(D, endos[:2], max_iter=max_iter)
+            assert hull == ref_hull(D, endos[:2], max_iter), (D, max_iter)
+    assert len(outcomes) == 2
+    # the 1,024 multiples of 2 in Z2048: 2048^2 pairs, beyond the pair cap
+    z2048 = FiniteGroup((2048,))
+    evens = finite_set(z2048, [[2 * k] for k in range(1024)])
+    triple = make_endo(z2048, [[3]])
+    # a subgroup is convex for every map and is its own hull
+    assert is_T_convex(evens, triple).proved
+    assert t_convex_pointwise(evens, triple).proved
+    assert convex_hull(evens, [triple]) == (evens, True)
+    # with the point 1 added, T(1) + (0 - T(0)) = 3 leaves the set
+    odd = finite_set(z2048, evens.elements + ((1,),))
+    assert _same(is_T_convex(odd, triple), ref_is_T_convex(odd, triple))
+    assert is_T_convex(odd, triple).witness == ((1,), (0,), (3,))
+    assert _same(t_convex_pointwise(odd, triple), ref_pointwise(odd, triple))

@@ -959,7 +959,6 @@ import groupconvex.convexity as cx
 from groupconvex import CyclicMetric, FiniteGroup, finite_set, neumann_inverse, scaling
 from groupconvex.endo import Endomorphism
 from groupconvex.errors import InvariantViolated
-from groupconvex.verdicts import refuted
 
 print("optimize", sys.flags.optimize)
 z9 = FiniteGroup((9,))
@@ -968,7 +967,7 @@ try:
     print("returned", neumann_inverse(scaling(z9, 3), CyclicMetric((Fraction(1),))))
 except InvariantViolated as err:
     print("raised", err)
-cx.is_T_convex = lambda D, T: refuted(())  # no map keeps any set convex
+FiniteGroup.image_indices = lambda self, matrix: [1] * self.order  # every map sends 0 to 1
 try:
     print("returned", cx.family_of(finite_set(z9, [[0]])))
 except InvariantViolated as err:

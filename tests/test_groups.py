@@ -21,7 +21,7 @@ from groupconvex import (
     validate_metric,
 )
 from groupconvex import groups as groups_module
-from groupconvex.endo import injectivity_measure, op_norm, scaling
+from groupconvex.endo import all_endomorphisms, injectivity_measure, make_endo, op_norm, scaling
 from groupconvex.errors import (
     DimensionMismatch,
     MetricGroupMismatch,
@@ -300,6 +300,21 @@ def test_metric_hash_is_the_dataclass_hash_of_its_canonical_fields():
     table = table_metric({(1,): "1/2", (0,): 0, (2,): Fraction(1, 2)})
     assert hash(table) == hash((table.entries,))
     assert table == table_metric({(0,): "0", (1,): Fraction(1, 2), (2,): "2/4"})
+
+
+def test_group_and_map_hash_is_the_dataclass_hash_of_their_fields():
+    # frozenset order of maps, and so THM_P1/COR_1 witnesses, follows these values
+    for moduli in ([4, 6], (4, 6), ("4", "6")):
+        assert hash(FiniteGroup(moduli)) == hash(((4, 6),))
+    assert hash(FiniteGroup((9,))) == hash(((9,),))
+    assert hash(IntLattice(2)) == hash(DyadicLattice(2)) == hash((2,))
+    maps = list(all_endomorphisms(FiniteGroup((2, 4)))) + list(all_endomorphisms(FiniteGroup((3, 3))))
+    maps += [make_endo(g, [[1, -2], [3, 0]]) for g in (IntLattice(2), DyadicLattice(2))]
+    maps.append(make_endo(DyadicLattice(2), [[Fraction(1, 2), 0], [0, Fraction(-3, 4)]]))
+    for T in maps:
+        assert hash(T) == hash((T.group, T.matrix))
+        rebuilt = make_endo(T.group, [list(row) for row in T.matrix])
+        assert rebuilt == T and hash(rebuilt) == hash(T)
 
 
 def test_validation_and_operator_norms_share_one_norm_table():
