@@ -13,8 +13,11 @@ values because ratios are scale-invariant and rational vectors are dense).
 On a finite group both come from one integer pass per (map, metric): the
 norm table holds L * ||x|| as ints in lex order, T's columns give the lex
 index of T(x) for every x by linearity (``FiniteGroup.image_indices``), and
-the pass keeps the largest and the smallest ratio by cross-multiplication,
-so only the two results become Fractions.  The same array decides inverses.
+the pass keeps the largest and the smallest ratio by cross-multiplication.
+The same array decides inverses.  The integer view of End(G) (``_ring``)
+owns that pass and keeps the two ratios as int pairs per map; it also
+composes, adds and subtracts maps on the coordinates of their columns, so
+the pairwise checkers of ``theorems`` compare ints.
 A lattice operator is carried as one integer matrix and one scale, A = M/d,
 and a weighted metric as one integer ratio matrix W/L, so these formulas
 are integer sums; the inverse N/e comes from one fraction-free (Bareiss)
@@ -35,6 +38,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -71,18 +75,18 @@ class Endomorphism:
     """An additive self-map of ``group`` given by an exact square matrix.
 
     The hash is the one the dataclass would compute, ``hash((group,
-    matrix))``, taken once at construction: maps key many caches and sets,
-    and each lookup would otherwise hash every row of the matrix again.
+    matrix))``, taken on the first ``hash`` call and kept: maps key many
+    caches and sets, and each lookup would otherwise hash every row of the
+    matrix again, while a map that keys nothing never hashes its matrix.
     """
 
     group: Group
     matrix: Matrix
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.group, self.matrix)))
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __hash__(self):
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.group, self.matrix)))
         return self._hash
 
     def __str__(self):
@@ -310,26 +314,10 @@ def _powers(M: list[list[int]], d: int):
         power, scale = _matmul(power, M), scale * d
 
 
-@lru_cache(maxsize=None)
-def _finite_bounds(T: Endomorphism, metric: Metric) -> tuple[Fraction, Fraction]:
-    """(max, min) of ||T(x)|| / ||x|| over the nonzero x of a finite group.
-
-    One pass over the image indices reads the integer-scaled norm table, in
-    which every ratio keeps its value; ratios are compared by
-    cross-multiplication over positive denominators.
-    """
-    norms = norm_table(T.group, metric)
-    if min(norms[1:]) <= 0:
-        raise MetricGroupMismatch("metric is not positive definite")
-    images = T.group.image_indices(T.matrix)
-    high_num = low_num = norms[images[1]]
-    high_den = low_den = norms[1]
-    for num, den in zip(map(norms.__getitem__, images[2:]), norms[2:]):
-        if num * high_den > high_num * den:
-            high_num, high_den = num, den
-        elif num * low_den < low_num * den:
-            low_num, low_den = num, den
-    return Fraction(high_num, high_den), Fraction(low_num, low_den)
+def _finite_bounds(T: Endomorphism, metric: Metric) -> tuple[Fraction, ...]:
+    """(max, min) of ||T(x)|| / ||x|| over the nonzero x of a finite group."""
+    view = _ring(T.group, metric)
+    return tuple(Fraction(*pair) for pair in view.bounds(view.handle(T)))
 
 
 @lru_cache(maxsize=None)
@@ -423,6 +411,13 @@ def _prime_factor_count(n: int) -> int:
 _HORIZON_CAP = 1024
 
 
+def _check_horizon(horizon: int) -> None:
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    if horizon > _HORIZON_CAP:
+        raise ValueError(f"horizon {horizon} is beyond the cap of {_HORIZON_CAP}")
+
+
 @lru_cache(maxsize=None)
 def spectral_radius(T: Endomorphism, metric: Metric, horizon: int = 8) -> RhoBracket:
     """Bracket the limit of the m-th roots of power norms.
@@ -437,14 +432,11 @@ def spectral_radius(T: Endomorphism, metric: Metric, horizon: int = 8) -> RhoBra
     lattice the bracket uses root upper bounds of power norms against root
     lower bounds of power injectivity measures.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    if horizon > _HORIZON_CAP:
-        raise ValueError(f"horizon {horizon} is beyond the cap of {_HORIZON_CAP}")
+    _check_horizon(horizon)
     g = T.group
     if isinstance(g, FiniteGroup):
-        nilpotent = T.power(_prime_factor_count(g.order)).is_zero
-        return _exact_bracket(0 if nilpotent else 1)
+        view = _ring(g, metric)
+        return _exact_bracket(0 if view.nilpotent(view.handle(T)) else 1)
     if isinstance(g, IntLattice) and T.power(g.dim).is_zero:
         return _exact_bracket(0)
     weights = _weight_ratios(metric)
@@ -471,6 +463,182 @@ def spectral_radius(T: Endomorphism, metric: Metric, horizon: int = 8) -> RhoBra
                 lower = lower_m
     lower = min(lower, upper)
     return RhoBracket(lower, upper, lower == upper)
+
+
+# ---------------------------------------------------------------------------
+# The integer view of End(G)
+# ---------------------------------------------------------------------------
+
+class _RingView:
+    """End(G) of a finite group on ints, for one metric (see ``_ring``).
+
+    A map's key is the flat tuple of the coordinates of its columns T(e_j),
+    column after column; each key gets a small int id, the map's handle,
+    when first met, so nothing lists End(G).  Per id the view keeps the key,
+    the matrix by columns and by rows and, once asked, the norm and measure
+    as (num, den) pairs and nilpotency: O(dim^2) ints a map, no array over
+    G.  The bounds come from one pass over the map's image indices, built,
+    read and dropped, that reads ``norm_table`` and keeps the extreme ratios
+    by cross-multiplication over positive denominators.  T∘S, T + S and
+    T - S are coordinate arithmetic on the keys, so no table of G is needed.
+    """
+
+    def __init__(self, group: FiniteGroup, metric: Metric):
+        self.group, self.metric = group, metric
+        # the modulus of each entry of a key
+        self._key_moduli = group.moduli * group.dim
+        self.ids: dict[tuple[int, ...], int] = {}
+        self.keys: list[tuple[int, ...]] = []
+        self.columns: list[tuple[tuple[int, ...], ...]] = []
+        self.rows: list[tuple[tuple[int, ...], ...]] = []
+        self._bounds, self._nilpotent = {}, {}
+        self._new_id = threading.Lock()
+
+    def _split(self, key: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        """The columns of the map with this key."""
+        dim = self.group.dim
+        return tuple(key[j:j + dim] for j in range(0, len(key), dim))
+
+    def _id(self, key: tuple[int, ...]) -> int:
+        i = self.ids.get(key)
+        if i is None:
+            # a view is shared, so a new id is published after its key
+            with self._new_id:
+                i = self.ids.get(key)
+                if i is None:
+                    columns = self._split(key)
+                    self.columns.append(columns)
+                    self.rows.append(tuple(zip(*columns)))
+                    self.keys.append(key)
+                    i = self.ids[key] = len(self.keys) - 1
+        return i
+
+    def handle(self, T: Endomorphism) -> int:
+        _same_group(T, self)
+        return self._id(tuple(itertools.chain.from_iterable(zip(*T.matrix))))
+
+    def _apply(self, t: int, columns) -> tuple[int, ...]:
+        """The key of map t applied to each of ``columns``."""
+        rows = tuple(zip(self.rows[t], self.group.moduli))
+        return tuple([sum(map(operator.mul, row, col)) % m for col in columns for row, m in rows])
+
+    def compose(self, t: int, s: int) -> int:
+        return self._id(self._apply(t, self.columns[s]))
+
+    def add(self, t: int, s: int) -> int:
+        keys = self.keys
+        return self._id(tuple(map(operator.mod, map(operator.add, keys[t], keys[s]), self._key_moduli)))
+
+    def sub(self, t: int, s: int) -> int:
+        keys = self.keys
+        return self._id(tuple(map(operator.mod, map(operator.sub, keys[t], keys[s]), self._key_moduli)))
+
+    def norm(self, t: int) -> tuple[int, int]:
+        return self.bounds(t)[0]
+
+    def measure(self, t: int) -> tuple[int, int]:
+        return self.bounds(t)[1]
+
+    def bounds(self, t: int) -> tuple[tuple[int, int], tuple[int, int]]:
+        """The (max, min) of ||T(x)|| / ||x|| over x != 0 as (num, den) pairs."""
+        bounds = self._bounds.get(t)
+        if bounds is None:
+            norms = norm_table(self.group, self.metric)
+            if min(norms[1:]) <= 0:
+                raise MetricGroupMismatch("metric is not positive definite")
+            images = self.group.image_indices(self.rows[t])
+            high_num = low_num = norms[images[1]]
+            high_den = low_den = norms[1]
+            for num, den in zip(map(norms.__getitem__, images[2:]), norms[2:]):
+                if num * high_den > high_num * den:
+                    high_num, high_den = num, den
+                elif num * low_den < low_num * den:
+                    low_num, low_den = num, den
+            bounds = self._bounds[t] = (high_num, high_den), (low_num, low_den)
+        return bounds
+
+    def nilpotent(self, t: int) -> bool:
+        """T^Omega(|G|) = 0, stepping the columns T(e_j) through T."""
+        nilpotent = self._nilpotent.get(t)
+        if nilpotent is None:
+            key = self.keys[t]
+            for _ in range(_prime_factor_count(self.group.order) - 1):
+                key = self._apply(t, self._split(key))
+            nilpotent = self._nilpotent[t] = not any(key)
+        return nilpotent
+
+    def radius(self, t: int, horizon: int) -> tuple[int, int]:
+        """The spectral radius, exactly 0 or 1 on a finite group."""
+        _check_horizon(horizon)
+        return (0, 1) if self.nilpotent(t) else (1, 1)
+
+
+# Ratios as (num, den) int pairs with den > 0, as ``_ring`` gives them.
+def _pair(q: Fraction) -> tuple[int, int]:
+    return q.numerator, q.denominator
+
+
+def _times(p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int]:
+    return p[0] * q[0], p[1] * q[1]
+
+
+def _plus(p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int]:
+    return p[0] * q[1] + q[0] * p[1], p[1] * q[1]
+
+
+def _gap(p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int]:
+    """|p - q|."""
+    return abs(p[0] * q[1] - q[0] * p[1]), p[1] * q[1]
+
+
+def _exceeds(p: tuple[int, int], q: tuple[int, int]) -> bool:
+    return p[0] * q[1] > q[0] * p[1]
+
+
+class _LatticeRing(NamedTuple):
+    """End(G) of a lattice as ``_ring`` serves it.
+
+    Each map is its own handle, and its norm, measure and radius bound are
+    the lru-cached ``Fraction`` values as (num, den) pairs.
+    """
+
+    metric: Metric
+
+    def handle(self, T: Endomorphism) -> Endomorphism:
+        return T
+
+    def compose(self, T: Endomorphism, S: Endomorphism) -> Endomorphism:
+        return T.compose(S)
+
+    def add(self, T: Endomorphism, S: Endomorphism) -> Endomorphism:
+        return T.add(S)
+
+    def sub(self, T: Endomorphism, S: Endomorphism) -> Endomorphism:
+        return T.sub(S)
+
+    def norm(self, T: Endomorphism) -> tuple[int, int]:
+        return _pair(op_norm(T, self.metric))
+
+    def measure(self, T: Endomorphism) -> tuple[int, int]:
+        return _pair(injectivity_measure(T, self.metric))
+
+    def radius(self, T: Endomorphism, horizon: int) -> tuple[int, int]:
+        """The upper end of the spectral-radius bracket."""
+        return _pair(spectral_radius(T, self.metric, horizon).upper)
+
+
+# a search meets one or two (group, metric) pairs, so only the last 8 are kept
+@lru_cache(maxsize=8)
+def _ring(group: Group, metric: Metric) -> _RingView | _LatticeRing:
+    """End(group) under ``metric``, as handles and (num, den) int pairs.
+
+    Ring operations on handles give handles, and norm, measure and radius
+    bound are pairs with den > 0: the integer view of a finite group, a
+    lattice's maps and Fraction values otherwise.
+    """
+    if isinstance(group, FiniteGroup):
+        return _RingView(group, metric)
+    return _LatticeRing(metric)
 
 
 # ---------------------------------------------------------------------------

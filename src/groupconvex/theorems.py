@@ -36,7 +36,7 @@ from typing import Callable
 from . import convexity as cx
 from . import endo as en
 from .convexity import BoxSet, FiniteSet, PointSet
-from .endo import Endomorphism
+from .endo import Endomorphism, _exceeds, _gap, _plus, _times
 from .errors import (
     GeneratorExhausted,
     HypothesisFailed,
@@ -242,64 +242,69 @@ def _draw_set(group, metric, rng):
     return {}, {"D": _draw_finite_set(group, rng)}
 
 
+# -- Shared by LEMMA_MU, COR_MU and LEMMA_SR: one pair loop over handles -------
+# ``en._ring`` gives every map a handle and its bounds as (num, den) int
+# pairs, on a finite group and on a lattice alike, so each inequality is
+# written once, as an integer cross-multiplication (``endo._exceeds``).
+def _handles(inst: Instance) -> tuple:
+    """The instance's ring view and its universe as (map, handle) pairs."""
+    ring = en._ring(inst.group, inst.metric)
+    return ring, [(T, ring.handle(T)) for T in _endo_universe(inst)]
+
+
 # -- LEMMA_MU: supermultiplicativity and Lipschitz bounds of the measure ------
 @_row("LEMMA_MU", _draw_operators, pairwise=True)
 def _check_lemma_mu(inst: Instance) -> Verdict:
     """Supermultiplicativity and Lipschitz bounds of the injectivity measure."""
-    m = inst.metric
-    universe = _endo_universe(inst)
-    for T in universe:
-        for S in universe:
-            mu_t = en.injectivity_measure(T, m)
-            mu_s = en.injectivity_measure(S, m)
-            composed = T.compose(S)
-            if mu_t * en.op_norm(S, m) > en.op_norm(composed, m):
-                return refuted(("norm supermultiplicativity", T, S))
-            if mu_t * mu_s > en.injectivity_measure(composed, m):
-                return refuted(("measure supermultiplicativity", T, S))
-            if abs(mu_t - mu_s) > en.operator_distance(T, S, m):
-                return refuted(("Lipschitz bound", T, S))
-    failure = _scalar_specialization(inst.group, m)
-    if failure is not None:
-        return refuted(failure)
-    return proved()
+    ring, items = _handles(inst)
+    failure = _measure_failure(ring, items, lambda T, S, t, s: ring.norm(ring.sub(t, s)))
+    if failure is None:
+        failure = _scalar_specialization(inst.group, inst.metric)
+    return proved() if failure is None else refuted(failure)
+
+
+def _measure_failure(ring, items: list, distance) -> tuple | None:
+    """The first (label, T, S) over ``items`` that breaks a measure inequality.
+
+    ``distance(T, S, t, s)`` is the pair that bounds |mu(T) - mu(S)|.
+    """
+    for T, t in items:
+        mu_t = ring.measure(t)
+        for S, s in items:
+            mu_s = ring.measure(s)
+            composed = ring.compose(t, s)
+            if _exceeds(_times(mu_t, ring.norm(s)), ring.norm(composed)):
+                return ("norm supermultiplicativity", T, S)
+            if _exceeds(_times(mu_t, mu_s), ring.measure(composed)):
+                return ("measure supermultiplicativity", T, S)
+            if _exceeds(_gap(mu_t, mu_s), distance(T, S, t, s)):
+                return ("Lipschitz bound", T, S)
+    return None
 
 
 @lru_cache(maxsize=None)
 def _scalar_specialization(g: Group, m: Metric) -> tuple | None:
-    """The measure inequalities specialized to multiplication maps."""
-    span = range(1, _NAT_SPAN + 1)
-    # each multiplier the loop reads, n, k and n * k, is mapped once
-    multipliers = {n * k for n in span for k in span}
-    norms = {n: en.norm_of_n(g, m, n) for n in multipliers}
-    mus = {n: en.mu_of_n(g, m, n) for n in multipliers}
-    for n in span:
-        mu_n = mus[n]
-        for k in span:
-            if mu_n * norms[k] > norms[n * k]:
-                return ("scalar norm supermultiplicativity", n, k)
-            if mu_n * mus[k] > mus[n * k]:
-                return ("scalar measure supermultiplicativity", n, k)
-            if abs(mu_n - mus[k]) > abs(n - k):
-                return ("scalar Lipschitz bound", n, k)
-    return None
+    """The measure inequalities on the maps x -> n*x, at distance |n - k|."""
+    ring = en._ring(g, m)
+    items = [(n, ring.handle(en.scaling(g, n))) for n in range(1, _NAT_SPAN + 1)]
+    failure = _measure_failure(ring, items, lambda n, k, t, s: (abs(n - k), 1))
+    return None if failure is None else ("scalar " + failure[0],) + failure[1:]
 
 
 # -- COR_MU: maps of positive measure form an open semigroup ------------------
 @_row("COR_MU", _draw_operators, pairwise=True)
 def _check_cor_mu(inst: Instance) -> Verdict:
     """Operators of positive measure form an open multiplicative semigroup."""
-    m = inst.metric
-    universe = _endo_universe(inst)
-    for T in universe:
-        mu_t = en.injectivity_measure(T, m)
-        if mu_t <= 0:
+    ring, items = _handles(inst)
+    for T, t in items:
+        mu_t = ring.measure(t)
+        if mu_t[0] <= 0:
             continue
-        for S in universe:
-            mu_s = en.injectivity_measure(S, m)
-            if mu_s > 0 and en.injectivity_measure(T.compose(S), m) <= 0:
+        for S, s in items:
+            positive = ring.measure(s)[0] > 0
+            if positive and ring.measure(ring.compose(t, s))[0] <= 0:
                 return refuted(("semigroup closure", T, S))
-            if en.operator_distance(T, S, m) < mu_t and mu_s <= 0:
+            if not positive and _exceeds(mu_t, ring.norm(ring.sub(t, s))):
                 return refuted(("openness", T, S))
     return proved()
 
@@ -362,30 +367,29 @@ def _check_thm_rct(inst: Instance) -> Verdict:
 @_row("LEMMA_SR", _draw_operators, pairwise=True)
 def _check_lemma_sr(inst: Instance) -> Verdict:
     """Ordering of measure, spectral radius and norm; commuting-pair bounds."""
-    m = inst.metric
     horizon = inst.params.horizon
-    universe = _endo_universe(inst)
-    for T in universe:
-        bracket = en.spectral_radius(T, m, horizon)
-        if en.injectivity_measure(T, m) > bracket.upper:
+    ring, items = _handles(inst)
+    for T, t in items:
+        upper = ring.radius(t, horizon)
+        if _exceeds(ring.measure(t), upper):
             return refuted(("measure below radius", T))
-        if bracket.upper > en.op_norm(T, m):
+        if _exceeds(upper, ring.norm(t)):
             return refuted(("radius below norm", T))
     if isinstance(inst.group, FiniteGroup):
         # radii are exact here, so the commuting-pair bounds compare values
-        for T in universe:
-            rho_t = en.spectral_radius(T, m, horizon).value
-            for S in universe:
-                composed = T.compose(S)
-                if composed != S.compose(T):
+        for T, t in items:
+            rho_t = ring.radius(t, horizon)
+            for S, s in items:
+                composed = ring.compose(t, s)
+                if composed != ring.compose(s, t):
                     continue
-                rho_s = en.spectral_radius(S, m, horizon).value
-                if en.spectral_radius(T.add(S), m, horizon).value > rho_t + rho_s:
+                rho_s = ring.radius(s, horizon)
+                if _exceeds(ring.radius(ring.add(t, s), horizon), _plus(rho_t, rho_s)):
                     return refuted(("subadditivity of the radius", T, S))
-                rho_ts = en.spectral_radius(composed, m, horizon).value
-                if en.injectivity_measure(T, m) * rho_s > rho_ts:
+                rho_ts = ring.radius(composed, horizon)
+                if _exceeds(_times(ring.measure(t), rho_s), rho_ts):
                     return refuted(("measure-radius supermultiplicativity", T, S))
-                if rho_ts > rho_t * rho_s:
+                if _exceeds(rho_ts, _times(rho_t, rho_s)):
                     return refuted(("submultiplicativity of the radius", T, S))
     return proved()
 

@@ -416,21 +416,22 @@ def _always(value):
 
 
 _REFUTATIONS = {
-    # mu(I) = 2 makes mu(T) ||S|| exceed ||T S|| on the pair (I, I)
+    # mu(I) = 2 makes mu(T) ||S|| exceed ||T S|| on the pair (I, I); on a
+    # finite group the checkers read the measure from the ring view, as a pair
     "LEMMA_MU": (
-        PropertyId.LEMMA_MU, {"T": _I9}, {}, "endo", "injectivity_measure",
-        _always(Fraction(2)), ("norm supermultiplicativity", _I9, _I9),
+        PropertyId.LEMMA_MU, {"T": _I9}, {}, "ring view", "measure",
+        _always((2, 1)), ("norm supermultiplicativity", _I9, _I9),
     ),
     # mu vanishes on 2 * 2 = 4 only, so the product of two positive maps is not
     "COR_MU": (
-        PropertyId.COR_MU, {"T": scaling(_Z9, 2)}, {}, "endo", "injectivity_measure",
-        lambda T, metric: Fraction(int(T != scaling(_Z9, 4))),
+        PropertyId.COR_MU, {"T": scaling(_Z9, 2)}, {}, "ring view", "measure",
+        lambda view, t: (int(t != view.handle(scaling(_Z9, 4))), 1),
         ("semigroup closure", scaling(_Z9, 2), scaling(_Z9, 2)),
     ),
     # a measure of 2 lies above every radius of a finite group
     "LEMMA_SR": (
-        PropertyId.LEMMA_SR, {"T": _I9}, {}, "endo", "injectivity_measure",
-        _always(Fraction(2)), ("measure below radius", _I9),
+        PropertyId.LEMMA_SR, {"T": _I9}, {}, "ring view", "measure",
+        _always((2, 1)), ("measure below radius", _I9),
     ),
     # the identity does not invert I - 3
     "THM_NIT": (
@@ -468,7 +469,11 @@ def test_first_conclusion_refutes_with_its_witness(case, monkeypatch):
     prop, endos, sets, module, name, patched, witness = _REFUTATIONS[case]
     inst = Instance(_Z9, _CYC, endos=endos, sets=sets)
     assert verify(prop, inst).proved
-    modules = {"endo": groupconvex.endo, "convexity": groupconvex.convexity}
+    modules = {
+        "endo": groupconvex.endo,
+        "convexity": groupconvex.convexity,
+        "ring view": groupconvex.endo._RingView,
+    }
     monkeypatch.setattr(modules[module], name, patched)
     verdict = verify(prop, inst)
     assert verdict.status is Status.REFUTED
