@@ -314,17 +314,12 @@ def _powers(M: list[list[int]], d: int):
         power, scale = _matmul(power, M), scale * d
 
 
-def _finite_bounds(T: Endomorphism, metric: Metric) -> tuple[Fraction, ...]:
-    """(max, min) of ||T(x)|| / ||x|| over the nonzero x of a finite group."""
-    view = _ring(T.group, metric)
-    return tuple(Fraction(*pair) for pair in view.bounds(view.handle(T)))
-
-
 @lru_cache(maxsize=None)
 def op_norm(T: Endomorphism, metric: Metric) -> Fraction:
     """sup of ||T(x)|| / ||x|| over nonzero x; exact in all supported cases."""
     if isinstance(T.group, FiniteGroup):
-        return _finite_bounds(T, metric)[0]
+        view = _ring(T.group, metric)
+        return Fraction(*view.norm(view.handle(T)))
     return _lattice_norm(*_scaled(T.matrix), _weight_ratios(metric))
 
 
@@ -337,7 +332,8 @@ def injectivity_measure(T: Endomorphism, metric: Metric) -> Fraction:
     1 / ||T^-1|| otherwise.
     """
     if isinstance(T.group, FiniteGroup):
-        return _finite_bounds(T, metric)[1]
+        view = _ring(T.group, metric)
+        return Fraction(*view.measure(view.handle(T)))
     inverse = _scaled_inverse(*_scaled(T.matrix))
     if inverse is None:
         return Fraction(0)

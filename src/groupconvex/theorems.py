@@ -18,9 +18,10 @@ and carry a minimal witness.
 satisfy a property's hypotheses and reports the first violation, the sample
 count, or ``GeneratorExhausted`` when the hypotheses are unsatisfiable (for
 example, no finite group admits an n with injectivity measure above one).
-With ``exhaustive`` set, a pairwise property on a pinned finite group walks
-End(G) x End(G) lazily, one instance per checked pair, and stops at the
-budget; any other exhaustive search is refused with ``NotEnumerable``.
+With ``exhaustive`` set, a pairwise property on a pinned finite group is one
+``verify`` of the bare group, its checker walking the first ``budget`` ordered
+pairs of End(G) x End(G); any other exhaustive search is refused with
+``NotEnumerable``.
 """
 
 from __future__ import annotations
@@ -89,11 +90,12 @@ class PropertySpec:
     its seed.  ``finite_group(rng)``, when set, replaces the group that a
     default finite-family search drew.  Flags: ``expansive`` needs n0 with
     injectivity measure above one, ``finite_only`` draws only finite groups,
-    ``pairwise`` lets an exhaustive search walk End(G) x End(G).
+    ``pairwise`` marks a ``check(inst, pairs)`` that stops after the first
+    ``pairs`` ordered pairs of its maps, as an exhaustive search asks.
     """
 
     name: str
-    check: Callable[[Instance], Verdict]
+    check: Callable[..., Verdict]
     draw: Callable[[Group, Metric, random.Random], tuple[dict, dict]]
     expansive: bool = False
     finite_only: bool = False
@@ -242,43 +244,44 @@ def _draw_set(group, metric, rng):
     return {}, {"D": _draw_finite_set(group, rng)}
 
 
-# -- Shared by LEMMA_MU, COR_MU and LEMMA_SR: one pair loop over handles -------
+# -- Shared by LEMMA_MU, COR_MU and LEMMA_SR: one walk over ordered pairs -----
 # ``en._ring`` gives every map a handle and its bounds as (num, den) int
 # pairs, on a finite group and on a lattice alike, so each inequality is
 # written once, as an integer cross-multiplication (``endo._exceeds``).
-def _handles(inst: Instance) -> tuple:
-    """The instance's ring view and its universe as (map, handle) pairs."""
+def _pairs(inst: Instance, limit: int | None) -> tuple:
+    """The ring view, the universe's first ``limit`` maps as (map, handle)
+    items and its first ``limit`` ordered pairs in product order, which touch
+    no other map; a ``limit`` of None takes them all."""
     ring = en._ring(inst.group, inst.metric)
-    return ring, [(T, ring.handle(T)) for T in _endo_universe(inst)]
+    items = [(T, ring.handle(T)) for T in itertools.islice(_endo_universe(inst), limit)]
+    return ring, items, itertools.islice(itertools.product(items, items), limit)
 
 
 # -- LEMMA_MU: supermultiplicativity and Lipschitz bounds of the measure ------
 @_row("LEMMA_MU", _draw_operators, pairwise=True)
-def _check_lemma_mu(inst: Instance) -> Verdict:
+def _check_lemma_mu(inst: Instance, pairs: int | None = None) -> Verdict:
     """Supermultiplicativity and Lipschitz bounds of the injectivity measure."""
-    ring, items = _handles(inst)
-    failure = _measure_failure(ring, items, lambda T, S, t, s: ring.norm(ring.sub(t, s)))
+    ring, _, walk = _pairs(inst, pairs)
+    failure = _measure_failure(ring, walk, lambda T, S, t, s: ring.norm(ring.sub(t, s)))
     if failure is None:
         failure = _scalar_specialization(inst.group, inst.metric)
     return proved() if failure is None else refuted(failure)
 
 
-def _measure_failure(ring, items: list, distance) -> tuple | None:
-    """The first (label, T, S) over ``items`` that breaks a measure inequality.
+def _measure_failure(ring, pairs, distance) -> tuple | None:
+    """The first (label, T, S) of ``pairs`` that breaks a measure inequality.
 
     ``distance(T, S, t, s)`` is the pair that bounds |mu(T) - mu(S)|.
     """
-    for T, t in items:
-        mu_t = ring.measure(t)
-        for S, s in items:
-            mu_s = ring.measure(s)
-            composed = ring.compose(t, s)
-            if _exceeds(_times(mu_t, ring.norm(s)), ring.norm(composed)):
-                return ("norm supermultiplicativity", T, S)
-            if _exceeds(_times(mu_t, mu_s), ring.measure(composed)):
-                return ("measure supermultiplicativity", T, S)
-            if _exceeds(_gap(mu_t, mu_s), distance(T, S, t, s)):
-                return ("Lipschitz bound", T, S)
+    for (T, t), (S, s) in pairs:
+        mu_t, mu_s = ring.measure(t), ring.measure(s)
+        composed = ring.compose(t, s)
+        if _exceeds(_times(mu_t, ring.norm(s)), ring.norm(composed)):
+            return ("norm supermultiplicativity", T, S)
+        if _exceeds(_times(mu_t, mu_s), ring.measure(composed)):
+            return ("measure supermultiplicativity", T, S)
+        if _exceeds(_gap(mu_t, mu_s), distance(T, S, t, s)):
+            return ("Lipschitz bound", T, S)
     return None
 
 
@@ -287,25 +290,24 @@ def _scalar_specialization(g: Group, m: Metric) -> tuple | None:
     """The measure inequalities on the maps x -> n*x, at distance |n - k|."""
     ring = en._ring(g, m)
     items = [(n, ring.handle(en.scaling(g, n))) for n in range(1, _NAT_SPAN + 1)]
-    failure = _measure_failure(ring, items, lambda n, k, t, s: (abs(n - k), 1))
+    failure = _measure_failure(ring, itertools.product(items, items), lambda n, k, *_: (abs(n - k), 1))
     return None if failure is None else ("scalar " + failure[0],) + failure[1:]
 
 
 # -- COR_MU: maps of positive measure form an open semigroup ------------------
 @_row("COR_MU", _draw_operators, pairwise=True)
-def _check_cor_mu(inst: Instance) -> Verdict:
+def _check_cor_mu(inst: Instance, pairs: int | None = None) -> Verdict:
     """Operators of positive measure form an open multiplicative semigroup."""
-    ring, items = _handles(inst)
-    for T, t in items:
+    ring, _, walk = _pairs(inst, pairs)
+    for (T, t), (S, s) in walk:
         mu_t = ring.measure(t)
         if mu_t[0] <= 0:
             continue
-        for S, s in items:
-            positive = ring.measure(s)[0] > 0
-            if positive and ring.measure(ring.compose(t, s))[0] <= 0:
-                return refuted(("semigroup closure", T, S))
-            if not positive and _exceeds(mu_t, ring.norm(ring.sub(t, s))):
-                return refuted(("openness", T, S))
+        positive = ring.measure(s)[0] > 0
+        if positive and ring.measure(ring.compose(t, s))[0] <= 0:
+            return refuted(("semigroup closure", T, S))
+        if not positive and _exceeds(mu_t, ring.norm(ring.sub(t, s))):
+            return refuted(("openness", T, S))
     return proved()
 
 
@@ -365,10 +367,10 @@ def _check_thm_rct(inst: Instance) -> Verdict:
 
 # -- LEMMA_SR: measure, spectral radius and norm ------------------------------
 @_row("LEMMA_SR", _draw_operators, pairwise=True)
-def _check_lemma_sr(inst: Instance) -> Verdict:
+def _check_lemma_sr(inst: Instance, pairs: int | None = None) -> Verdict:
     """Ordering of measure, spectral radius and norm; commuting-pair bounds."""
     horizon = inst.params.horizon
-    ring, items = _handles(inst)
+    ring, items, walk = _pairs(inst, pairs)
     for T, t in items:
         upper = ring.radius(t, horizon)
         if _exceeds(ring.measure(t), upper):
@@ -377,20 +379,18 @@ def _check_lemma_sr(inst: Instance) -> Verdict:
             return refuted(("radius below norm", T))
     if isinstance(inst.group, FiniteGroup):
         # radii are exact here, so the commuting-pair bounds compare values
-        for T, t in items:
-            rho_t = ring.radius(t, horizon)
-            for S, s in items:
-                composed = ring.compose(t, s)
-                if composed != ring.compose(s, t):
-                    continue
-                rho_s = ring.radius(s, horizon)
-                if _exceeds(ring.radius(ring.add(t, s), horizon), _plus(rho_t, rho_s)):
-                    return refuted(("subadditivity of the radius", T, S))
-                rho_ts = ring.radius(composed, horizon)
-                if _exceeds(_times(ring.measure(t), rho_s), rho_ts):
-                    return refuted(("measure-radius supermultiplicativity", T, S))
-                if _exceeds(rho_ts, _times(rho_t, rho_s)):
-                    return refuted(("submultiplicativity of the radius", T, S))
+        for (T, t), (S, s) in walk:
+            composed = ring.compose(t, s)
+            if composed != ring.compose(s, t):
+                continue
+            rho_t, rho_s = ring.radius(t, horizon), ring.radius(s, horizon)
+            if _exceeds(ring.radius(ring.add(t, s), horizon), _plus(rho_t, rho_s)):
+                return refuted(("subadditivity of the radius", T, S))
+            rho_ts = ring.radius(composed, horizon)
+            if _exceeds(_times(ring.measure(t), rho_s), rho_ts):
+                return refuted(("measure-radius supermultiplicativity", T, S))
+            if _exceeds(rho_ts, _times(rho_t, rho_s)):
+                return refuted(("submultiplicativity of the radius", T, S))
     return proved()
 
 
@@ -874,8 +874,11 @@ PropertyId = Enum(
 _SPECS: dict[PropertyId, PropertySpec] = dict(zip(PropertyId, _TABLE))
 
 
-def verify(prop: PropertyId, inst: Instance) -> Verdict:
-    """Run the checker for ``prop`` on ``inst``; pure in its arguments."""
+def verify(prop: PropertyId, inst: Instance, pairs: int | None = None) -> Verdict:
+    """Run the checker for ``prop`` on ``inst``; pure in its arguments.
+
+    A pairwise checker stops after its first ``pairs`` ordered pairs of maps.
+    """
     if not validate_metric(inst.group, inst.metric).proved:
         raise HypothesisFailed("the metric satisfies the norm axioms")
     spec = _SPECS[prop]
@@ -886,7 +889,7 @@ def verify(prop: PropertyId, inst: Instance) -> Verdict:
         mu0 = en.mu_of_n(inst.group, inst.metric, n0)
         if mu0 <= 1:
             raise HypothesisFailed(_EXPANSIVE, f"mu_d({n0}) = {mu0}")
-    return spec.check(inst)
+    return spec.check(inst, pairs) if spec.pairwise else spec.check(inst)
 
 
 # -- The seeded search --------------------------------------------------------
@@ -962,15 +965,12 @@ def counterexample_search(
                 f"property ({pairwise}) on a pinned finite group"
             )
         metric = _metric_for(gen, gen.group)
-        ring = en.all_endomorphisms(gen.group)
-        for checked, (T, S) in enumerate(itertools.product(ring, ring)):
-            if checked >= budget:
-                return unfalsified(checked)
-            inst = Instance(gen.group, metric, endos={"T": T, "S": S})
-            verdict = verify(prop, inst)
-            if verdict.refuted:
-                return refuted((inst,) + verdict.witness)
-        return proved()
+        size = len(en.all_endomorphisms(gen.group)) ** 2
+        verdict = verify(prop, Instance(gen.group, metric), pairs=budget)
+        if verdict.refuted:
+            maps = dict(zip("TS", (w for w in verdict.witness if isinstance(w, Endomorphism))))
+            return refuted((Instance(gen.group, metric, endos=maps),) + verdict.witness)
+        return proved() if budget >= size else unfalsified(budget)
 
     rng = random.Random(seed)
     checked = 0

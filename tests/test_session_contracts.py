@@ -89,6 +89,11 @@ COMMANDS = [
     ["invert", "T"],
     ["invert", "S", "T"],
 ] + [["verify", prop.name] for prop in PropertyId]
+# an exhaustive search of seven ordered pairs (T, S) of End(G)
+SEARCHES = [
+    ["search", prop, "--exhaustive", "--budget", "7"] for prop in ("LEMMA_MU", "COR_MU", "LEMMA_SR")
+]
+COMMANDS += SEARCHES
 
 
 def _recheck_is_convex(session: dict, record: dict) -> None:
@@ -127,3 +132,19 @@ def test_exit_one_always_carries_a_witness_that_rechecks(session, command):
         _recheck_is_convex(session, record)
     if command[0] == "is-n-convex":
         _recheck_is_n_convex(session, record, int(command[2]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(sessions(), st.sampled_from(SEARCHES))
+def test_an_exhaustive_search_proves_exactly_when_the_budget_covers_every_pair(session, command):
+    moduli = session["group"]["moduli"]
+    code, out, err = _run(session, [*command, "--json"])
+    if HUGE in moduli:
+        assert code == EXIT_INPUT, (out, err)
+        return
+    ring = math.prod(math.gcd(m_i, m_j) for m_i in moduli for m_j in moduli)
+    record = json.loads(out.splitlines()[-1])
+    if ring ** 2 <= 7:
+        assert code == 0 and record["status"] == "Proved", (out, err)
+    else:
+        assert code == 2 and record == {"status": "Unfalsified", "property": command[1], "samples": 7}

@@ -478,3 +478,56 @@ def test_first_conclusion_refutes_with_its_witness(case, monkeypatch):
     verdict = verify(prop, inst)
     assert verdict.status is Status.REFUTED
     assert verdict.witness == witness
+
+
+# -- the exhaustive search walks the checker's own pairs -----------------------
+
+_PAIRWISE = (PropertyId.LEMMA_MU, PropertyId.COR_MU, PropertyId.LEMMA_SR)
+
+
+@pytest.mark.parametrize("moduli", [(2, 2), (4,), (2, 4)], ids=str)
+@pytest.mark.parametrize("prop", _PAIRWISE, ids=str)
+def test_exhaustive_search_budget_counts_ordered_pairs(prop, moduli):
+    from groupconvex import all_endomorphisms
+
+    g = FiniteGroup(moduli)
+    metric = CyclicMetric(tuple(Fraction(1) for _ in moduli))
+    size = len(all_endomorphisms(g))
+    gen = GeneratorConfig(group=g, exhaustive=True)
+    assert verify(prop, Instance(g, metric)).proved
+    assert counterexample_search(prop, gen, budget=size * size, seed=0).proved
+    for budget in (1, size, size * size - 1):
+        verdict = counterexample_search(prop, gen, budget=budget, seed=0)
+        assert verdict.unfalsified and verdict.samples == budget
+
+
+def test_exhaustive_search_names_the_first_failing_ordered_pair(monkeypatch):
+    # only (x3, x1) fails, and x1 comes before x3 in End(Z4): the search must
+    # reach pair 13 = 3 * 4 + 1, where a walk of the two-map instance
+    # {x1, x3} would already meet it as pair 7
+    import groupconvex.endo as en
+    from groupconvex import all_endomorphisms
+
+    z4 = FiniteGroup((4,))
+    metric = CyclicMetric((Fraction(1),))
+    one, three = scaling(z4, 1), scaling(z4, 3)
+    ring = all_endomorphisms(z4)
+    assert ring.index(three) * len(ring) + ring.index(one) == 13
+    view = en._ring(z4, metric)
+    failing = (view.handle(three), view.handle(one))
+    zero = view.handle(scaling(z4, 0))
+    compose = en._RingView.compose
+
+    def patched(self, t, s):
+        return zero if self is view and (t, s) == failing else compose(self, t, s)
+
+    monkeypatch.setattr(en._RingView, "compose", patched)
+    gen = GeneratorConfig(group=z4, exhaustive=True)
+    before = counterexample_search(PropertyId.COR_MU, gen, budget=13, seed=0)
+    assert before.unfalsified and before.samples == 13
+    verdict = counterexample_search(PropertyId.COR_MU, gen, budget=14, seed=0)
+    assert verdict.refuted
+    inst, label, T, S = verdict.witness
+    assert (label, T, S) == ("semigroup closure", three, one)
+    assert inst.endos == {"T": three, "S": one}
+    assert verify(PropertyId.COR_MU, inst).witness == verdict.witness[1:]
