@@ -195,29 +195,43 @@ def scaling(group: Group, n: int) -> Endomorphism:
 _RING_CAP = 1 << 16
 
 
-@lru_cache(maxsize=None)
-def all_endomorphisms(group: Group) -> tuple[Endomorphism, ...]:
-    """The full endomorphism ring of a finite group.
-
-    Entry (i, j) ranges over the multiples of m_i / gcd(m_i, m_j) below m_i,
-    which enumerates each matrix exactly once, so the ring has
-    prod_(i, j) gcd(m_i, m_j) maps; beyond ``_RING_CAP`` none is built.
-    """
+def _ring_cells(group: Group) -> list[range]:
+    """The values of entry (i, j), row by row: the multiples of m_i / gcd(m_i, m_j)
+    below m_i, which give each map once, so End(G) has prod_(i, j) gcd(m_i, m_j)
+    maps; refused beyond ``_RING_CAP`` of them."""
     if not isinstance(group, FiniteGroup):
         raise NotEnumerable(f"the endomorphism ring of {group} is not enumerable")
     size = math.prod(math.gcd(m_i, m_j) for m_i in group.moduli for m_j in group.moduli)
     _check_cap(f"the endomorphism ring of {group}", size, "maps", _RING_CAP)
-    cells = []
-    for m_i in group.moduli:
-        for m_j in group.moduli:
-            step = m_i // math.gcd(m_i, m_j)
-            cells.append(range(0, m_i, step))
+    return [range(0, m_i, m_i // math.gcd(m_i, m_j)) for m_i in group.moduli for m_j in group.moduli]
+
+
+def _from_entries(group: Group, entries: Sequence[int]) -> Endomorphism:
     n = group.dim
-    out = []
-    for combo in itertools.product(*cells):
-        rows = [combo[i * n:(i + 1) * n] for i in range(n)]
-        out.append(_build(group, rows))
-    return tuple(out)
+    return _build(group, [entries[i * n:(i + 1) * n] for i in range(n)])
+
+
+@lru_cache(maxsize=None)
+def all_endomorphisms(group: Group) -> tuple[Endomorphism, ...]:
+    """The full endomorphism ring of a finite group, in product order of its cells."""
+    return tuple(_from_entries(group, combo) for combo in itertools.product(*_ring_cells(group)))
+
+
+def ring_size(group: Group) -> int:
+    """|End(group)|, refused as ``all_endomorphisms`` refuses it."""
+    return math.prod(map(len, _ring_cells(group)))
+
+
+def endomorphism_at(group: Group, index: int) -> Endomorphism:
+    """``all_endomorphisms(group)[index]`` for 0 <= index < ``ring_size(group)``,
+    built alone: the last entry varies fastest, as in ``itertools.product``."""
+    entries = []
+    for cell in reversed(_ring_cells(group)):
+        index, r = divmod(index, len(cell))
+        entries.append(cell[r])
+    if index:
+        raise IndexError("map index out of range")
+    return _from_entries(group, entries[::-1])
 
 
 # ---------------------------------------------------------------------------

@@ -158,9 +158,9 @@ def _candidate_sets(inst: Instance) -> list[tuple[str, PointSet]]:
     if not isinstance(g, FiniteGroup):
         raise NotEnumerable("lattice instances must name their sets explicitly")
     _check_cap(f"subset-exhaustive mode on {g}", g.order, "elements", _SUBSET_CAP)
-    elems = list(g.elements())
+    elems = list(g.elements())  # canonical points in sorted order: each combination is a set
     combos = (c for r in range(len(elems) + 1) for c in itertools.combinations(elems, r))
-    return [(str(D), D) for D in (cx.finite_set(g, c) for c in combos)]
+    return [(str(D), D) for D in (FiniteSet(g, c) for c in combos)]
 
 
 def _diagonal(T: Endomorphism) -> tuple | None:
@@ -175,15 +175,11 @@ def _diagonal(T: Endomorphism) -> tuple | None:
 def _draw_endo(group: Group, rng: random.Random) -> Endomorphism:
     n = group.dim
     if isinstance(group, FiniteGroup):
-        ring = en.all_endomorphisms(group)
-        return ring[rng.randrange(len(ring))]
+        return en.endomorphism_at(group, rng.randrange(en.ring_size(group)))
     if isinstance(group, IntLattice):
-        rows = [[rng.randint(*_ENTRY_RANGE) for _ in range(n)] for _ in range(n)]
-        return en.make_endo(group, rows)
-    rows = [
-        [Fraction(rng.randint(*_ENTRY_RANGE), 1 << rng.randint(0, 2)) for _ in range(n)]
-        for _ in range(n)
-    ]
+        return en.make_endo(group, [[rng.randint(*_ENTRY_RANGE) for _ in range(n)] for _ in range(n)])
+    rows = [[Fraction(rng.randint(*_ENTRY_RANGE), 1 << rng.randint(0, 2)) for _ in range(n)]
+            for _ in range(n)]
     return en.make_endo(group, rows)
 
 
@@ -540,21 +536,21 @@ def _check_thm_0(inst: Instance) -> Verdict:
         if not cx.is_family_convex(total, family).proved:
             return refuted(("sumset", D1, D2))
 
-    # (iv) images and preimages through a commuting endomorphism
+    # (iv) images and preimages through a commuting endomorphism, compared on handles
     if "A" in inst.endos:
-        commuting = [inst.endos["A"]]
-        for T in family:
-            if commuting[0].compose(T) != T.compose(commuting[0]):
-                raise HypothesisFailed("A commutes with every family member")
+        candidates = [inst.endos["A"]]
     elif isinstance(g, FiniteGroup):
-        ring = en.all_endomorphisms(g) if g.order <= 16 else [
+        candidates = en.all_endomorphisms(g) if g.order <= 16 else [
             en.scaling(g, n) for n in range(max(g.moduli))
         ]
-        commuting = [
-            A for A in ring if all(A.compose(T) == T.compose(A) for T in family)
-        ]
     else:
-        commuting = []
+        candidates = []
+    view = en._ring(g, inst.metric)
+    handles = [view.handle(T) for T in family]
+    commuting = [A for A, a in zip(candidates, map(view.handle, candidates))
+                 if all(view.compose(a, t) == view.compose(t, a) for t in handles)]
+    if "A" in inst.endos and not commuting:
+        raise HypothesisFailed("A commutes with every family member")
     for A in commuting:
         for D in convex_sets:
             if not isinstance(D, FiniteSet):
@@ -587,17 +583,18 @@ def _check_lem_tc(inst: Instance) -> Verdict:
 @_row("THM_P1", _draw_set, finite_only=True)
 def _check_thm_p1(inst: Instance) -> Verdict:
     """The family of a set is convex under its own induced combinations."""
-    ident = en.identity(inst.group)
+    ring = en._ring(inst.group, inst.metric)
+    ident = ring.handle(en.identity(inst.group))
     for _, D in _candidate_sets(inst):
-        family = frozenset(cx.family_of(D))
-        for T in family:
+        family = {ring.handle(T): T for T in frozenset(cx.family_of(D))}
+        for t, T in family.items():
             # T(T1) + (I - T)(T2), with both compositions made once per pair
-            heads = [T.compose(T1) for T1 in family]
-            rest = ident.sub(T)
-            tails = [rest.compose(T2) for T2 in family]
-            for T1, head in zip(family, heads):
-                for T2, tail in zip(family, tails):
-                    if head.add(tail) not in family:
+            heads = [ring.compose(t, t1) for t1 in family]
+            rest = ring.sub(ident, t)
+            tails = [ring.compose(rest, t2) for t2 in family]
+            for T1, head in zip(family.values(), heads):
+                for T2, tail in zip(family.values(), tails):
+                    if ring.add(head, tail) not in family:
                         return refuted((D, T, T1, T2))
     return proved()
 
@@ -606,18 +603,19 @@ def _check_thm_p1(inst: Instance) -> Verdict:
 @_row("COR_1", _draw_set, finite_only=True)
 def _check_cor_1(inst: Instance) -> Verdict:
     """Families are closed under composition, reflection and pair mixing."""
-    ident = en.identity(inst.group)
+    ring = en._ring(inst.group, inst.metric)
+    ident = ring.handle(en.identity(inst.group))
     for _, D in _candidate_sets(inst):
-        family = frozenset(cx.family_of(D))
-        reflections = {T: ident.sub(T) for T in family}
-        for T in family:
-            if reflections[T] not in family:
+        family = {ring.handle(T): T for T in frozenset(cx.family_of(D))}
+        reflections = {t: ring.sub(ident, t) for t in family}
+        for t, T in family.items():
+            if reflections[t] not in family:
                 return refuted(("reflection", D, T))
-            for S in family:
-                product = T.compose(S)
+            for s, S in family.items():
+                product = ring.compose(t, s)
                 if product not in family:
                     return refuted(("composition", D, T, S))
-                mixed = product.add(reflections[T].compose(reflections[S]))
+                mixed = ring.add(product, ring.compose(reflections[t], reflections[s]))
                 if mixed not in family:
                     return refuted(("pair mixing", D, T, S))
     return proved()
@@ -687,10 +685,12 @@ def _check_thm_2(inst: Instance) -> Verdict:
         if not cx.is_T_convex(D, half_identity).proved:
             return refuted(("closed convex sets are midpoint convex", name))
         if isinstance(g, FiniteGroup):
-            family = frozenset(cx.family_of(D))
-            for R in family:
-                for S in family:
-                    if en.halve(R.add(S)) not in family:
+            ring = en._ring(g, m)  # G is uniquely 2-divisible: halving is composing with I/2
+            half = ring.handle(half_identity)
+            family = {ring.handle(T): T for T in frozenset(cx.family_of(D))}
+            for r, R in family.items():
+                for s, S in family.items():
+                    if ring.compose(half, ring.add(r, s)) not in family:
                         return refuted(("family midpoint convexity", name, R, S))
     return proved()
 
@@ -965,7 +965,7 @@ def counterexample_search(
                 f"property ({pairwise}) on a pinned finite group"
             )
         metric = _metric_for(gen, gen.group)
-        size = len(en.all_endomorphisms(gen.group)) ** 2
+        size = en.ring_size(gen.group) ** 2
         verdict = verify(prop, Instance(gen.group, metric), pairs=budget)
         if verdict.refuted:
             maps = dict(zip("TS", (w for w in verdict.witness if isinstance(w, Endomorphism))))
