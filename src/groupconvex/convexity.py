@@ -22,7 +22,7 @@ import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, lru_cache, partial, reduce
+from functools import cache, lru_cache, reduce
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .endo import Endomorphism, all_endomorphisms, identity
@@ -300,7 +300,7 @@ class _Coding(NamedTuple):
     """How one pass of a pair loop codes the points of a group.
 
     ``code`` and ``point`` turn an element into its code and back,
-    ``plus(a)`` is b -> the code of a + b, ``neg`` gives the code of -x, and
+    ``plus(a, b)`` is the code of a + b, ``neg`` gives the code of -x, and
     ``image(T)`` is x -> the code of T(x).
     """
 
@@ -314,26 +314,26 @@ class _Coding(NamedTuple):
 def _coding(group: Group) -> _Coding:
     """Lex indices where the group has tables, the tuples themselves elsewhere.
 
-    On indices (``FiniteGroup.tables``) every step is a lookup: a sum is a
-    row of the sum table and T(x) is T's image array (``_image_array``).
-    Groups whose tables are refused, and the lattices, run on tuples:
-    ``group.add``, ``group.neg`` and ``T.apply``, each T(x) computed once
-    per pass.
+    On indices (``FiniteGroup.tables``) every step is a lookup: a + b folds
+    the sum of two padded codes, -a folds top less a's padded code, and T(x)
+    is T's image array (``_image_array``).  Groups whose tables are refused,
+    and the lattices, run on tuples: ``group.add``, ``group.neg`` and
+    ``T.apply``, each T(x) computed once per pass.
     """
     if isinstance(group, FiniteGroup):
         try:
-            t = group.tables()
+            elements, index, pads, folds, top = group.tables()
         except NotEnumerable:
             pass
         else:
             return _Coding(
-                t.index.__getitem__,
-                t.elements.__getitem__,
-                lambda a: t.sums[a].__getitem__,
-                t.negs.__getitem__,
+                index.__getitem__,
+                elements.__getitem__,
+                lambda a, b: folds[pads[a] + pads[b]],
+                lambda a: folds[top - pads[a]],
                 lambda T: _image_array(T).__getitem__,
             )
-    return _Coding(_same, _same, lambda a: partial(group.add, a), group.neg, lambda T: cache(T.apply))
+    return _Coding(_same, _same, group.add, group.neg, lambda T: cache(T.apply))
 
 
 # the image arrays of the last 1,024 maps that a pass on lex indices met
@@ -383,15 +383,14 @@ def is_T_convex(D: PointSet, T: Endomorphism) -> Verdict:
         codes = list(map(c.code, D.elements))
         members = frozenset(codes)
         heads = list(map(c.image(T), codes))
-        tails = [c.plus(x)(c.neg(a)) for x, a in zip(codes, heads)]
+        tails = list(map(c.plus, codes, map(c.neg, heads)))
         distinct = set(tails)
         passed = set()
         for x, a in zip(D.elements, heads):
             if a in passed:
                 continue
-            plus_a = c.plus(a)
-            if not members.issuperset(map(plus_a, distinct)):
-                y = next(y for y, b in zip(D.elements, tails) if plus_a(b) not in members)
+            if not members.issuperset(map(c.plus, itertools.repeat(a), distinct)):
+                y = next(y for y, b in zip(D.elements, tails) if c.plus(a, b) not in members)
                 point = _combination(T, x, y)
                 if point in D.members:
                     raise _kernel_fault(f"({x}, {y})")
@@ -434,7 +433,7 @@ def t_convex_pointwise(D: FiniteSet, T: Endomorphism) -> Verdict:
     codes = list(map(c.code, D.elements))
     image = c.image(T)
     for p, cp in zip(D.elements, codes):
-        coded = set(map(c.plus(c.neg(cp)), codes))
+        coded = set(map(c.plus, itertools.repeat(c.neg(cp)), codes))
         if not coded.issuperset(map(image, coded)):
             translate = frozenset(g.sub(d, p) for d in D.elements)
             v = next(v for v in translate if image(c.code(v)) not in coded)
@@ -482,11 +481,11 @@ def convex_hull(
         size = len(current)
         for T, image in images:
             heads = list(map(image, snapshot))
-            tails = {c.plus(x)(c.neg(a)) for x, a in zip(snapshot, heads)}
+            tails = set(map(c.plus, snapshot, map(c.neg, heads)))
             heads = set(heads)
             _check_cap(f"a hull pass through {T}", len(heads) * len(tails), "sums", _PAIR_CAP)
             for a in heads:
-                current.update(map(c.plus(a), tails))
+                current.update(map(c.plus, itertools.repeat(a), tails))
         if len(current) == size:
             complete = True
             break
@@ -509,7 +508,7 @@ def family_of(D: PointSet) -> tuple[Endomorphism, ...]:
     codes = list(map(c.code, D.elements))
     targets = {}
     for y in codes:
-        shifted = frozenset(map(c.plus(c.neg(y)), codes))
+        shifted = frozenset(map(c.plus, itertools.repeat(c.neg(y)), codes))
         for d in shifted:
             targets[d] = targets.get(d, shifted) & shifted
     differences, allowed = list(targets), list(targets.values())

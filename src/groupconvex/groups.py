@@ -136,8 +136,9 @@ class LexTables(NamedTuple):
 
     elements: tuple[Vector, ...]  # the element of each index, in lex order
     index: dict[Vector, int]  # the index of each element
-    sums: tuple[tuple[int, ...], ...]  # sums[i][j]: the index of element i + element j
-    negs: tuple[int, ...]  # negs[i]: the index of -(element i)
+    pads: tuple[int, ...]  # pads[i]: element i, coordinate j in a slot of width 2*m_j
+    folds: tuple[int, ...]  # folds[s]: the index of s with each slot j reduced mod m_j
+    top: int  # the padded (m_1, ..., m_k): -(element i) is folds[top - pads[i]]
 
 
 @dataclass(frozen=True)
@@ -252,21 +253,20 @@ class FiniteGroup(Group):
     def tables(self) -> LexTables:
         """The lex index of every element, and sums and negatives on indices.
 
-        The index is that of ``image_indices``, so G = H x Z_m (m the last
-        modulus) gives the element (h, r) the index i*m + r, with i that of
-        h in H.  The sum table of G follows from H's in one pass:
-        (h, r) + (h', r') has the index sums_H[i][i']*m + (r + r') mod m.
-        The |G|^2 sums are refused beyond ``_PAIR_CAP``, so only groups of
-        at most 1,024 elements get tables.
+        The index is that of ``image_indices``.  With coordinate j in a slot
+        of width 2*m_j, padded codes add with no carry between slots, so
+        i + j is folds[pads[i] + pads[j]] and -i is folds[top - pads[i]].
+        Since 2^k <= |G|, no group of at most 1,024 elements meets the caps.
         """
-        _check_cap(f"the sum table of {self}", self.order ** 2, "pairs", _PAIR_CAP)
-        sums, negs = [(0,)], (0,)
+        _check_cap(str(self), self.order, "elements", _TABLE_CAP)
+        _check_cap(f"the fold table of {self}", self.order << self.dim, "padded codes", _PAIR_CAP)
+        pads, folds, top = (0,), (0,), 0
         for m in self.moduli:
-            shifts = [tuple(range(r, m)) + tuple(range(r)) for r in range(m)]
-            sums = [tuple(a * m + b for a in row for b in shift) for row in sums for shift in shifts]
-            negs = tuple(a * m + -r % m for a in negs for r in range(m))
+            pads = tuple(a * 2 * m + r for a in pads for r in range(m))
+            folds = tuple(a * m + r for a in folds for r in (*range(m), *range(m)))
+            top = top * 2 * m + m
         elements = tuple(self.elements())
-        return LexTables(elements, dict(zip(elements, itertools.count())), tuple(sums), negs)
+        return LexTables(elements, dict(zip(elements, itertools.count())), pads, folds, top)
 
 
 @dataclass(frozen=True)

@@ -150,17 +150,17 @@ def _named_endo(inst: Instance, name: str) -> Endomorphism:
     raise HypothesisFailed(f"endomorphism {name!r} is provided")
 
 
-def _candidate_sets(inst: Instance) -> list[tuple[str, PointSet]]:
-    """The named sets, or else every subset of a small finite group."""
+def _candidate_sets(inst: Instance) -> list[PointSet]:
+    """The named sets in ``inst.sets`` order, or else every subset of a small finite group."""
     if inst.sets:
-        return list(inst.sets.items())
+        return list(inst.sets.values())
     g = inst.group
     if not isinstance(g, FiniteGroup):
         raise NotEnumerable("lattice instances must name their sets explicitly")
     _check_cap(f"subset-exhaustive mode on {g}", g.order, "elements", _SUBSET_CAP)
     elems = list(g.elements())  # canonical points in sorted order: each combination is a set
     combos = (c for r in range(len(elems) + 1) for c in itertools.combinations(elems, r))
-    return [(str(D), D) for D in (FiniteSet(g, c) for c in combos)]
+    return [FiniteSet(g, c) for c in combos]
 
 
 def _diagonal(T: Endomorphism) -> tuple | None:
@@ -496,11 +496,11 @@ def _check_thm_0(inst: Instance) -> Verdict:
     g = inst.group
 
     convex_sets: list[PointSet] = []
-    for name, D in _candidate_sets(inst):
+    for name, D in itertools.zip_longest(inst.sets, _candidate_sets(inst)):
         verdict = cx.is_family_convex(D, family)
         if verdict.proved:
             convex_sets.append(D)
-        elif inst.sets:
+        elif name is not None:
             raise HypothesisFailed(f"set {name!r} is family-convex")
 
     # (i) empty set, whole space, singletons
@@ -569,7 +569,7 @@ def _check_thm_0(inst: Instance) -> Verdict:
 def _check_lem_tc(inst: Instance) -> Verdict:
     """The pair test and the translate test for convexity agree."""
     universe = _endo_universe(inst)
-    candidates = [D for _, D in _candidate_sets(inst) if isinstance(D, FiniteSet)]
+    candidates = [D for D in _candidate_sets(inst) if isinstance(D, FiniteSet)]
     if not candidates:
         raise HypothesisFailed("at least one finite set is provided")
     for D in candidates:
@@ -585,7 +585,7 @@ def _check_thm_p1(inst: Instance) -> Verdict:
     """The family of a set is convex under its own induced combinations."""
     ring = en._ring(inst.group, inst.metric)
     ident = ring.handle(en.identity(inst.group))
-    for _, D in _candidate_sets(inst):
+    for D in _candidate_sets(inst):
         family = {ring.handle(T): T for T in frozenset(cx.family_of(D))}
         for t, T in family.items():
             # T(T1) + (I - T)(T2), with both compositions made once per pair
@@ -605,7 +605,7 @@ def _check_cor_1(inst: Instance) -> Verdict:
     """Families are closed under composition, reflection and pair mixing."""
     ring = en._ring(inst.group, inst.metric)
     ident = ring.handle(en.identity(inst.group))
-    for _, D in _candidate_sets(inst):
+    for D in _candidate_sets(inst):
         family = {ring.handle(T): T for T in frozenset(cx.family_of(D))}
         reflections = {t: ring.sub(ident, t) for t in family}
         for t, T in family.items():

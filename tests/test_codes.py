@@ -3,14 +3,16 @@
 ``is_T_convex``, ``t_convex_pointwise``, ``convex_hull`` and ``family_of``
 each run one pair loop on the coding that ``convexity._coding`` picks per
 group: lex indices over a finite group whose tables exist
-(``FiniteGroup.tables``, for |G|^2 within ``_PAIR_CAP``), the tuples
-themselves otherwise, lattice finite sets included.  The reference
-functions below are direct tuple loops over every pair, kept here as the
-oracle: every status, witness and hull must agree with them on both
-codings, both as the functions route themselves and with every group's
-tables refused.  A sum table corrupted on purpose must turn a refutation
-that the tuple re-check denies into ``InvariantViolated``, also under
-``python -O``.
+(``FiniteGroup.tables``, for |G| within ``_TABLE_CAP`` and the 2^k * |G|
+padded codes of k moduli within ``_PAIR_CAP``), the tuples themselves
+otherwise, lattice finite sets included.  The reference functions below
+are direct tuple loops over every pair, kept here as the oracle: every
+status, witness and hull must agree with them on both codings, both as the
+functions route themselves and with every group's tables refused.  A fold
+table corrupted on purpose must turn a refutation that the tuple re-check
+denies into ``InvariantViolated``, also under ``python -O``.  Large sets of
+groups with tables must run with no tuple arithmetic, and build nothing of
+|G|^2 entries.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import pytest
 
 from groupconvex import (
     DyadicLattice,
+    Endomorphism,
     FiniteGroup,
     IntLattice,
     all_endomorphisms,
@@ -39,6 +42,7 @@ from groupconvex import (
     t_convex_pointwise,
     zero,
 )
+from groupconvex.convexity import _coding
 from groupconvex.errors import InvariantViolated, NotEnumerable
 from groupconvex.verdicts import proved, refuted
 
@@ -48,7 +52,7 @@ def ref_is_T_convex(D, T):
     for x in D.elements:
         for y in D.elements:
             point = g.add(T.apply(x), g.sub(y, T.apply(y)))
-            if point not in D.elements:
+            if point not in D.members:
                 return refuted((x, y, point))
     return proved()
 
@@ -222,23 +226,45 @@ def test_codec_on_every_pair_of_z2_z3_z4():
     tables = group.tables()
     assert list(tables.elements) == elems == sorted(elems)
     assert tables.index == {x: i for i, x in enumerate(elems)}
+    # no field of |G|^2 entries: |G| padded codes and 2^k * |G| to fold
+    assert (len(tables.pads), len(tables.folds)) == (24, 8 * 24)
+    c = _coding(group)
     for i, x in enumerate(elems):
-        assert tables.negs[i] == tables.index[group.neg(x)], x
+        assert c.neg(i) == tables.index[group.neg(x)], x
         for j, y in enumerate(elems):
-            assert tables.sums[i][j] == tables.index[group.add(x, y)], (x, y)
-    # the tables exist while |G|^2 is within the pair cap: Z1024 has them
-    assert len(FiniteGroup((1024,)).tables().sums) == 1024
-    with pytest.raises(NotEnumerable, match="1050625 pairs, beyond the cap"):
-        FiniteGroup((5, 205)).tables()
+            assert c.plus(i, j) == tables.index[group.add(x, y)], (x, y)
+    # the tables exist while 2^k * |G| is within the pair cap: Z5xZ205 (1,025
+    # elements) has them, (Z2)^11 (2^11 * 2^11 padded codes) has none
+    assert len(FiniteGroup((5, 205)).tables().pads) == 1025
+    with pytest.raises(NotEnumerable, match="4194304 padded codes, beyond the cap"):
+        FiniteGroup((2,) * 11).tables()
+
+
+@pytest.mark.parametrize(
+    "moduli", [(1024,), (2,) * 10, (4096,), (65536,), (256, 256), (5, 205)], ids=str
+)
+def test_tables_up_to_the_caps(moduli):
+    # (Z2)^10 has the most padded codes of any group of 1,024 elements: 2^20
+    group = FiniteGroup(moduli)
+    tables = group.tables()
+    assert len(tables.pads) == group.order
+    assert len(tables.folds) == group.order << group.dim
+    c = _coding(group)
+    rng = random.Random(31)
+    for _ in range(300):
+        x, y = ([rng.randrange(m) for m in moduli] for _ in range(2))
+        i, j = tables.index[tuple(x)], tables.index[tuple(y)]
+        assert tables.elements[c.plus(i, j)] == group.add(x, y), (x, y)
+        assert tables.elements[c.neg(i)] == group.neg(x), x
 
 
 def _misroute_zero_sum(monkeypatch):
-    """Corrupt every sum table: 0 + 0 gets the index 1."""
+    """Corrupt every fold table: 0 + 0 gets the index 1."""
     real = FiniteGroup.tables
 
     def tables(self):
         t = real(self)
-        return t._replace(sums=((1,) + t.sums[0][1:],) + t.sums[1:])
+        return t._replace(folds=(1,) + t.folds[1:])
 
     monkeypatch.setattr(FiniteGroup, "tables", tables)
 
@@ -259,7 +285,7 @@ def test_tables_run_on_sets_of_every_size(monkeypatch):
     origin = finite_set(group, elems[:1])
     assert convex_hull(origin, [zero(group)], max_iter=1)[0] != origin
     # a group beyond the cap has no tables, so its pair loops run on tuples
-    big = FiniteGroup((2048,))
+    big = FiniteGroup((2**17,))
     D = finite_set(big, [[0], [6], [10]])
     for T in (zero(big), identity(big), make_endo(big, [[3]])):
         assert _same(is_T_convex(D, T), ref_is_T_convex(D, T))
@@ -278,7 +304,7 @@ def test_a_refutation_that_does_not_recheck_raises(monkeypatch):
         t_convex_pointwise(subgroup, zero(z9))
 
 
-_BROKEN_SUMS = """
+_BROKEN_FOLDS = """
 import sys
 
 from groupconvex import FiniteGroup, finite_set, is_T_convex, t_convex_pointwise, zero
@@ -290,7 +316,7 @@ real = FiniteGroup.tables
 
 def tables(self):
     t = real(self)
-    return t._replace(sums=((1,) + t.sums[0][1:],) + t.sums[1:])  # 0 + 0 lands on 1
+    return t._replace(folds=(1,) + t.folds[1:])  # 0 + 0 lands on 1
 
 
 FiniteGroup.tables = tables
@@ -310,7 +336,7 @@ def test_refutation_recheck_survives_optimized_mode():
     src = str(Path(groupconvex.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     result = subprocess.run(
-        [sys.executable, "-O", "-c", _BROKEN_SUMS],
+        [sys.executable, "-O", "-c", _BROKEN_FOLDS],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert result.returncode == 0, result.stderr
@@ -350,16 +376,99 @@ def test_groups_without_tables_agree_with_tuple_loops():
             hull = convex_hull(D, endos[:2], max_iter=max_iter)
             assert hull == ref_hull(D, endos[:2], max_iter), (D, max_iter)
     assert len(outcomes) == 2
-    # the 1,024 multiples of 2 in Z2048: 2048^2 pairs, beyond the pair cap
-    z2048 = FiniteGroup((2048,))
-    evens = finite_set(z2048, [[2 * k] for k in range(1024)])
-    triple = make_endo(z2048, [[3]])
+    # the 1,024 multiples of 128 in Z_(2^17), beyond the element cap
+    wide = FiniteGroup((2**17,))
+    subgroup, odd = _multiples(wide, 128)
+    triple = make_endo(wide, [[3]])
     # a subgroup is convex for every map and is its own hull
-    assert is_T_convex(evens, triple).proved
-    assert t_convex_pointwise(evens, triple).proved
-    assert convex_hull(evens, [triple]) == (evens, True)
-    # with the point 1 added, T(1) + (0 - T(0)) = 3 leaves the set
-    odd = finite_set(z2048, evens.elements + ((1,),))
+    assert is_T_convex(subgroup, triple).proved
+    assert t_convex_pointwise(subgroup, triple).proved
+    assert convex_hull(subgroup, [triple]) == (subgroup, True)
+    # with the point 1 added, T(0) + (1 - T(1)) = -2 leaves the set
     assert _same(is_T_convex(odd, triple), ref_is_T_convex(odd, triple))
-    assert is_T_convex(odd, triple).witness == ((1,), (0,), (3,))
+    assert is_T_convex(odd, triple).witness == ((0,), (1,), (2**17 - 2,))
     assert _same(t_convex_pointwise(odd, triple), ref_pointwise(odd, triple))
+
+
+def _multiples(group, step):
+    """The multiples of ``step`` in a cyclic group, and the same set with 1 added."""
+    subgroup = finite_set(group, [[step * k] for k in range(group.order // step)])
+    return subgroup, finite_set(group, subgroup.elements + ((1,),))
+
+
+def _no_tuple_arithmetic(*_):
+    raise AssertionError("tuple arithmetic on a group with tables")
+
+
+@pytest.mark.parametrize("order, step, hulls", [(4096, 4, True), (8192, 8, False)], ids=str)
+def test_large_cyclic_groups_run_on_lex_indices(order, step, hulls, monkeypatch):
+    group = FiniteGroup((order,))
+    triple = make_endo(group, [[3]])
+    subgroup, odd = _multiples(group, step)
+    assert len(subgroup.elements) == 1024
+    for D in (subgroup, odd):
+        assert _same(is_T_convex(D, triple), ref_is_T_convex(D, triple)), D
+        assert _same(t_convex_pointwise(D, triple), ref_pointwise(D, triple)), D
+        if hulls:
+            assert convex_hull(D, [triple], max_iter=1) == ref_hull(D, [triple], 1), D
+    assert is_T_convex(odd, triple).refuted
+    # the subgroup's Proved cases read no element arithmetic at all
+    monkeypatch.setattr(FiniteGroup, "add", _no_tuple_arithmetic)
+    monkeypatch.setattr(FiniteGroup, "neg", _no_tuple_arithmetic)
+    monkeypatch.setattr(Endomorphism, "apply", _no_tuple_arithmetic)
+    assert is_T_convex(subgroup, triple).proved
+    assert t_convex_pointwise(subgroup, triple).proved
+    assert convex_hull(subgroup, [triple]) == (subgroup, True)
+
+
+@pytest.mark.parametrize("moduli", [(2**17,), (2,) * 11, (2, 3, 5, 7, 11, 13)], ids=str)
+def test_groups_beyond_either_cap_run_on_tuples(moduli):
+    # Z_(2^17) is beyond the element cap, the others beyond the pair cap
+    group = FiniteGroup(moduli)
+    with pytest.raises(NotEnumerable, match="beyond the cap"):
+        group.tables()
+    k = group.dim
+    D = finite_set(group, [[0] * k, [1] * k, [1] + [0] * (k - 1)])
+    # 3x, -x and the projection onto the first coordinate
+    diagonals = [[3] * k, [-1] * k, [1] + [0] * (k - 1)]
+    diagonal = [make_endo(group, [[d[i] * (i == j) for j in range(k)] for i in range(k)]) for d in diagonals]
+    outcomes = set()
+    for T in [zero(group), identity(group)] + diagonal:
+        direct = ref_is_T_convex(D, T)
+        outcomes.add(direct.status)
+        assert _same(is_T_convex(D, T), direct), (D, T)
+        assert _same(t_convex_pointwise(D, T), ref_pointwise(D, T)), (D, T)
+        assert convex_hull(D, [T], max_iter=2) == ref_hull(D, [T], 2), (D, T)
+    assert len(outcomes) == 2
+
+
+_PEAK_RSS = """
+from groupconvex import FiniteGroup, finite_set, is_T_convex, make_endo
+
+g = FiniteGroup((32, 32))
+{work}
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="VmHWM is read from /proc")
+def test_a_test_on_half_of_z32xz32_builds_nothing_of_size_g_squared():
+    # a table of every sum in Z32xZ32 would hold 2^20 entries, about 30 MB.
+    # VmHWM is the peak of the child's own memory; ru_maxrss would also
+    # count the pages of the test process that the child was forked from
+    work = (
+        "D = finite_set(g, [[2 * a, b] for a in range(16) for b in range(32)])\n"
+        "assert is_T_convex(D, make_endo(g, [[3, 0], [0, 3]])).proved"
+    )
+    import groupconvex
+
+    env = dict(os.environ, PYTHONPATH=str(Path(groupconvex.__file__).resolve().parents[1]))
+    peaks = [
+        int(subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS.format(work=code)],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        ).stdout.split()[-1])
+        for code in ("pass", work)
+    ]
+    assert (peaks[1] - peaks[0]) / 1024 <= 4, peaks  # VmHWM is in kB

@@ -69,12 +69,17 @@ def test_family_matches_the_pair_loop_on_drawn_subsets(moduli):
 
 
 def test_family_without_tables_runs_on_tuples():
-    # Z2048 has 2048^2 pairs, beyond the pair cap, so it has no lex tables
-    z2048 = FiniteGroup((2048,))
-    with pytest.raises(NotEnumerable, match="sum table"):
-        z2048.tables()
-    for points in ([[0]], [[0], [1]], [[0], [512], [1024], [1536]], [[3], [10], [17]]):
-        D = finite_set(z2048, points)
+    # 2^6 * 30,030 padded codes, beyond the pair cap, so it has no lex tables
+    group = FiniteGroup((2, 3, 5, 7, 11, 13))
+    with pytest.raises(NotEnumerable, match="beyond the cap"):
+        group.tables()
+    for points in (
+        [[0] * 6],
+        [[0] * 6, [1] * 6],
+        [[0] * 6, [1, 0, 0, 0, 0, 0], [0, 1, 2, 3, 4, 5]],
+        [[1, 2, 3, 4, 5, 6], [0, 1, 1, 2, 3, 5], [1, 1, 2, 3, 5, 8], [0, 0, 4, 0, 10, 0]],
+    ):
+        D = finite_set(group, points)
         assert family_of.__wrapped__(D) == ref_family(D), D
     # groups too large for the tables and for End(G) refuse the ring, by name
     for group in (FiniteGroup((2**70,)), FiniteGroup((2,) * 64)):

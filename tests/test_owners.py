@@ -140,7 +140,7 @@ def _reference_thm_0(inst: Instance):
         raise HypothesisFailed("a nonempty family of endomorphisms is provided")
     g = inst.group
     convex_sets = []
-    for name, D in theorems._candidate_sets(inst):
+    for name, D in itertools.zip_longest(inst.sets, theorems._candidate_sets(inst)):
         if cx.is_family_convex(D, family).proved:
             convex_sets.append(D)
         elif inst.sets:
