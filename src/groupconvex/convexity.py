@@ -359,13 +359,25 @@ def linear_bounds(row: Sequence, lo: Sequence, hi: Sequence) -> tuple:
     return low, high
 
 
+def _first_failure(heads: list, tails: list, members: frozenset, plus: Callable) -> tuple | None:
+    """The first (i, j) in order with plus(heads[i], tails[j]) not in ``members``:
+    each distinct head meets each distinct tail once, a head that passed is
+    skipped, and a failing head scans ``tails`` in order for j."""
+    distinct, passed = set(tails), set()
+    for i, a in enumerate(heads):
+        if a not in passed:
+            if not members.issuperset(map(plus, itertools.repeat(a), distinct)):
+                return i, next(j for j, b in enumerate(tails) if plus(a, b) not in members)
+            passed.add(a)
+    return None
+
+
 def is_T_convex(D: PointSet, T: Endomorphism) -> Verdict:
     """Check T(x) + (I-T)(y) in D for all x, y in D.
 
     Exhaustive over ordered pairs on finite sets, in the group's coding
-    (``_coding``): T(x) and y - T(y) are computed once per element, and a
-    row whose T(x) passed already is skipped.  The witness is the first
-    failing pair in ``D.elements`` order, re-checked on tuples.
+    (``_coding``): ``_first_failure`` of the T(x) and y - T(y), each computed
+    once, is the first failing pair in ``D.elements`` order, re-checked on tuples.
 
     Boxes are decided exactly for every T by corner bounds: coordinate i of
     the combination is the linear form (T_i | e_i - T_i) in (x, y), so its
@@ -381,22 +393,16 @@ def is_T_convex(D: PointSet, T: Endomorphism) -> Verdict:
     if isinstance(D, FiniteSet):
         c = _coding(g)
         codes = list(map(c.code, D.elements))
-        members = frozenset(codes)
         heads = list(map(c.image(T), codes))
         tails = list(map(c.plus, codes, map(c.neg, heads)))
-        distinct = set(tails)
-        passed = set()
-        for x, a in zip(D.elements, heads):
-            if a in passed:
-                continue
-            if not members.issuperset(map(c.plus, itertools.repeat(a), distinct)):
-                y = next(y for y, b in zip(D.elements, tails) if c.plus(a, b) not in members)
-                point = _combination(T, x, y)
-                if point in D.members:
-                    raise _kernel_fault(f"({x}, {y})")
-                return refuted((x, y, point))
-            passed.add(a)
-        return proved()
+        failure = _first_failure(heads, tails, frozenset(codes), c.plus)
+        if failure is None:
+            return proved()
+        x, y = map(D.elements.__getitem__, failure)
+        point = _combination(T, x, y)
+        if point in D.members:
+            raise _kernel_fault(f"({x}, {y})")
+        return refuted((x, y, point))
     # (x, y) as one point of the box D x D, read by the rows (T_i | e_i - T_i)
     lo, hi = D.lo + D.lo, D.hi + D.hi
     corner, fixed = list(lo), set()

@@ -587,15 +587,13 @@ def _check_thm_p1(inst: Instance) -> Verdict:
     ident = ring.handle(en.identity(inst.group))
     for D in _candidate_sets(inst):
         family = {ring.handle(T): T for T in frozenset(cx.family_of(D))}
+        members, maps = frozenset(family), list(family.values())
         for t, T in family.items():
-            # T(T1) + (I - T)(T2), with both compositions made once per pair
-            heads = [ring.compose(t, t1) for t1 in family]
-            rest = ring.sub(ident, t)
-            tails = [ring.compose(rest, t2) for t2 in family]
-            for T1, head in zip(family.values(), heads):
-                for T2, tail in zip(family.values(), tails):
-                    if ring.add(head, tail) not in family:
-                        return refuted((D, T, T1, T2))
+            # T∘T1 + (I - T)∘T2, with each composition made once per map
+            heads, tails = ([ring.compose(u, s) for s in family] for u in (t, ring.sub(ident, t)))
+            failure = cx._first_failure(heads, tails, members, ring.add)
+            if failure is not None:
+                return refuted((D, T, *map(maps.__getitem__, failure)))
     return proved()
 
 
@@ -685,13 +683,13 @@ def _check_thm_2(inst: Instance) -> Verdict:
         if not cx.is_T_convex(D, half_identity).proved:
             return refuted(("closed convex sets are midpoint convex", name))
         if isinstance(g, FiniteGroup):
-            ring = en._ring(g, m)  # G is uniquely 2-divisible: halving is composing with I/2
-            half = ring.handle(half_identity)
+            ring = en._ring(g, m)  # G is uniquely 2-divisible, so I - I/2 = I/2
             family = {ring.handle(T): T for T in frozenset(cx.family_of(D))}
-            for r, R in family.items():
-                for s, S in family.items():
-                    if ring.compose(half, ring.add(r, s)) not in family:
-                        return refuted(("family midpoint convexity", name, R, S))
+            halves = list(map(ring.compose, itertools.repeat(ring.handle(half_identity)), family))
+            failure = cx._first_failure(halves, halves, frozenset(family), ring.add)
+            if failure is not None:
+                R, S = map(list(family.values()).__getitem__, failure)
+                return refuted(("family midpoint convexity", name, R, S))
     return proved()
 
 

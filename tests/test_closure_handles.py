@@ -7,9 +7,9 @@ the same checkers as they ran on ``Endomorphism.compose``/``add``/``sub``/
 ``halve``, one new matrix per step, before the view (THM_0's without its
 lattice branches, since only finite groups are compared).  Verdicts and
 witnesses must agree on every subset of the small groups, on seeded subsets
-of Z3 x Z3, and under patches that make each witness label occur.  Witnesses
-follow the frozenset order of maps, so this module also runs under two fixed
-hash seeds in CI.
+of Z3 x Z3, on {0}, whose family is the whole ring, and under patches that
+make each witness label occur.  Witnesses follow the frozenset order of
+maps, so this module also runs under two fixed hash seeds in CI.
 
 The module also checks that the search draws a map of a finite group by
 decoding its index in ``all_endomorphisms`` order, without listing the
@@ -255,6 +255,25 @@ def test_bare_groups_match_their_loops():
         group = FiniteGroup(moduli)
         for prop in (PropertyId.THM_P1, PropertyId.COR_1):
             assert _agree(prop, Instance(group, _metric(group))) == (Status.PROVED, None)
+
+
+# F({0}) is all of End(G), so these walk every map of the ring for each T
+@pytest.mark.parametrize("moduli", [(2, 4), (3, 3)], ids=str)
+def test_thm_p1_matches_its_loop_over_a_whole_ring(moduli):
+    group = FiniteGroup(moduli)
+    D = finite_set(group, [group.zero()])
+    assert len(cx.family_of(D)) == en.ring_size(group) == {(2, 4): 32, (3, 3): 81}[moduli]
+    inst = Instance(group, _metric(group), sets={"D": D})
+    assert _agree(PropertyId.THM_P1, inst) == (Status.PROVED, None)
+
+
+def test_thm_2_matches_its_loop_over_a_whole_ring():
+    group = FiniteGroup((3, 3))
+    D = finite_set(group, [group.zero()])
+    assert len(cx.family_of(D)) == 81
+    for T in _midpoint_maps(group)[:3]:
+        inst = Instance(group, _metric(group), endos={"T": T}, sets={"D": D})
+        assert _agree(PropertyId.THM_2, inst) == (Status.PROVED, None)
 
 
 # -- forced refutations: one map dropped from F(D) on both paths --------------

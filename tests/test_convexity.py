@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import groupconvex.convexity as cx
 from groupconvex import (
     DyadicLattice,
     FiniteGroup,
@@ -235,6 +236,63 @@ def test_pointwise_equivalence_exhaustive_z9(z9):
         D = finite_set(z9, rng.sample(elems, size))
         for T in ring:
             assert is_T_convex(D, T).status == t_convex_pointwise(D, T).status
+
+
+# -- the first failing pair of a combination closure ---------------------------
+
+def _first_failure_by_double_loop(heads, tails, members, plus):
+    for i, a in enumerate(heads):
+        for j, b in enumerate(tails):
+            if plus(a, b) not in members:
+                return i, j
+    return None
+
+
+def _sum_mod_7(a, b):
+    return (a + b) % 7
+
+
+@pytest.mark.parametrize("heads, tails, members, expected", [
+    ([], [], frozenset(), None),
+    ([], [3], frozenset(), None),
+    ([3], [], frozenset(), None),
+    ([1, 1, 2], [0, 5, 0], frozenset(range(7)), None),
+    # head 0 passes, its repeat is skipped, head 1 fails first at tail 5 (j = 2)
+    ([0, 0, 1, 1], [0, 2, 5, 2], frozenset({0, 2, 5, 1, 3}), (2, 2)),
+    # the failing tail comes first in the list, last among the distinct tails
+    ([4], [6, 0, 6], frozenset({4}), (0, 0)),
+])
+def test_first_failure_examples(heads, tails, members, expected):
+    assert cx._first_failure(heads, tails, members, _sum_mod_7) == expected
+    assert _first_failure_by_double_loop(heads, tails, members, _sum_mod_7) == expected
+
+
+def test_first_failure_matches_the_double_loop():
+    # short lists over few values, so heads and tails repeat
+    rng = random.Random(22)
+    seen = set()
+    for _ in range(3000):
+        heads = [rng.randrange(5) for _ in range(rng.randint(0, 7))]
+        tails = [rng.randrange(5) for _ in range(rng.randint(0, 7))]
+        members = frozenset(x for x in range(7) if rng.random() < 0.8)
+        sums = []
+
+        def plus(a, b):
+            sums.append((a, b))
+            return _sum_mod_7(a, b)
+
+        expected = _first_failure_by_double_loop(heads, tails, members, _sum_mod_7)
+        assert cx._first_failure(heads, tails, members, plus) == expected, (heads, tails, members)
+        # each distinct head meets each distinct tail once, and one scan of the tails names j
+        assert len(sums) <= len(set(heads)) * len(set(tails)) + len(tails)
+        if expected is None:
+            seen.add("all pass" if heads and tails else "empty")
+        else:
+            i, j = expected
+            seen.add("fails after a passed head" if set(heads[:i]) - {heads[i]} else "fails first")
+            seen.add("repeated tail" if len(set(tails)) < len(tails) else "distinct tails")
+    assert seen == {"all pass", "empty", "fails after a passed head", "fails first",
+                    "repeated tail", "distinct tails"}
 
 
 def test_box_diagonal_convexity(dyplane):

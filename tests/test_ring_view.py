@@ -435,17 +435,21 @@ def test_a_group_beyond_the_table_cap_exits_with_the_named_cap(tmp_path, capsys,
 
 # -- memory: O(dim^2) ints a map, no array over G is kept ----------------------
 _PEAK_RSS = """
-import resource
 from groupconvex import CyclicMetric, FiniteGroup, make_endo
 from groupconvex.theorems import GeneratorConfig, Instance, PropertyId, counterexample_search, verify
 g = FiniteGroup(({order},))
 {work}
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
 """
 
 
 def _peak_rss_growth_mb(order, work):
-    """Peak RSS of a fresh interpreter doing ``work`` on Z_order, less that of one doing nothing."""
+    """Peak RSS of a fresh interpreter doing ``work`` on Z_order, less that of one doing nothing.
+
+    The peak is the child's own ``VmHWM``: ``ru_maxrss`` would also count the
+    pages of the test process that the child was forked from.
+    """
     src = str(Path(groupconvex.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     peaks = [
@@ -455,10 +459,10 @@ def _peak_rss_growth_mb(order, work):
         ).stdout.split()[-1])
         for code in ("pass", work)
     ]
-    return (peaks[1] - peaks[0]) / 1024  # ru_maxrss is in kilobytes on Linux
+    return (peaks[1] - peaks[0]) / 1024  # VmHWM is in kB
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is read in kilobytes")
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="VmHWM is read from /proc")
 def test_verify_on_a_large_cyclic_group_keeps_no_image_arrays():
     # the scalar specialization alone meets about 200 maps of Z8192; an image
     # array kept for each would take about 45 MB
@@ -469,7 +473,7 @@ def test_verify_on_a_large_cyclic_group_keeps_no_image_arrays():
     assert _peak_rss_growth_mb(8192, work) < 16
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is read in kilobytes")
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="VmHWM is read from /proc")
 def test_a_search_meeting_more_maps_than_elements_builds_no_table():
     # 1,100 pairs of End(Z1024) meet more than 1,024 maps; their image arrays
     # and the 2^20-entry sum table would take about 95 MB
