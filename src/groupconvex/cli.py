@@ -18,11 +18,9 @@ import sys
 from contextlib import contextmanager
 from dataclasses import fields, replace
 from fractions import Fraction
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from . import convexity as cx
 from . import endo as en
-from .convexity import BoxSet, FiniteSet, PointSet
 from .endo import Endomorphism
 from .errors import (
     GeneratorExhausted,
@@ -46,15 +44,12 @@ from .groups import (
     validate_metric,
 )
 from .scalars import as_int, format_rational, parse_scalar
-from .theorems import (
-    GeneratorConfig,
-    Instance,
-    Params,
-    PropertyId,
-    counterexample_search,
-    verify,
-)
+from .theorems import GeneratorConfig, Instance, Params, counterexample_search, verify
 from .verdicts import Status, Verdict
+
+if TYPE_CHECKING:
+    from .convexity import PointSet
+    from .properties import PropertyId
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -82,6 +77,8 @@ def _format_matrix(group: Group, T: Endomorphism) -> list[list[str]]:
 
 
 def _format_set(A: PointSet) -> dict:
+    from .convexity import FiniteSet
+
     if isinstance(A, FiniteSet):
         return {
             "kind": "finite",
@@ -99,6 +96,8 @@ def _format_set(A: PointSet) -> dict:
 def _json_witness(group: Group, witness) -> Any:
     if witness is None:
         return None
+    from .convexity import BoxSet, FiniteSet
+
     out = []
     for item in witness:
         if isinstance(item, Endomorphism):
@@ -156,6 +155,8 @@ def _metric_from_literal(literal: dict) -> Metric:
 
 
 def _set_from_literal(group: Group, literal: dict) -> PointSet:
+    from . import convexity as cx
+
     kind = literal.get("kind")
     if kind == "finite":
         points = [[parse_scalar(str(c)) for c in row] for row in literal["elements"]]
@@ -347,6 +348,8 @@ def _cmd_invert(inst: Instance, args) -> int:
 
 
 def _cmd_hull(inst: Instance, args) -> int:
+    from . import convexity as cx
+
     S = _set_by_name(inst, args.set)
     family = _family(inst, args.names)
     hull, complete = cx.convex_hull(S, family, max_iter=inst.params.max_iter)
@@ -360,6 +363,8 @@ def _cmd_hull(inst: Instance, args) -> int:
 
 
 def _cmd_is_convex(inst: Instance, args) -> int:
+    from . import convexity as cx
+
     D = _set_by_name(inst, args.set)
     family = _family(inst, args.names)
     verdict = cx.is_family_convex(D, family)
@@ -368,6 +373,8 @@ def _cmd_is_convex(inst: Instance, args) -> int:
 
 
 def _cmd_is_n_convex(inst: Instance, args) -> int:
+    from . import convexity as cx
+
     D = _set_by_name(inst, args.set)
     verdict = cx.is_n_convex(D, args.n)
     _emit(args, verdict.status.value, _verdict_record(verdict, inst.group))
@@ -375,6 +382,8 @@ def _cmd_is_n_convex(inst: Instance, args) -> int:
 
 
 def _cmd_family(inst: Instance, args) -> int:
+    from . import convexity as cx
+
     D = _set_by_name(inst, args.set)
     members = cx.family_of(D)
     human = "\n".join(str(T) for T in members)
@@ -402,6 +411,8 @@ def _cmd_recursion(inst: Instance, args) -> int:
 
 
 def _property(value: str) -> PropertyId:
+    from .properties import PropertyId
+
     try:
         return PropertyId[value]
     except KeyError:

@@ -426,14 +426,30 @@ def t_convex_pointwise(D: FiniteSet, T: Endomorphism) -> Verdict:
 
     T is applied to the members v of each translate, never to D and p
     separately, so this test does not lean on additivity the way
-    ``is_T_convex`` does.  Each translate is a set in the group's coding
-    (``_coding``), where T(v) is a lookup in T's image array or, on tuples,
-    one ``T.apply`` per v met in any translate.  The witness is the failing
-    v that a loop over the tuple translate meets first, re-checked on
-    tuples.
+    ``is_T_convex`` does.  The decision is ``_pointwise_failure``'s; the
+    witness is the failing v that a loop over the tuple translate D - p
+    meets first.
     """
     if not isinstance(D, FiniteSet):
         raise NotFinite("the pointwise test enumerates translates")
+    p = _pointwise_failure(D, T)
+    if p is None:
+        return proved()
+    g = D.group
+    translate = frozenset(g.sub(d, p) for d in D.elements)
+    v = next(v for v in translate if T.apply(v) not in translate)
+    return refuted((p, g.add(v, p)))
+
+
+def _pointwise_failure(D: FiniteSet, T: Endomorphism) -> Vector | None:
+    """The first p of ``D.elements`` whose translate D - p T does not map into
+    itself, or None.
+
+    Each translate is a set in the group's coding (``_coding``), where T(v)
+    is a lookup in T's image array or, on tuples, one ``T.apply`` per v met
+    in any translate.  One failing v is re-checked on tuples: T(v) + p is
+    not in D.
+    """
     g = D.group
     c = _coding(g)
     codes = list(map(c.code, D.elements))
@@ -441,12 +457,11 @@ def t_convex_pointwise(D: FiniteSet, T: Endomorphism) -> Verdict:
     for p, cp in zip(D.elements, codes):
         coded = set(map(c.plus, itertools.repeat(c.neg(cp)), codes))
         if not coded.issuperset(map(image, coded)):
-            translate = frozenset(g.sub(d, p) for d in D.elements)
-            v = next(v for v in translate if image(c.code(v)) not in coded)
-            if T.apply(v) in translate:
+            v = c.point(next(v for v in coded if image(v) not in coded))
+            if g.add(T.apply(v), p) in D.members:
                 raise _kernel_fault(f"T({v}) in the translate by {p}")
-            return refuted((p, g.add(v, p)))
-    return proved()
+            return p
+    return None
 
 
 def is_family_convex(D: PointSet, Ts: Sequence[Endomorphism]) -> Verdict:

@@ -27,6 +27,7 @@ import pytest
 
 import groupconvex.convexity as cx
 import groupconvex.endo as en
+import groupconvex.properties as props
 import groupconvex.theorems as th
 from groupconvex import CyclicMetric, FiniteGroup, IntLattice, all_endomorphisms, finite_set
 from groupconvex.convexity import FiniteSet
@@ -39,7 +40,7 @@ from groupconvex.verdicts import Status, proved, refuted
 # -- the oracles: each checker's loops on Endomorphism arithmetic -------------
 def old_thm_p1(inst):
     ident = en.identity(inst.group)
-    for D in th._candidate_sets(inst):
+    for D in props._candidate_sets(inst):
         family = frozenset(cx.family_of(D))
         for T in family:
             heads = [T.compose(T1) for T1 in family]
@@ -54,7 +55,7 @@ def old_thm_p1(inst):
 
 def old_cor_1(inst):
     ident = en.identity(inst.group)
-    for D in th._candidate_sets(inst):
+    for D in props._candidate_sets(inst):
         family = frozenset(cx.family_of(D))
         reflections = {T: ident.sub(T) for T in family}
         for T in family:
@@ -72,7 +73,7 @@ def old_cor_1(inst):
 
 def old_thm_2(inst):
     g, m, params = inst.group, inst.metric, inst.params
-    T = th._named_endo(inst, "T")
+    T = props._named_endo(inst, "T")
     if not g.divisible_by(2):
         raise HypothesisFailed("the group is uniquely 2-divisible")
     ident = en.identity(g)
@@ -119,7 +120,7 @@ def old_thm_0(inst):
         raise HypothesisFailed("a nonempty family of endomorphisms is provided")
     g = inst.group
     convex_sets = []
-    for name, D in itertools.zip_longest(inst.sets, th._candidate_sets(inst)):
+    for name, D in itertools.zip_longest(inst.sets, props._candidate_sets(inst)):
         if cx.is_family_convex(D, family).proved:
             convex_sets.append(D)
         elif inst.sets:
@@ -403,7 +404,7 @@ def test_a_drawn_search_lists_no_ring():
 @pytest.mark.parametrize("moduli", [(9,), (2, 4), (3, 3)], ids=str)
 def test_candidate_sets_are_the_canonical_subsets(moduli):
     group = FiniteGroup(moduli)
-    listed = th._candidate_sets(Instance(group, _metric(group)))
+    listed = props._candidate_sets(Instance(group, _metric(group)))
     assert len(listed) == 2 ** group.order
     for D, expected in zip(listed, _subsets(group)):
         assert D == expected

@@ -45,7 +45,7 @@ from groupconvex import (
 )
 from groupconvex import convexity as cx
 from groupconvex import endo as en
-from groupconvex import theorems
+from groupconvex import properties, theorems
 from groupconvex.cli import EXIT_INPUT, EXIT_OK, EXIT_REFUTED, main
 from groupconvex.errors import (
     GeneratorExhausted,
@@ -140,7 +140,7 @@ def _reference_thm_0(inst: Instance):
         raise HypothesisFailed("a nonempty family of endomorphisms is provided")
     g = inst.group
     convex_sets = []
-    for name, D in itertools.zip_longest(inst.sets, theorems._candidate_sets(inst)):
+    for name, D in itertools.zip_longest(inst.sets, properties._candidate_sets(inst)):
         if cx.is_family_convex(D, family).proved:
             convex_sets.append(D)
         elif inst.sets:
@@ -209,7 +209,7 @@ def _outcome(check, inst):
 
 
 def _drawn_instances(gen: GeneratorConfig, count: int):
-    spec = theorems._SPECS[PropertyId.THM_0]
+    spec = properties._SPECS[PropertyId.THM_0]
     rng = random.Random(7)
     out = []
     while len(out) < count:

@@ -23,7 +23,7 @@ import pytest
 
 import groupconvex
 import groupconvex.endo as en
-import groupconvex.theorems as th
+import groupconvex.properties as props
 from groupconvex import (
     CyclicMetric,
     DyadicLattice,
@@ -55,7 +55,7 @@ def fresh_caches():
     """Patched bounds must not outlive their test in a cache."""
     yield
     for cached in (en.op_norm, en.injectivity_measure, en.spectral_radius, en._ring,
-                   th._scalar_specialization):
+                   props._scalar_specialization):
         cached.cache_clear()
 
 
@@ -207,7 +207,7 @@ def test_a_view_shared_by_threads_keeps_one_id_per_map():
 # -- the checkers against their Fraction loops ---------------------------------
 def _old_lemma_mu(inst):
     m = inst.metric
-    universe = th._endo_universe(inst)
+    universe = props._endo_universe(inst)
     for T in universe:
         for S in universe:
             mu_t = en.injectivity_measure(T, m)
@@ -219,7 +219,7 @@ def _old_lemma_mu(inst):
                 return refuted(("measure supermultiplicativity", T, S))
             if abs(mu_t - mu_s) > en.operator_distance(T, S, m):
                 return refuted(("Lipschitz bound", T, S))
-    span = range(1, th._NAT_SPAN + 1)
+    span = range(1, props._NAT_SPAN + 1)
     g = inst.group
     for n in span:
         mu_n = en.mu_of_n(g, m, n)
@@ -235,7 +235,7 @@ def _old_lemma_mu(inst):
 
 def _old_cor_mu(inst):
     m = inst.metric
-    universe = th._endo_universe(inst)
+    universe = props._endo_universe(inst)
     for T in universe:
         mu_t = en.injectivity_measure(T, m)
         if mu_t <= 0:
@@ -252,7 +252,7 @@ def _old_cor_mu(inst):
 def _old_lemma_sr(inst):
     m = inst.metric
     horizon = inst.params.horizon
-    universe = th._endo_universe(inst)
+    universe = props._endo_universe(inst)
     for T in universe:
         bracket = en.spectral_radius(T, m, horizon)
         if en.injectivity_measure(T, m) > bracket.upper:
@@ -303,7 +303,7 @@ def _instances():
     for group in (IntLattice(2), DyadicLattice(2)):
         metric = LinfMetric((1, Fraction(1, 2)))
         for _ in range(8):
-            endos = {name: th._draw_endo(group, rng) for name in "TS"}
+            endos = {name: props._draw_endo(group, rng) for name in "TS"}
             yield Instance(group, metric, endos=endos)
 
 
@@ -381,7 +381,7 @@ def test_a_patched_bound_refutes_with_the_oracle_witness(case, monkeypatch):
     metric = CyclicMetric((1, 3))
     inst = Instance(_Z24, metric)
     assert _same_verdict(prop, inst).proved
-    th._scalar_specialization.cache_clear()
+    props._scalar_specialization.cache_clear()
     _patch(monkeypatch, _Walk(_Z24, metric), quantity, change)
     assert _same_verdict(prop, inst).status is Status.REFUTED
 
@@ -394,7 +394,7 @@ def test_patched_refutations_reach_every_label_but_the_scalar_ones(monkeypatch):
         prop, quantity, change = _PATCHES[case]
         metric = CyclicMetric((1, 3))
         with monkeypatch.context() as patched:
-            th._scalar_specialization.cache_clear()
+            props._scalar_specialization.cache_clear()
             _patch(patched, _Walk(_Z24, metric), quantity, change)
             labels.add(verify(prop, Instance(_Z24, metric)).witness[0])
     assert labels >= {
