@@ -490,6 +490,8 @@ def convex_hull(
     """
     if not isinstance(S, FiniteSet):
         raise NotFinite("hulls are computed from explicit finite seeds")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     for T in Ts:
         _same_group(S, T)
     g = S.group

@@ -15,9 +15,9 @@ norm table holds L * ||x|| as ints in lex order, T's columns give the lex
 index of T(x) for every x by linearity (``FiniteGroup.image_indices``), and
 the pass keeps the largest and the smallest ratio by cross-multiplication.
 The same array decides inverses.  The integer view of End(G) (``_ring``)
-owns that pass and keeps the two ratios as int pairs per map; it also
-composes, adds and subtracts maps on the coordinates of their columns, so
-the pairwise checkers of ``theorems`` compare ints.
+owns that pass and keeps the two ratios as int pairs per map; a map's
+handle there is its flat tuple of entries, which the view composes, adds
+and subtracts, so the checkers of ``properties`` compare ints.
 A lattice operator is carried as one integer matrix and one scale, A = M/d,
 and a weighted metric as one integer ratio matrix W/L, so these formulas
 are integer sums; the inverse N/e comes from one fraction-free (Bareiss)
@@ -38,7 +38,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -482,81 +481,64 @@ def spectral_radius(T: Endomorphism, metric: Metric, horizon: int = 8) -> RhoBra
 class _RingView:
     """End(G) of a finite group on ints, for one metric (see ``_ring``).
 
-    A map's key is the flat tuple of the coordinates of its columns T(e_j),
-    column after column; each key gets a small int id, the map's handle,
-    when first met, so nothing lists End(G).  Per id the view keeps the key,
-    the matrix by columns and by rows and, once asked, the norm and measure
-    as (num, den) pairs and nilpotency: O(dim^2) ints a map, no array over
-    G.  The bounds come from one pass over the map's image indices, built,
-    read and dropped, that reads ``norm_table`` and keeps the extreme ratios
-    by cross-multiplication over positive denominators.  T∘S, T + S and
-    T - S are coordinate arithmetic on the keys, so no table of G is needed.
+    A map's handle is its canonical entries, row by row, as one flat tuple,
+    so equal maps have equal handles in every view and nothing lists End(G).
+    The view holds only caches that a recomputation would fill again: per
+    handle its rows and columns, its norm and measure as (num, den) pairs
+    and its nilpotency, O(dim^2) ints a map and no array over G; a view
+    shared by threads needs no lock.  The bounds come from one pass over
+    the map's image indices, built, read and dropped, that reads
+    ``norm_table`` and keeps the extreme ratios by cross-multiplication over
+    positive denominators.  T∘S, T + S and T - S are entry arithmetic on
+    the handles, so no table of G is needed.
     """
 
     def __init__(self, group: FiniteGroup, metric: Metric):
         self.group, self.metric = group, metric
-        # the modulus of each entry of a key
-        self._key_moduli = group.moduli * group.dim
-        self.ids: dict[tuple[int, ...], int] = {}
-        self.keys: list[tuple[int, ...]] = []
-        self.columns: list[tuple[tuple[int, ...], ...]] = []
-        self.rows: list[tuple[tuple[int, ...], ...]] = []
-        self._bounds, self._nilpotent = {}, {}
-        self._new_id = threading.Lock()
+        # the modulus of each entry of a handle
+        self._moduli = tuple(m for m in group.moduli for _ in range(group.dim))
+        self._lines, self._bounds, self._nilpotent = {}, {}, {}
 
-    def _split(self, key: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-        """The columns of the map with this key."""
-        dim = self.group.dim
-        return tuple(key[j:j + dim] for j in range(0, len(key), dim))
-
-    def _id(self, key: tuple[int, ...]) -> int:
-        i = self.ids.get(key)
-        if i is None:
-            # a view is shared, so a new id is published after its key
-            with self._new_id:
-                i = self.ids.get(key)
-                if i is None:
-                    columns = self._split(key)
-                    self.columns.append(columns)
-                    self.rows.append(tuple(zip(*columns)))
-                    self.keys.append(key)
-                    i = self.ids[key] = len(self.keys) - 1
-        return i
-
-    def handle(self, T: Endomorphism) -> int:
+    def handle(self, T: Endomorphism) -> tuple[int, ...]:
         _same_group(T, self)
-        return self._id(tuple(itertools.chain.from_iterable(zip(*T.matrix))))
+        return tuple(itertools.chain.from_iterable(T.matrix))
 
-    def _apply(self, t: int, columns) -> tuple[int, ...]:
-        """The key of map t applied to each of ``columns``."""
-        rows = tuple(zip(self.rows[t], self.group.moduli))
-        return tuple([sum(map(operator.mul, row, col)) % m for col in columns for row, m in rows])
+    def lines(self, t: tuple[int, ...]) -> tuple[Matrix, Matrix]:
+        """The rows and the columns of the map with handle t."""
+        lines = self._lines.get(t)
+        if lines is None:
+            dim = self.group.dim
+            rows = tuple(t[i:i + dim] for i in range(0, len(t), dim))
+            lines = self._lines[t] = rows, tuple(zip(*rows))
+        return lines
 
-    def compose(self, t: int, s: int) -> int:
-        return self._id(self._apply(t, self.columns[s]))
+    def compose(self, t: tuple[int, ...], s: tuple[int, ...]) -> tuple[int, ...]:
+        columns = self.lines(s)[1]
+        return tuple([
+            sum(map(operator.mul, row, col)) % m
+            for row, m in zip(self.lines(t)[0], self.group.moduli) for col in columns
+        ])
 
-    def add(self, t: int, s: int) -> int:
-        keys = self.keys
-        return self._id(tuple(map(operator.mod, map(operator.add, keys[t], keys[s]), self._key_moduli)))
+    def add(self, t: tuple[int, ...], s: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(map(operator.mod, map(operator.add, t, s), self._moduli))
 
-    def sub(self, t: int, s: int) -> int:
-        keys = self.keys
-        return self._id(tuple(map(operator.mod, map(operator.sub, keys[t], keys[s]), self._key_moduli)))
+    def sub(self, t: tuple[int, ...], s: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(map(operator.mod, map(operator.sub, t, s), self._moduli))
 
-    def norm(self, t: int) -> tuple[int, int]:
+    def norm(self, t: tuple[int, ...]) -> tuple[int, int]:
         return self.bounds(t)[0]
 
-    def measure(self, t: int) -> tuple[int, int]:
+    def measure(self, t: tuple[int, ...]) -> tuple[int, int]:
         return self.bounds(t)[1]
 
-    def bounds(self, t: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    def bounds(self, t: tuple[int, ...]) -> tuple[tuple[int, int], tuple[int, int]]:
         """The (max, min) of ||T(x)|| / ||x|| over x != 0 as (num, den) pairs."""
         bounds = self._bounds.get(t)
         if bounds is None:
             norms = norm_table(self.group, self.metric)
             if min(norms[1:]) <= 0:
                 raise MetricGroupMismatch("metric is not positive definite")
-            images = self.group.image_indices(self.rows[t])
+            images = self.group.image_indices(self.lines(t)[0])
             high_num = low_num = norms[images[1]]
             high_den = low_den = norms[1]
             for num, den in zip(map(norms.__getitem__, images[2:]), norms[2:]):
@@ -567,17 +549,17 @@ class _RingView:
             bounds = self._bounds[t] = (high_num, high_den), (low_num, low_den)
         return bounds
 
-    def nilpotent(self, t: int) -> bool:
-        """T^Omega(|G|) = 0, stepping the columns T(e_j) through T."""
+    def nilpotent(self, t: tuple[int, ...]) -> bool:
+        """T^Omega(|G|) = 0, composing T with itself."""
         nilpotent = self._nilpotent.get(t)
         if nilpotent is None:
-            key = self.keys[t]
+            power = t
             for _ in range(_prime_factor_count(self.group.order) - 1):
-                key = self._apply(t, self._split(key))
-            nilpotent = self._nilpotent[t] = not any(key)
+                power = self.compose(t, power)
+            nilpotent = self._nilpotent[t] = not any(power)
         return nilpotent
 
-    def radius(self, t: int, horizon: int) -> tuple[int, int]:
+    def radius(self, t: tuple[int, ...], horizon: int) -> tuple[int, int]:
         """The spectral radius, exactly 0 or 1 on a finite group."""
         _check_horizon(horizon)
         return (0, 1) if self.nilpotent(t) else (1, 1)
@@ -643,8 +625,9 @@ def _ring(group: Group, metric: Metric) -> _RingView | _LatticeRing:
     """End(group) under ``metric``, as handles and (num, den) int pairs.
 
     Ring operations on handles give handles, and norm, measure and radius
-    bound are pairs with den > 0: the integer view of a finite group, a
-    lattice's maps and Fraction values otherwise.
+    bound are pairs with den > 0.  A handle is a value that names its map in
+    every view: on a finite group the map's entries as one flat tuple, row by
+    row, on a lattice the map itself with its ``Fraction`` bounds.
     """
     if isinstance(group, FiniteGroup):
         return _RingView(group, metric)
@@ -753,13 +736,21 @@ def halve(T: Endomorphism) -> Endomorphism:
 # matrix, so entry bit-lengths double.  For T of bench/sessions/dyadic2.json
 # step 14 takes about 2 ms and its 8,194-bit entries still print under
 # Python's default 4,300-digit str(int) limit; step 20 takes 0.7 s and step
-# 22 over 10 s.  Finite groups reduce entries mod m_i and are not capped.
+# 22 over 10 s.
 _RECURSION_CAP = 14
+
+# most steps on a finite group: entries are reduced mod m_i, so a step costs
+# the same each time and n steps cost n times that; 2^16 steps of
+# ``gc recursion`` take 1.5-2.2 s cold on Z121 and about 1.7 s on Z12xZ20
+# (2-vCPU machine), and a step on a group of dimension k costs O(k^3)
+_FINITE_RECURSION_CAP = 1 << 16
 
 
 def _check_steps(T: Endomorphism, n: int) -> None:
     _positive_index(n)
-    if n > _RECURSION_CAP and not isinstance(T.group, FiniteGroup):
+    if isinstance(T.group, FiniteGroup):
+        _check_cap(f"the midpoint recursion on {T.group}", n, "steps", _FINITE_RECURSION_CAP)
+    elif n > _RECURSION_CAP:
         raise ValueError(
             f"midpoint recursion to n = {n} is beyond the cap of {_RECURSION_CAP} steps on {T.group}"
         )
@@ -768,8 +759,8 @@ def _check_steps(T: Endomorphism, n: int) -> None:
 def midpoint_iterates(T: Endomorphism, n: int) -> Iterator[Endomorphism]:
     """Iterates 1..n of U -> U^2 + (I - U)^2 starting from T, one step each.
 
-    On a lattice, n above ``_RECURSION_CAP`` is refused by this call, before
-    the first step.
+    n above ``_RECURSION_CAP`` on a lattice, or ``_FINITE_RECURSION_CAP`` on
+    a finite group, is refused by this call, before the first step.
     """
     _check_steps(T, n)
     ident = identity(T.group)

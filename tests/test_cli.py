@@ -18,7 +18,7 @@ from groupconvex.cli import (
     parse_session_text,
     session_to_dict,
 )
-from groupconvex.errors import ParseError, ValidationError
+from groupconvex.errors import NotEnumerable, ParseError, ValidationError
 
 Z9_SESSION = """
 {
@@ -190,6 +190,21 @@ def test_cmd_hull(z9_session, capsys):
     assert main(["hull", z9_session, "E", "--json"]) == EXIT_OK
     record = json.loads(capsys.readouterr().out)
     assert record["complete"] is True
+
+
+@pytest.mark.parametrize("max_iter", [-1, 0])
+@pytest.mark.parametrize("source", ["flag", "params"])
+def test_hull_refuses_max_iter_below_one(tmp_path, capsys, source, max_iter):
+    session = json.loads(Z9_SESSION)
+    flags = []
+    if source == "flag":
+        flags = ["--max-iter", str(max_iter)]
+    else:
+        session["params"] = {"max_iter": max_iter}
+    assert main(["hull", _session_file(tmp_path, session), "E", *flags]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: max_iter must be >= 1\n"
 
 
 def test_cmd_is_convex_exit_codes(z9_session, capsys):
@@ -460,6 +475,28 @@ def test_recursion_cap_refuses_before_the_first_step(tmp_path, capsys, monkeypat
 def test_finite_group_recursion_is_not_capped(z9_session, capsys):
     assert main(["recursion", z9_session, "T", "1000"]) == EXIT_OK
     assert capsys.readouterr().out.startswith("T_1000 = ")
+
+
+def test_finite_group_recursion_cap_refuses_before_the_first_step(z9_session, capsys, monkeypatch):
+    import groupconvex.endo as en
+
+    def no_product(*args):
+        raise AssertionError("a recursion step was computed")
+
+    monkeypatch.setattr(en, "_matmul", no_product)
+    n = en._FINITE_RECURSION_CAP + 1
+    assert main(["recursion", z9_session, "T", str(n)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: the midpoint recursion on Z9 has {n} steps, "
+        f"beyond the cap of {en._FINITE_RECURSION_CAP}\n"
+    )
+    # the closed forms are refused when called, as the iterates are
+    T = scaling(FiniteGroup((9,)), 2)
+    for closed in (en.midpoint_closed_form, en.midpoint_closed_forms):
+        with pytest.raises(NotEnumerable, match=f"has {n} steps"):
+            closed(T, n)
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,8 @@
 """The integer view of End(G) against element walks, and the pairwise
 checkers against their Fraction loops.
 
-``endo._ring`` keys a map of a finite group by the coordinates of its
-columns, composes, adds and subtracts maps on those coordinates, and reads
+``endo._ring`` keys a map of a finite group by its flat tuple of entries,
+composes, adds and subtracts maps on those entries, and reads
 norms, measures and nilpotency as ints; LEMMA_MU, COR_MU and LEMMA_SR
 compare (num, den) pairs on it.  The oracles here walk the elements with
 ``Endomorphism.apply`` and ``groups.norm``, and the checker oracles are the
@@ -17,6 +17,7 @@ import subprocess
 import sys
 import threading
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -89,7 +90,7 @@ def _assert_view_matches(group, metric, pairs):
         for got, expected in ((view.compose(t, s), T.compose(S)),
                               (view.add(t, s), T.add(S)),
                               (view.sub(t, s), T.sub(S))):
-            assert view.rows[got] == expected.matrix
+            assert view.lines(got)[0] == expected.matrix
             maps[got] = expected
         maps[t], maps[s] = T, S
     for h, T in maps.items():
@@ -159,20 +160,17 @@ def test_view_under_a_table_metric_session():
     _assert_view_matches(inst.group, inst.metric, [(T, S) for T in ring for S in ring])
 
 
-def test_handles_are_given_in_the_order_maps_are_met():
-    g = FiniteGroup((4, 4))
-    view = en._RingView(g, CyclicMetric((1, 1)))
-    ring = all_endomorphisms(g)
-    assert [view.handle(T) for T in ring[:5]] == [0, 1, 2, 3, 4]
-    assert view.handle(ring[2]) == 2 and len(view.keys) == 5
+def _answers(view, maps):
+    """Each map's handle, bounds and nilpotency as the view gives them."""
+    return [(h, view.bounds(h), view.nilpotent(h)) for h in map(view.handle, maps)]
 
 
-def _handles_from_threads(view, orders):
-    handles, errors = {}, []
+def _answers_from_threads(view, orders):
+    answers, errors = {}, []
 
     def work(name, maps):
         try:
-            handles[name] = [view.handle(T) for T in maps]
+            answers[name] = _answers(view, maps)
         except Exception as err:  # reported by the caller's assertion
             errors.append(err)
 
@@ -182,26 +180,35 @@ def _handles_from_threads(view, orders):
     for thread in threads:
         thread.join(timeout=60)
     assert not errors and not any(thread.is_alive() for thread in threads)
-    return handles
+    return answers
 
 
-def test_a_view_shared_by_threads_keeps_one_id_per_map():
+def test_a_view_shared_by_threads_answers_as_a_fresh_view():
     g = FiniteGroup((12, 20))
+    metric = CyclicMetric((1, 1))
     ring = all_endomorphisms(g)
-    # six threads meet every map in the same order, so they race for each new id
-    orders = [ring] * 6
-    expected = [[T.matrix for T in maps] for maps in orders]
+    expected = _answers(en._RingView(g, metric), ring)
+    assert [h for h, _, _ in expected] == [tuple(chain(*T.matrix)) for T in ring]
+    # six threads meet every map in the same order, so they race for each cache entry
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(10):
-            view = en._RingView(g, CyclicMetric((1, 1)))
-            handles = _handles_from_threads(view, orders)
-            assert len(view.keys) == len(view.ids) == len(ring)
-            for i in range(len(orders)):
-                assert [view.rows[h] for h in handles[i]] == expected[i]
+        for _ in range(3):
+            answers = _answers_from_threads(en._RingView(g, metric), [ring] * 6)
+            assert all(answers[i] == expected for i in range(6))
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_two_views_of_one_group_agree_on_handles_and_operations():
+    g = FiniteGroup((4, 8))
+    metric = CyclicMetric((1, 1))
+    first, second = en._RingView(g, metric), en._RingView(g, metric)
+    for T, S in _seeded_pairs(g, 300, 48):
+        t, s = first.handle(T), first.handle(S)
+        assert (t, s) == (second.handle(T), second.handle(S))
+        for op in ("compose", "add", "sub"):
+            assert getattr(first, op)(t, s) == getattr(second, op)(t, s)
 
 
 # -- the checkers against their Fraction loops ---------------------------------
@@ -315,7 +322,7 @@ def test_checkers_agree_with_their_fraction_loops(prop):
 
 # -- a forced refutation: one bound patched on both paths ----------------------
 def _map_of(view, t):
-    return make_endo(view.group, view.rows[t])
+    return make_endo(view.group, view.lines(t)[0])
 
 
 def _patch(monkeypatch, walk, quantity, change):
