@@ -195,7 +195,7 @@ def session_from_dict(data: dict) -> Instance:
     for name, rows in endo_literals:
         with _reading(f"endomorphism {name!r}"):
             matrix = [[parse_scalar(str(a)) for a in row] for row in rows]
-        endos[name] = en.make_endo(group, matrix)
+            endos[name] = en.make_endo(group, matrix)
     sets = {}
     with _reading("sets"):
         set_literals = data.get("sets", {}).items()
@@ -452,7 +452,8 @@ def _cmd_search(inst: Instance, args) -> int:
 # the session file as (name, add_argument keywords).
 _COMMANDS = (
     ("norm", "norm of an element", _cmd_norm,
-     [("element", {"help": "comma-separated exact coordinates"})]),
+     [("element", {"help": "comma-separated exact coordinates; put -- before an element "
+                           "whose first coordinate is negative"})]),
     ("endo-norm", "operator norm of an endomorphism", _cmd_endo_scalar, [("name", {})]),
     ("mu", "measure of injectivity", _cmd_endo_scalar, [("name", {})]),
     ("rho", "spectral radius bracket", _cmd_rho, [("name", {})]),

@@ -36,7 +36,7 @@ from .errors import (
     UnsupportedRepresentation,
 )
 from .groups import DyadicLattice, FiniteGroup, Group, IntLattice, Metric, Vector, norm
-from .groups import _PAIR_CAP, _check_cap, _positive_index, _same_group
+from .groups import _PAIR_CAP, _TABLE_CAP, _check_cap, _positive_index, _same_group
 from .verdicts import Verdict, proved, refuted
 
 
@@ -311,29 +311,41 @@ class _Coding(NamedTuple):
     image: Callable
 
 
+# a pass meets one or two groups, so only the last 8 groups' codings are kept
+@lru_cache(maxsize=8)
 def _coding(group: Group) -> _Coding:
-    """Lex indices where the group has tables, the tuples themselves elsewhere.
+    """Lex indices on a finite group within the caps, the tuples themselves elsewhere.
 
-    On indices (``FiniteGroup.tables``) every step is a lookup: a + b folds
-    the sum of two padded codes, -a folds top less a's padded code, and T(x)
-    is T's image array (``_image_array``).  Groups whose tables are refused,
-    and the lattices, run on tuples: ``group.add``, ``group.neg`` and
-    ``T.apply``, each T(x) computed once per pass.
+    On indices every step is a lookup.  With coordinate j in a slot of width
+    2*m_j, padded codes add with no carry between slots: ``pads[i]`` is the
+    padded code of element i, ``folds[s]`` reduces each slot of s mod m_j back
+    to a lex index and ``top`` is the padded (m_1, ..., m_k), so a + b is
+    folds[pads[a] + pads[b]] and -a is folds[top - pads[a]]; T(x) is T's
+    image array (``_image_array``).  A group of more than ``_TABLE_CAP``
+    elements or ``_PAIR_CAP`` padded codes (2^k * |G| for k moduli), and the
+    lattices, run on tuples: ``group.add``, ``group.neg`` and ``T.apply``,
+    each T(x) computed once per pass.  Since 2^k <= |G|, every group of at
+    most 1,024 elements runs on indices.
     """
-    if isinstance(group, FiniteGroup):
-        try:
-            elements, index, pads, folds, top = group.tables()
-        except NotEnumerable:
-            pass
-        else:
-            return _Coding(
-                index.__getitem__,
-                elements.__getitem__,
-                lambda a, b: folds[pads[a] + pads[b]],
-                lambda a: folds[top - pads[a]],
-                lambda T: _image_array(T).__getitem__,
-            )
-    return _Coding(_same, _same, group.add, group.neg, lambda T: cache(T.apply))
+    if (
+        not isinstance(group, FiniteGroup)
+        or group.order > _TABLE_CAP
+        or group.order << group.dim > _PAIR_CAP
+    ):
+        return _Coding(_same, _same, group.add, group.neg, lambda T: cache(T.apply))
+    pads, folds, top = (0,), (0,), 0
+    for m in group.moduli:
+        pads = tuple(a * 2 * m + r for a in pads for r in range(m))
+        folds = tuple(a * m + r for a in folds for r in (*range(m), *range(m)))
+        top = top * 2 * m + m
+    elements = tuple(group.elements())
+    return _Coding(
+        dict(zip(elements, itertools.count())).__getitem__,
+        elements.__getitem__,
+        lambda a, b: folds[pads[a] + pads[b]],
+        lambda a: folds[top - pads[a]],
+        lambda T: _image_array(T).__getitem__,
+    )
 
 
 # the image arrays of the last 1,024 maps that a pass on lex indices met

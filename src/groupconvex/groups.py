@@ -22,7 +22,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -131,16 +131,6 @@ def _check_cap(what: str, count: int, unit: str, cap: int) -> None:
         raise NotEnumerable(f"{what} has {count} {unit}, beyond the cap of {cap}")
 
 
-class LexTables(NamedTuple):
-    """A finite group's elements coded by their lex index (``FiniteGroup.tables``)."""
-
-    elements: tuple[Vector, ...]  # the element of each index, in lex order
-    index: dict[Vector, int]  # the index of each element
-    pads: tuple[int, ...]  # pads[i]: element i, coordinate j in a slot of width 2*m_j
-    folds: tuple[int, ...]  # folds[s]: the index of s with each slot j reduced mod m_j
-    top: int  # the padded (m_1, ..., m_k): -(element i) is folds[top - pads[i]]
-
-
 @dataclass(frozen=True)
 class FiniteGroup(Group):
     """Product of cyclic groups Z_m1 x ... x Z_mk; elements are residue tuples.
@@ -247,26 +237,6 @@ class FiniteGroup(Group):
             index = list(map(operator.add, index, [c % m * place for c in coordinate]))
             place *= m
         return index
-
-    # a pass meets one or two groups, so only the last 8 groups' tables are kept
-    @lru_cache(maxsize=8)
-    def tables(self) -> LexTables:
-        """The lex index of every element, and sums and negatives on indices.
-
-        The index is that of ``image_indices``.  With coordinate j in a slot
-        of width 2*m_j, padded codes add with no carry between slots, so
-        i + j is folds[pads[i] + pads[j]] and -i is folds[top - pads[i]].
-        Since 2^k <= |G|, no group of at most 1,024 elements meets the caps.
-        """
-        _check_cap(str(self), self.order, "elements", _TABLE_CAP)
-        _check_cap(f"the fold table of {self}", self.order << self.dim, "padded codes", _PAIR_CAP)
-        pads, folds, top = (0,), (0,), 0
-        for m in self.moduli:
-            pads = tuple(a * 2 * m + r for a in pads for r in range(m))
-            folds = tuple(a * m + r for a in folds for r in (*range(m), *range(m)))
-            top = top * 2 * m + m
-        elements = tuple(self.elements())
-        return LexTables(elements, dict(zip(elements, itertools.count())), pads, folds, top)
 
 
 @dataclass(frozen=True)
@@ -511,9 +481,10 @@ def distance(group: Group, metric: Metric, x: Vector, y: Vector) -> Fraction:
     return norm(group, metric, group.sub(x, y))
 
 
-# most elements ``norm_table`` and ``FiniteGroup.image_indices`` enumerate, and
-# most pairs (x, y) the L1/Linf and table checks of ``validate_metric`` walk;
-# Z30xZ30 has 810,000 pairs
+# most elements ``norm_table``, ``FiniteGroup.image_indices`` and
+# ``convexity._coding`` enumerate, and most pairs (x, y) the L1/Linf and table
+# checks of ``validate_metric`` walk or padded codes ``convexity._coding``
+# folds; Z30xZ30 has 810,000 pairs
 _TABLE_CAP = 1 << 16
 _PAIR_CAP = 1 << 20
 

@@ -35,7 +35,7 @@ def as_int(value) -> int:
         return value.numerator
     if isinstance(value, str):
         return as_int(parse_scalar(value))
-    raise ValueError(f"{value!r} is not an integer scalar")
+    raise ValueError(f"{value} is not an integer scalar")
 
 
 def is_dyadic(q: Fraction) -> bool:

@@ -164,6 +164,15 @@ def test_cmd_norm(z9_session, capsys):
     assert capsys.readouterr().out.strip() == "2"
 
 
+def test_cmd_norm_of_a_negative_element_after_a_double_dash(capsys):
+    # argparse reads a leading -1/2 as an option unless -- ends the options
+    path = str(Path(__file__).resolve().parents[1] / "bench" / "sessions" / "dyadic2.json")
+    assert main(["norm", path, "-1/2,0"]) == EXIT_INPUT
+    assert "required: element" in capsys.readouterr().err
+    assert main(["norm", path, "--", "-1/2,0"]) == EXIT_OK
+    assert capsys.readouterr().out.strip() == "1/2"
+
+
 def test_cmd_endo_norm(z9_session, capsys):
     assert main(["endo-norm", z9_session, "T"]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "2"
@@ -624,6 +633,13 @@ TABLE_SESSION = """
             "group": {"kind": "finite", "moduli": {"4": 0, "9": 0}},
             "metric": {"kind": "cyclic", "weights": ["1", "1"]},
         },
+        # a map of the wrong entries or the wrong shape names itself
+        {"group": {"kind": "int", "dim": 1}, "metric": {"kind": "linf", "weights": ["1"]}, "endos": {"T": [["1/2"]]}},
+        {
+            "group": {"kind": "finite", "moduli": [4]},
+            "metric": {"kind": "cyclic", "weights": ["1"]},
+            "endos": {"T": [["1", "2"]]},
+        },
     ],
 )
 def test_malformed_literal_is_an_input_error(tmp_path, capsys, session):
@@ -632,7 +648,10 @@ def test_malformed_literal_is_an_input_error(tmp_path, capsys, session):
     with pytest.raises(ParseError):
         parse_session_text(json.dumps(session))
     assert main(["norm", str(path), "0"]) == EXIT_INPUT
-    assert "malformed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "malformed" in err
+    if "endos" in session:
+        assert "endomorphism 'T'" in err, err
 
 
 def test_high_rank_session_builds_nothing_sized_by_the_group(tmp_path, capsys):

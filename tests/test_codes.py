@@ -2,17 +2,16 @@
 
 ``is_T_convex``, ``t_convex_pointwise``, ``convex_hull`` and ``family_of``
 each run one pair loop on the coding that ``convexity._coding`` picks per
-group: lex indices over a finite group whose tables exist
-(``FiniteGroup.tables``, for |G| within ``_TABLE_CAP`` and the 2^k * |G|
-padded codes of k moduli within ``_PAIR_CAP``), the tuples themselves
-otherwise, lattice finite sets included.  The reference functions below
-are direct tuple loops over every pair, kept here as the oracle: every
-status, witness and hull must agree with them on both codings, both as the
-functions route themselves and with every group's tables refused.  A fold
-table corrupted on purpose must turn a refutation that the tuple re-check
-denies into ``InvariantViolated``, also under ``python -O``.  Large sets of
-groups with tables must run with no tuple arithmetic, and build nothing of
-|G|^2 entries.
+group, built once per group: lex indices over a finite group of at most
+``_TABLE_CAP`` elements and ``_PAIR_CAP`` padded codes (2^k * |G| for k
+moduli), the tuples themselves otherwise, lattice finite sets included.  The
+reference functions below are direct tuple loops over every pair, kept here
+as the oracle: every status, witness and hull must agree with them on both
+codings, both as the functions route themselves and with every group on
+tuples.  An index coding corrupted on purpose must turn a refutation that
+the tuple re-check denies into ``InvariantViolated``, also under
+``python -O``.  Large sets of groups on indices must run with no tuple
+arithmetic, and build nothing of |G|^2 entries.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -42,8 +42,12 @@ from groupconvex import (
     t_convex_pointwise,
     zero,
 )
+from groupconvex import convexity
 from groupconvex.convexity import _coding
-from groupconvex.errors import InvariantViolated, NotEnumerable
+from groupconvex.errors import InvariantViolated
+from groupconvex.groups import CyclicMetric
+from groupconvex.properties import PropertyId
+from groupconvex.theorems import Instance, verify
 from groupconvex.verdicts import proved, refuted
 
 
@@ -98,16 +102,23 @@ def _same(verdict, reference):
     return (verdict.status, verdict.witness) == (reference.status, reference.witness)
 
 
-def _refuse_tables(self):
-    raise NotEnumerable(f"no tables for {self}")
+def _tuple_coding(group):
+    """The coding that ``_coding`` gives a lattice, for any group."""
+    return convexity._Coding(
+        convexity._same, convexity._same, group.add, group.neg, lambda T: cache(T.apply)
+    )
+
+
+def _on_tuples(group):
+    return _coding(group).point is convexity._same
 
 
 def _routings(monkeypatch):
-    """Yield as the functions route themselves, then with every group's
-    tables refused, so that finite-group sets run on tuples."""
+    """Yield as the functions route themselves, then with every group coded
+    by its tuples, so that finite-group sets run on tuples."""
     yield
     with monkeypatch.context() as patched:
-        patched.setattr(FiniteGroup, "tables", _refuse_tables)
+        patched.setattr(convexity, "_coding", _tuple_coding)
         yield
 
 
@@ -223,21 +234,17 @@ def test_finite_set_does_not_depend_on_insertion_order(group):
 def test_codec_on_every_pair_of_z2_z3_z4():
     group = FiniteGroup((2, 3, 4))
     elems = list(group.elements())
-    tables = group.tables()
-    assert list(tables.elements) == elems == sorted(elems)
-    assert tables.index == {x: i for i, x in enumerate(elems)}
-    # no field of |G|^2 entries: |G| padded codes and 2^k * |G| to fold
-    assert (len(tables.pads), len(tables.folds)) == (24, 8 * 24)
     c = _coding(group)
+    assert list(map(c.point, range(24))) == elems == sorted(elems)
+    assert list(map(c.code, elems)) == list(range(24))
     for i, x in enumerate(elems):
-        assert c.neg(i) == tables.index[group.neg(x)], x
+        assert c.neg(i) == c.code(group.neg(x)), x
         for j, y in enumerate(elems):
-            assert c.plus(i, j) == tables.index[group.add(x, y)], (x, y)
-    # the tables exist while 2^k * |G| is within the pair cap: Z5xZ205 (1,025
+            assert c.plus(i, j) == c.code(group.add(x, y)), (x, y)
+    # indices while 2^k * |G| is within the pair cap: Z5xZ205 (1,025
     # elements) has them, (Z2)^11 (2^11 * 2^11 padded codes) has none
-    assert len(FiniteGroup((5, 205)).tables().pads) == 1025
-    with pytest.raises(NotEnumerable, match="4194304 padded codes, beyond the cap"):
-        FiniteGroup((2,) * 11).tables()
+    assert _coding(FiniteGroup((5, 205))).code((4, 204)) == 1024
+    assert _on_tuples(FiniteGroup((2,) * 11))
 
 
 @pytest.mark.parametrize(
@@ -246,27 +253,25 @@ def test_codec_on_every_pair_of_z2_z3_z4():
 def test_tables_up_to_the_caps(moduli):
     # (Z2)^10 has the most padded codes of any group of 1,024 elements: 2^20
     group = FiniteGroup(moduli)
-    tables = group.tables()
-    assert len(tables.pads) == group.order
-    assert len(tables.folds) == group.order << group.dim
     c = _coding(group)
+    assert c.code(tuple(m - 1 for m in moduli)) == group.order - 1
     rng = random.Random(31)
     for _ in range(300):
         x, y = ([rng.randrange(m) for m in moduli] for _ in range(2))
-        i, j = tables.index[tuple(x)], tables.index[tuple(y)]
-        assert tables.elements[c.plus(i, j)] == group.add(x, y), (x, y)
-        assert tables.elements[c.neg(i)] == group.neg(x), x
+        i, j = c.code(tuple(x)), c.code(tuple(y))
+        assert c.point(c.plus(i, j)) == group.add(x, y), (x, y)
+        assert c.point(c.neg(i)) == group.neg(x), x
 
 
 def _misroute_zero_sum(monkeypatch):
-    """Corrupt every fold table: 0 + 0 gets the index 1."""
-    real = FiniteGroup.tables
+    """Corrupt every index coding: 0 + 0 gets the index 1 (no tuple is 0)."""
+    real = convexity._coding
 
-    def tables(self):
-        t = real(self)
-        return t._replace(folds=(1,) + t.folds[1:])
+    def coding(group):
+        c = real(group)
+        return c._replace(plus=lambda a, b: 1 if a == b == 0 else c.plus(a, b))
 
-    monkeypatch.setattr(FiniteGroup, "tables", tables)
+    monkeypatch.setattr(convexity, "_coding", coding)
 
 
 def test_tables_run_on_sets_of_every_size(monkeypatch):
@@ -281,10 +286,10 @@ def test_tables_run_on_sets_of_every_size(monkeypatch):
                 is_T_convex(D, T)
         with pytest.raises(InvariantViolated):
             t_convex_pointwise(D, zero(group))
-    # the hull reads the same table, so the hull of {0} takes in index 1
+    # the hull reads the same coding, so the hull of {0} takes in index 1
     origin = finite_set(group, elems[:1])
     assert convex_hull(origin, [zero(group)], max_iter=1)[0] != origin
-    # a group beyond the cap has no tables, so its pair loops run on tuples
+    # a group beyond the cap is coded by its tuples, so nothing is misrouted
     big = FiniteGroup((2**17,))
     D = finite_set(big, [[0], [6], [10]])
     for T in (zero(big), identity(big), make_endo(big, [[3]])):
@@ -307,19 +312,20 @@ def test_a_refutation_that_does_not_recheck_raises(monkeypatch):
 _BROKEN_FOLDS = """
 import sys
 
-from groupconvex import FiniteGroup, finite_set, is_T_convex, t_convex_pointwise, zero
+from groupconvex import FiniteGroup, convexity, finite_set, is_T_convex, t_convex_pointwise, zero
 from groupconvex.errors import InvariantViolated
 
 print("optimize", sys.flags.optimize)
-real = FiniteGroup.tables
+real = convexity._coding
 
 
-def tables(self):
-    t = real(self)
-    return t._replace(folds=(1,) + t.folds[1:])  # 0 + 0 lands on 1
+def coding(group):
+    c = real(group)
+    # 0 + 0 lands on 1
+    return c._replace(plus=lambda a, b: 1 if a == b == 0 else c.plus(a, b))
 
 
-FiniteGroup.tables = tables
+convexity._coding = coding
 z9 = FiniteGroup((9,))
 for test in (is_T_convex, t_convex_pointwise):
     try:
@@ -364,8 +370,7 @@ def test_groups_without_tables_agree_with_tuple_loops():
     ]
     outcomes = set()
     for group, points, endos in cases:
-        with pytest.raises(NotEnumerable, match="beyond the cap"):
-            group.tables()
+        assert _on_tuples(group), group
         D = finite_set(group, points)
         for T in [zero(group), identity(group)] + endos:
             direct = ref_is_T_convex(D, T)
@@ -397,7 +402,7 @@ def _multiples(group, step):
 
 
 def _no_tuple_arithmetic(*_):
-    raise AssertionError("tuple arithmetic on a group with tables")
+    raise AssertionError("tuple arithmetic on a group coded by lex indices")
 
 
 @pytest.mark.parametrize("order, step, hulls", [(4096, 4, True), (8192, 8, False)], ids=str)
@@ -421,12 +426,29 @@ def test_large_cyclic_groups_run_on_lex_indices(order, step, hulls, monkeypatch)
     assert convex_hull(subgroup, [triple]) == (subgroup, True)
 
 
+def test_a_verify_builds_the_coding_of_its_group_once():
+    _coding.cache_clear()
+    assert verify(PropertyId.LEM_TC, Instance(FiniteGroup((9,)), CyclicMetric((1,)))).proved
+    info = _coding.cache_info()
+    # every subset of Z9 under every map asks for the coding of Z9
+    assert info.misses == 1 and info.hits > 9000, info
+
+
+@pytest.mark.parametrize("moduli", [(2**17,), (2,) * 11, (2, 3, 5, 7, 11, 13)], ids=str)
+def test_the_tuple_coding_lists_no_element(moduli, monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"the elements of {self} were listed")
+
+    _coding.cache_clear()
+    monkeypatch.setattr(FiniteGroup, "elements", refuse)
+    assert _on_tuples(FiniteGroup(moduli))
+
+
 @pytest.mark.parametrize("moduli", [(2**17,), (2,) * 11, (2, 3, 5, 7, 11, 13)], ids=str)
 def test_groups_beyond_either_cap_run_on_tuples(moduli):
     # Z_(2^17) is beyond the element cap, the others beyond the pair cap
     group = FiniteGroup(moduli)
-    with pytest.raises(NotEnumerable, match="beyond the cap"):
-        group.tables()
+    assert _on_tuples(group)
     k = group.dim
     D = finite_set(group, [[0] * k, [1] * k, [1] + [0] * (k - 1)])
     # 3x, -x and the projection onto the first coordinate

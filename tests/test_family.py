@@ -6,7 +6,7 @@ intersection of the translates D - y over the y in D with y + d in D.  The
 reference below is the definition instead: R(x) + y - R(y) in D for every
 ordered pair (x, y), one map at a time, kept here as the oracle.  Both must
 list the same maps in End(G) order, on every subset of the small groups,
-on drawn subsets of larger ones and on groups whose lex tables are refused.
+on drawn subsets of larger ones and on groups coded by their tuples.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from groupconvex import FiniteGroup, all_endomorphisms, family_of, finite_set
+from groupconvex import FiniteGroup, all_endomorphisms, convexity, family_of, finite_set
 from groupconvex.errors import NotEnumerable
 
 
@@ -69,10 +69,9 @@ def test_family_matches_the_pair_loop_on_drawn_subsets(moduli):
 
 
 def test_family_without_tables_runs_on_tuples():
-    # 2^6 * 30,030 padded codes, beyond the pair cap, so it has no lex tables
+    # 2^6 * 30,030 padded codes, beyond the pair cap, so it is coded by its tuples
     group = FiniteGroup((2, 3, 5, 7, 11, 13))
-    with pytest.raises(NotEnumerable, match="beyond the cap"):
-        group.tables()
+    assert convexity._coding(group).point is convexity._same
     for points in (
         [[0] * 6],
         [[0] * 6, [1] * 6],
@@ -81,7 +80,7 @@ def test_family_without_tables_runs_on_tuples():
     ):
         D = finite_set(group, points)
         assert family_of.__wrapped__(D) == ref_family(D), D
-    # groups too large for the tables and for End(G) refuse the ring, by name
+    # groups too large for lex indices and for End(G) refuse the ring, by name
     for group in (FiniteGroup((2**70,)), FiniteGroup((2,) * 64)):
         with pytest.raises(NotEnumerable, match="endomorphism ring"):
             family_of(finite_set(group, [group.zero()]))

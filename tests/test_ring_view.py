@@ -23,6 +23,7 @@ from pathlib import Path
 import pytest
 
 import groupconvex
+import groupconvex.convexity as cx
 import groupconvex.endo as en
 import groupconvex.properties as props
 from groupconvex import (
@@ -131,24 +132,24 @@ def test_view_on_seeded_pairs_of_z12x20():
 
 
 def test_view_on_a_group_beyond_the_sum_table_cap(monkeypatch):
-    # the view reads no lex tables, so it holds with them refused
+    # the view reads no lex-index coding, so it holds with the coding refused
     def refuse(group):
-        raise NotEnumerable(f"no tables for {group}")
+        raise NotEnumerable(f"no coding for {group}")
 
-    monkeypatch.setattr(FiniteGroup, "tables", refuse)
+    monkeypatch.setattr(cx, "_coding", refuse)
     g = FiniteGroup((6, 200))
     with pytest.raises(NotEnumerable):
-        g.tables()
+        cx._coding(g)
     _assert_view_matches(g, CyclicMetric((1, 1)), _seeded_pairs(g, 12, 6))
 
 
 @pytest.mark.parametrize("prop", PAIRWISE, ids=str)
 def test_a_named_pair_builds_no_sum_table(monkeypatch, prop):
-    # a handful of maps of Z1024 need none of its lex tables
+    # a handful of maps of Z1024 need no lex-index coding of it
     def refuse(group):
-        raise AssertionError("a sum table was built")
+        raise AssertionError("a coding was built")
 
-    monkeypatch.setattr(FiniteGroup, "tables", refuse)
+    monkeypatch.setattr(cx, "_coding", refuse)
     g = FiniteGroup((1024,))
     endos = {"T": make_endo(g, [[3]]), "S": make_endo(g, [[6]])}
     assert _same_verdict(prop, Instance(g, CyclicMetric((1,)), endos=endos)).proved

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupconvex.scalars import (
+    as_int,
     format_dyadic,
     format_rational,
     int_root_floor,
@@ -21,6 +22,12 @@ def test_parse_scalar_forms():
     assert parse_scalar("3/4") == Fraction(3, 4)
     assert parse_scalar("3/2^2") == Fraction(3, 4)
     assert parse_scalar("-5/2^3") == Fraction(-5, 8)
+
+
+def test_as_int_names_a_fraction_as_text():
+    assert as_int(Fraction(6, 3)) == 2
+    with pytest.raises(ValueError, match="^1/2 is not an integer scalar$"):
+        as_int(Fraction(1, 2))
 
 
 def test_format_dyadic():
