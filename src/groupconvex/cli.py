@@ -104,6 +104,8 @@ def _json_witness(group: Group, witness) -> Any:
             out.append({"endo": _format_matrix(group, item)})
         elif isinstance(item, (FiniteSet, BoxSet)):
             out.append({"set": _format_set(item)})
+        elif isinstance(item, Instance):
+            out.append({"session": session_to_dict(item)})
         elif isinstance(item, tuple):
             out.append(_json_witness(group, item))
         elif isinstance(item, (int, Fraction)):

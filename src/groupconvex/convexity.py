@@ -98,6 +98,7 @@ def contains(A: PointSet, x: Vector) -> bool:
     """Exact membership test for both representations."""
     if isinstance(A, FiniteSet):
         return x in A.members
+    A.group._check_dim(x)
     return all(a <= c <= b for a, c, b in zip(A.lo, x, A.hi))
 
 
@@ -169,6 +170,7 @@ def n_dilate(A: PointSet, n: int) -> PointSet:
 
 def member_of_sum(point: Vector, B: PointSet, C: FiniteSet) -> bool:
     """Exact membership of ``point`` in B + C for finite C."""
+    _same_group(B, C)
     g = B.group
     return any(contains(B, g.sub(point, c)) for c in C.elements)
 
@@ -234,8 +236,8 @@ def is_n_convex(A: PointSet, n: int) -> Verdict:
     for the least missing total and the first pair reaching it.  More than
     ``_SUM_CAP`` pairs, or a witness of more than ``_SUM_CAP`` parts, is
     refused unbuilt.  Boxes are proved symbolically when the group is
-    divisible by n (the interval identity) and refuted with a constructed
-    witness otherwise.
+    divisible by n (the interval identity) and refuted otherwise, with a
+    constructed witness of n parts under the same cap.
     """
     _positive_index(n)
     g = A.group
@@ -259,10 +261,9 @@ def is_n_convex(A: PointSet, n: int) -> Verdict:
         _check_cap(f"a witness of [{n}]A", n, "parts", _SUM_CAP)
         pair, total = least
         return refuted((pair + (a0,) * (n - 2), total))
-    if A.lo == A.hi:
+    if A.lo == A.hi or g.divisible_by(n):
         return proved()
-    if g.divisible_by(n):
-        return proved()
+    _check_cap(f"a witness of [{n}]A", n, "parts", _SUM_CAP)
     # construct a sum that no dilated lattice point can reach
     axis = next(i for i, (a, b) in enumerate(zip(A.lo, A.hi)) if a < b)
     step = Fraction(1)
@@ -442,6 +443,7 @@ def t_convex_pointwise(D: FiniteSet, T: Endomorphism) -> Verdict:
     witness is the failing v that a loop over the tuple translate D - p
     meets first.
     """
+    _same_group(D, T)
     if not isinstance(D, FiniteSet):
         raise NotFinite("the pointwise test enumerates translates")
     p = _pointwise_failure(D, T)
@@ -502,8 +504,7 @@ def convex_hull(
     """
     if not isinstance(S, FiniteSet):
         raise NotFinite("hulls are computed from explicit finite seeds")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    _positive_index(max_iter, "max_iter")
     for T in Ts:
         _same_group(S, T)
     g = S.group

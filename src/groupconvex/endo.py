@@ -421,10 +421,9 @@ _HORIZON_CAP = 1024
 
 
 def _check_horizon(horizon: int) -> None:
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    if horizon > _HORIZON_CAP:
-        raise ValueError(f"horizon {horizon} is beyond the cap of {_HORIZON_CAP}")
+    """Refuses a horizon below 1 or above ``_HORIZON_CAP``, before any power."""
+    _positive_index(horizon, "horizon")
+    _check_cap("a spectral-radius bracket", horizon, "powers", _HORIZON_CAP)
 
 
 @lru_cache(maxsize=None)
@@ -747,13 +746,10 @@ _FINITE_RECURSION_CAP = 1 << 16
 
 
 def _check_steps(T: Endomorphism, n: int) -> None:
+    """Refuses n below 1, or above the recursion cap of T's group kind."""
     _positive_index(n)
-    if isinstance(T.group, FiniteGroup):
-        _check_cap(f"the midpoint recursion on {T.group}", n, "steps", _FINITE_RECURSION_CAP)
-    elif n > _RECURSION_CAP:
-        raise ValueError(
-            f"midpoint recursion to n = {n} is beyond the cap of {_RECURSION_CAP} steps on {T.group}"
-        )
+    cap = _FINITE_RECURSION_CAP if isinstance(T.group, FiniteGroup) else _RECURSION_CAP
+    _check_cap(f"the midpoint recursion on {T.group}", n, "steps", cap)
 
 
 def midpoint_iterates(T: Endomorphism, n: int) -> Iterator[Endomorphism]:

@@ -113,10 +113,10 @@ class Group:
             )
 
 
-def _positive_index(n: int) -> None:
-    """The one check that a multiplier or a step count n is at least 1."""
+def _positive_index(n: int, name: str = "n") -> None:
+    """The one check that a multiplier or a count, called ``name``, is at least 1."""
     if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+        raise ValueError(f"{name} must be a positive integer, got {n!r}")
 
 
 def _same_group(a, b) -> None:
@@ -252,8 +252,7 @@ class _Lattice(Group):
 
     def __post_init__(self):
         object.__setattr__(self, "lattice_dim", as_int(self.lattice_dim))
-        if self.lattice_dim < 1:
-            raise ValueError("dimension must be >= 1")
+        _positive_index(self.lattice_dim, "dimension")
 
     @property
     def dim(self) -> int:

@@ -35,6 +35,7 @@ from .groups import (
     IntLattice,
     LinfMetric,
     Metric,
+    _positive_index,
     validate_metric,
 )
 from .verdicts import Verdict, proved, refuted, unfalsified
@@ -184,8 +185,7 @@ def counterexample_search(
     ``Proved`` verdict when an exhaustive generator is fully enumerated, and
     ``Unfalsified`` with the sample count otherwise.
     """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    _positive_index(budget, "budget")
     from .properties import _SPECS
 
     spec = _SPECS[prop]

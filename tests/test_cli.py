@@ -1,5 +1,6 @@
 import copy
 import json
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupconvex import FiniteGroup, Params, finite_set, scaling
+from groupconvex import FiniteGroup, Params, PropertyId, finite_set, properties, scaling
 from groupconvex.cli import (
     EXIT_HYPOTHESIS,
     EXIT_INPUT,
@@ -15,10 +16,12 @@ from groupconvex.cli import (
     EXIT_REFUTED,
     format_session,
     main,
+    parse_session,
     parse_session_text,
     session_to_dict,
 )
 from groupconvex.errors import NotEnumerable, ParseError, ValidationError
+from groupconvex.verdicts import proved, refuted
 
 Z9_SESSION = """
 {
@@ -213,7 +216,7 @@ def test_hull_refuses_max_iter_below_one(tmp_path, capsys, source, max_iter):
     assert main(["hull", _session_file(tmp_path, session), "E", *flags]) == EXIT_INPUT
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: max_iter must be >= 1\n"
+    assert captured.err == f"error: max_iter must be a positive integer, got {max_iter}\n"
 
 
 def test_cmd_is_convex_exit_codes(z9_session, capsys):
@@ -323,6 +326,30 @@ def test_cmd_search_unfalsified(tmp_path, capsys):
     assert code == 2
     record = json.loads(capsys.readouterr().out)
     assert record["status"] == "Unfalsified" and record["samples"] == 20
+
+
+@pytest.mark.parametrize("session, prop", [("z9.json", "LEM_TC"), ("dyadic2.json", "THM_RCT")])
+def test_a_refuted_search_prints_the_drawn_instance_as_a_session(
+    tmp_path, capsys, monkeypatch, session, prop
+):
+    """``witness[0]["session"]`` reads back as the drawn instance, and ``verify`` refutes it."""
+    drawn = []
+
+    def refute_the_third_draw(inst):
+        drawn.append(inst)
+        return refuted(("third draw",)) if len(drawn) >= 3 and inst == drawn[2] else proved()
+
+    key = PropertyId[prop]
+    patched = replace(properties._SPECS[key], check=refute_the_third_draw)
+    monkeypatch.setitem(properties._SPECS, key, patched)
+    path = str(Path(__file__).resolve().parents[1] / "bench" / "sessions" / session)
+    assert main(["search", path, prop, "--budget", "10", "--json"]) == EXIT_REFUTED
+    witness = json.loads(capsys.readouterr().out)["witness"]
+    assert len(drawn) == 3 and witness[1:] == ["third draw"]
+    replay = tmp_path / "replay.json"
+    replay.write_text(json.dumps(witness[0]["session"]))
+    assert parse_session(str(replay)) == drawn[2]
+    assert main(["verify", str(replay), prop]) == EXIT_REFUTED
 
 
 def _session_file(tmp_path, session) -> str:
@@ -459,9 +486,8 @@ def test_recursion_beyond_the_cap_is_an_input_error(tmp_path, capsys, argv):
     command, *rest = argv
     assert main([command, _session_file(tmp_path, session), *rest]) == EXIT_INPUT
     err = capsys.readouterr().err
-    assert f"beyond the cap of {en._RECURSION_CAP} steps" in err
     # the message names the step that was asked for, not the first one past the cap
-    assert f"n = {rest[-1]} " in err
+    assert f" has {rest[-1]} steps, beyond the cap of {en._RECURSION_CAP}\n" in err
 
 
 def test_recursion_cap_refuses_before_the_first_step(tmp_path, capsys, monkeypatch):
@@ -478,7 +504,8 @@ def test_recursion_cap_refuses_before_the_first_step(tmp_path, capsys, monkeypat
     }
     path = _session_file(tmp_path, session)
     assert main(["recursion", path, "T", str(en._RECURSION_CAP + 1)]) == EXIT_INPUT
-    assert f"beyond the cap of {en._RECURSION_CAP} steps" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f" has {en._RECURSION_CAP + 1} steps, beyond the cap of {en._RECURSION_CAP}\n" in err
 
 
 def test_finite_group_recursion_is_not_capped(z9_session, capsys):

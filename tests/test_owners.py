@@ -22,13 +22,17 @@ from groupconvex import (
     LinfMetric,
     PropertyId,
     box_set,
+    contains,
     convex_hull,
+    counterexample_search,
     finite_set,
     identity,
     image_set,
     intersect,
     is_n_convex,
     is_T_convex,
+    make_endo,
+    member_of_sum,
     midpoint_closed_form,
     midpoint_recursion,
     mu_of_n,
@@ -38,8 +42,10 @@ from groupconvex import (
     preimage_set,
     scaling,
     shifted_inverse,
+    spectral_radius,
     subset_of,
     sumset,
+    t_convex_pointwise,
     verify,
     zero,
 )
@@ -48,6 +54,7 @@ from groupconvex import endo as en
 from groupconvex import properties, theorems
 from groupconvex.cli import EXIT_INPUT, EXIT_OK, EXIT_REFUTED, main
 from groupconvex.errors import (
+    DimensionMismatch,
     GeneratorExhausted,
     GroupConvexError,
     GroupMismatch,
@@ -82,6 +89,8 @@ def _mismatched(operation):
         "intersect": lambda: intersect(D9, D6),
         "subset_of": lambda: subset_of(D9, D6),
         "is_T_convex": lambda: is_T_convex(D9, T6),
+        "t_convex_pointwise": lambda: t_convex_pointwise(D9, T6),
+        "member_of_sum": lambda: member_of_sum((0,), D9, D6),
         "convex_hull": lambda: convex_hull(D9, [T9, T6]),
         "image_set": lambda: image_set(D9, T6),
         "preimage_set": lambda: preimage_set(D9, T6),
@@ -91,7 +100,8 @@ def _mismatched(operation):
 @pytest.mark.parametrize(
     "operation",
     ["compose", "add", "sub", "shifted_inverse", "sumset", "intersect", "subset_of",
-     "is_T_convex", "convex_hull", "image_set", "preimage_set"],
+     "is_T_convex", "t_convex_pointwise", "member_of_sum", "convex_hull", "image_set",
+     "preimage_set"],
 )
 def test_every_two_operand_operation_refuses_a_group_mismatch(operation):
     with pytest.raises(GroupMismatch, match="Z9 vs Z6|Z6 vs Z9"):
@@ -109,6 +119,12 @@ _N_TAKERS = {
     "div_apply": lambda g, n: g.div_apply(n, g.element([1])),
     "norm_of_n": lambda g, n: norm_of_n(g, _metric(g), n),
     "mu_of_n": lambda g, n: mu_of_n(g, _metric(g), n),
+    "spectral_radius": lambda g, n: spectral_radius(identity(g), _metric(g), horizon=n),
+    "convex_hull": lambda g, n: convex_hull(finite_set(g, [[1]]), [identity(g)], max_iter=n),
+    "counterexample_search": lambda g, n: counterexample_search(
+        PropertyId.LEMMA_MU, GeneratorConfig(group=g), budget=n, seed=0
+    ),
+    "IntLattice": lambda g, n: IntLattice(n),
 }
 
 
@@ -122,6 +138,16 @@ def _metric(group):
 def test_every_operation_taking_n_refuses_n_below_one(operation, n, group):
     with pytest.raises(ValueError):
         _N_TAKERS[operation](group, n)
+
+
+@pytest.mark.parametrize(
+    "operation, name",
+    [("spectral_radius", "horizon"), ("convex_hull", "max_iter"),
+     ("counterexample_search", "budget"), ("IntLattice", "dimension")],
+)
+def test_a_named_count_below_one_is_refused_by_name(operation, name):
+    with pytest.raises(ValueError, match=f"^{name} must be a positive integer, got 0$"):
+        _N_TAKERS[operation](Z9, 0)
 
 
 # -- listing End(G) -------------------------------------------------------------
@@ -265,6 +291,45 @@ def test_thm_0_needs_no_enumeration_for_a_chain_of_a_box_and_a_point(tmp_path, c
     }
     assert main(["verify", _session_file(tmp_path, session), "THM_0"]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "THM_0: Proved"
+
+
+# -- caps ----------------------------------------------------------------------
+_HALF = make_endo(DyadicLattice(2), [[Fraction(1, 2), 1], [0, Fraction(3, 4)]])
+_TRIPLE = scaling(IntLattice(1), 3)
+_SQUARE = box_set(IntLattice(2), [0, 0], [1, 1])
+_BEYOND_A_CAP = {
+    "horizon": (
+        lambda: spectral_radius(_HALF, LinfMetric((1, 1)), en._HORIZON_CAP + 1),
+        f"{en._HORIZON_CAP + 1} powers, beyond the cap of {en._HORIZON_CAP}",
+    ),
+    "lattice recursion": (
+        lambda: midpoint_recursion(_TRIPLE, en._RECURSION_CAP + 1),
+        f"{en._RECURSION_CAP + 1} steps, beyond the cap of {en._RECURSION_CAP}",
+    ),
+    "box witness": (
+        lambda: is_n_convex(_SQUARE, 10 ** 9),
+        f"{10 ** 9} parts, beyond the cap of {cx._SUM_CAP}",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BEYOND_A_CAP))
+def test_work_beyond_a_cap_is_refused_before_any_of_it(monkeypatch, case):
+    def no_work(*args):
+        raise AssertionError("work beyond the cap was started")
+
+    for owner, name in [(en, "_matmul"), (en, "_lattice_norm"), (IntLattice, "element"),
+                        (IntLattice, "add")]:
+        monkeypatch.setattr(owner, name, no_work)
+    call, refusal = _BEYOND_A_CAP[case]
+    with pytest.raises(NotEnumerable, match=f" has {refusal}$"):
+        call()
+
+
+@pytest.mark.parametrize("point", [(0,), (0, 0, 9)], ids=str)
+def test_a_box_refuses_a_point_of_another_dimension(point):
+    with pytest.raises(DimensionMismatch, match=f"expected 2 coordinates, got {len(point)}"):
+        contains(_SQUARE, point)
 
 
 # -- caps on hulls and n-fold sums ----------------------------------------------
