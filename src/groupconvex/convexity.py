@@ -96,9 +96,9 @@ def box_set(group: Group, lo: Sequence, hi: Sequence) -> BoxSet:
 
 def contains(A: PointSet, x: Vector) -> bool:
     """Exact membership test for both representations."""
+    A.group._check_dim(x)
     if isinstance(A, FiniteSet):
         return x in A.members
-    A.group._check_dim(x)
     return all(a <= c <= b for a, c, b in zip(A.lo, x, A.hi))
 
 

@@ -41,7 +41,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     InvariantViolated,
@@ -194,14 +194,17 @@ def scaling(group: Group, n: int) -> Endomorphism:
 _RING_CAP = 1 << 16
 
 
+def _ring_order(group: FiniteGroup) -> int:
+    """|End(G)| = prod_(i, j) gcd(m_i, m_j), the count of ``_ring_cells``' maps."""
+    return math.prod(math.gcd(m_i, m_j) for m_i in group.moduli for m_j in group.moduli)
+
+
 def _ring_cells(group: Group) -> list[range]:
     """The values of entry (i, j), row by row: the multiples of m_i / gcd(m_i, m_j)
-    below m_i, which give each map once, so End(G) has prod_(i, j) gcd(m_i, m_j)
-    maps; refused beyond ``_RING_CAP`` of them."""
+    below m_i, which give each map once; refused beyond ``_RING_CAP`` maps."""
     if not isinstance(group, FiniteGroup):
         raise NotEnumerable(f"the endomorphism ring of {group} is not enumerable")
-    size = math.prod(math.gcd(m_i, m_j) for m_i in group.moduli for m_j in group.moduli)
-    _check_cap(f"the endomorphism ring of {group}", size, "maps", _RING_CAP)
+    _check_cap(f"the endomorphism ring of {group}", _ring_order(group), "maps", _RING_CAP)
     return [range(0, m_i, m_i // math.gcd(m_i, m_j)) for m_i in group.moduli for m_j in group.moduli]
 
 
@@ -738,76 +741,70 @@ def halve(T: Endomorphism) -> Endomorphism:
 # 22 over 10 s.
 _RECURSION_CAP = 14
 
-# most steps on a finite group: entries are reduced mod m_i, so a step costs
-# the same each time and n steps cost n times that; 2^16 steps of
-# ``gc recursion`` take 1.5-2.2 s cold on Z121 and about 1.7 s on Z12xZ20
-# (2-vCPU machine), and a step on a group of dimension k costs O(k^3)
-_FINITE_RECURSION_CAP = 1 << 16
-
 
 def _check_steps(T: Endomorphism, n: int) -> None:
-    """Refuses n below 1, or above the recursion cap of T's group kind."""
+    """Refuses n below 1, or a walk of more steps than its cap, before the first step:
+    n on a lattice, above ``_RECURSION_CAP``; min(n, |End(G)|) on a finite group,
+    where a walk repeats within |End(G)| terms, above ``_RING_CAP``."""
     _positive_index(n)
-    cap = _FINITE_RECURSION_CAP if isinstance(T.group, FiniteGroup) else _RECURSION_CAP
-    _check_cap(f"the midpoint recursion on {T.group}", n, "steps", cap)
+    what = f"the midpoint recursion on {T.group}"
+    if isinstance(T.group, FiniteGroup):
+        _check_cap(what, min(n, _ring_order(T.group)), "steps", _RING_CAP)
+    else:
+        _check_cap(what, n, "steps", _RECURSION_CAP)
+
+
+def _walk(first: Endomorphism, step: Callable, n: int) -> Callable[[int], Endomorphism]:
+    """Term k (1 <= k <= n) of first, step(first), ...: the walk steps until term n
+    or its first repeat, and a term past a repeat is read off the cycle, at
+    index tail + (k - 1 - tail) mod period."""
+    terms, seen = [first], {first: 0}
+    tail, period = n, 1
+    while len(terms) < n:
+        term = step(terms[-1])
+        if term in seen:
+            tail, period = seen[term], len(terms) - seen[term]
+            break
+        seen[term] = len(terms)
+        terms.append(term)
+    return lambda k: terms[k - 1 if k <= tail else tail + (k - 1 - tail) % period]
+
+
+def _iterates(T: Endomorphism, n: int) -> Callable[[int], Endomorphism]:
+    """Iterate k of U -> U^2 + (I - U)^2 from T, k = 1..n; checked when called."""
+    _check_steps(T, n)
+    ident = identity(T.group)
+    # U^2 + (I - U)^2 = I - 2(U - U^2): one product a step
+    return _walk(T, lambda U: ident.sub(U.sub(U.compose(U)).scale(2)), n)
 
 
 def midpoint_iterates(T: Endomorphism, n: int) -> Iterator[Endomorphism]:
-    """Iterates 1..n of U -> U^2 + (I - U)^2 starting from T, one step each.
-
-    n above ``_RECURSION_CAP`` on a lattice, or ``_FINITE_RECURSION_CAP`` on
-    a finite group, is refused by this call, before the first step.
-    """
-    _check_steps(T, n)
-    ident = identity(T.group)
-
-    def steps():
-        current = T
-        yield current
-        for _ in range(n - 1):
-            residual = ident.sub(current)
-            current = current.compose(current).add(residual.compose(residual))
-            yield current
-
-    return steps()
+    """Iterates 1..n of U -> U^2 + (I - U)^2 starting from T; a walk beyond its
+    cap (``_check_steps``) is refused by this call, before the first step."""
+    return map(_iterates(T, n), range(1, n + 1))
 
 
 def midpoint_recursion(T: Endomorphism, n: int) -> Endomorphism:
     """n-th iterate of U -> U^2 + (I - U)^2 starting from T."""
-    for current in midpoint_iterates(T, n):
-        pass
-    return current
+    return _iterates(T, n)(n)
 
 
-def _reflected_squares(T: Endomorphism, n: int) -> Iterator[Endomorphism]:
+def _reflected_squares(T: Endomorphism, n: int) -> Callable[[int], Endomorphism]:
     """(2T - I)^(2^(k-1)) for k = 1..n, one squaring per step; checked when called."""
     _check_steps(T, n)
     if not T.group.divisible_by(2):
         raise NotDivisible(f"{T.group} is not divisible by 2")
-
-    def steps():
-        power = T.scale(2).sub(identity(T.group))
-        yield power
-        for _ in range(n - 1):
-            power = power.compose(power)
-            yield power
-
-    return steps()
+    return _walk(T.scale(2).sub(identity(T.group)), lambda power: power.compose(power), n)
 
 
 def midpoint_closed_forms(T: Endomorphism, n: int) -> Iterator[Endomorphism]:
-    """Closed forms 1..n of the midpoint recursion: half of I + (2T - I)^(2^(k-1)).
-
-    Computed apart from the recursion, squaring 2T - I once per step.
-    Defined whenever the group is divisible by two, and capped as
-    ``midpoint_iterates`` is, when called.
-    """
+    """Closed forms 1..n of the midpoint recursion: half of I + (2T - I)^(2^(k-1)),
+    computed apart from it; defined on groups divisible by two, capped as
+    ``midpoint_iterates`` is, and both checked when called."""
     ident = identity(T.group)
-    return (halve(ident.add(power)) for power in _reflected_squares(T, n))
+    return (halve(ident.add(power)) for power in map(_reflected_squares(T, n), range(1, n + 1)))
 
 
 def midpoint_closed_form(T: Endomorphism, n: int) -> Endomorphism:
     """The n-th closed form; equals ``midpoint_recursion(T, n)`` for every input."""
-    for power in _reflected_squares(T, n):
-        pass
-    return halve(identity(T.group).add(power))
+    return halve(identity(T.group).add(_reflected_squares(T, n)(n)))

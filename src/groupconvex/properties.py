@@ -170,6 +170,9 @@ def _draw_operators_and_set(group, metric, rng):
 
 
 def _draw_set(group, metric, rng):
+    """A set D; THM_P1 and COR_1 list F(D), so a lattice is refused before ``rng`` is read."""
+    if not isinstance(group, FiniteGroup):
+        raise GeneratorExhausted("the full endomorphism ring must be enumerable")
     return {}, {"D": _draw_finite_set(group, rng)}
 
 
@@ -514,7 +517,7 @@ def _check_lem_tc(inst: Instance) -> Verdict:
 
 
 # -- THM_P1: F(D) is closed under its own combinations ------------------------
-@_row("THM_P1", _draw_set, finite_only=True)
+@_row("THM_P1", _draw_set)
 def _check_thm_p1(inst: Instance) -> Verdict:
     """The family of a set is convex under its own induced combinations."""
     ring = en._ring(inst.group, inst.metric)
@@ -532,7 +535,7 @@ def _check_thm_p1(inst: Instance) -> Verdict:
 
 
 # -- COR_1: F(D) under composition, reflection and pair mixing ----------------
-@_row("COR_1", _draw_set, finite_only=True)
+@_row("COR_1", _draw_set)
 def _check_cor_1(inst: Instance) -> Verdict:
     """Families are closed under composition, reflection and pair mixing."""
     ring = en._ring(inst.group, inst.metric)

@@ -73,16 +73,15 @@ class PropertySpec:
     and sets, consuming ``rng`` in a fixed order, so a search replays from
     its seed.  ``finite_group(rng)``, when set, replaces the group that a
     default finite-family search drew.  Flags: ``expansive`` needs n0 with
-    injectivity measure above one, ``finite_only`` draws only finite groups,
-    ``pairwise`` marks a ``check(inst, pairs)`` that stops after the first
-    ``pairs`` ordered pairs of its maps, as an exhaustive search asks.
+    injectivity measure above one, ``pairwise`` marks a ``check(inst,
+    pairs)`` that stops after the first ``pairs`` ordered pairs of its maps,
+    as an exhaustive search asks.
     """
 
     name: str
     check: Callable[..., Verdict]
     draw: Callable[[Group, Metric, random.Random], tuple[dict, dict]]
     expansive: bool = False
-    finite_only: bool = False
     pairwise: bool = False
     finite_group: Callable[[random.Random], FiniteGroup] | None = None
 
@@ -167,8 +166,6 @@ def _build_instance(spec: PropertySpec, gen: GeneratorConfig, rng: random.Random
             )
         n0 = 2 if isinstance(group, IntLattice) else 2 ** rng.randint(1, 2)
         params = Params(n0=n0, seed=rng.randrange(2 ** 30), budget=8)
-    if spec.finite_only and not isinstance(group, FiniteGroup):
-        raise GeneratorExhausted("the full endomorphism ring must be enumerable")
     if spec.finite_group is not None and gen.family == "finite" and gen.group is None:
         group = spec.finite_group(rng)
         metric = _metric_for(gen, group)

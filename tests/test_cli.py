@@ -513,23 +513,28 @@ def test_finite_group_recursion_is_not_capped(z9_session, capsys):
     assert capsys.readouterr().out.startswith("T_1000 = ")
 
 
-def test_finite_group_recursion_cap_refuses_before_the_first_step(z9_session, capsys, monkeypatch):
+def test_finite_group_recursion_cap_refuses_before_the_first_step(tmp_path, capsys, monkeypatch):
     import groupconvex.endo as en
 
     def no_product(*args):
         raise AssertionError("a recursion step was computed")
 
     monkeypatch.setattr(en, "_matmul", no_product)
-    n = en._FINITE_RECURSION_CAP + 1
-    assert main(["recursion", z9_session, "T", str(n)]) == EXIT_INPUT
+    # End(Z131071) has 131,071 maps, so a walk of 100,000 steps may not repeat
+    session = {
+        "group": {"kind": "finite", "moduli": [131071]},
+        "metric": {"kind": "cyclic", "weights": ["1"]},
+        "endos": {"T": [["3"]]},
+    }
+    n = 100000
+    assert main(["recursion", _session_file(tmp_path, session), "T", str(n)]) == EXIT_INPUT
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        f"error: the midpoint recursion on Z9 has {n} steps, "
-        f"beyond the cap of {en._FINITE_RECURSION_CAP}\n"
+        f"error: the midpoint recursion on Z131071 has {n} steps, beyond the cap of 65536\n"
     )
     # the closed forms are refused when called, as the iterates are
-    T = scaling(FiniteGroup((9,)), 2)
+    T = scaling(FiniteGroup((131071,)), 3)
     for closed in (en.midpoint_closed_form, en.midpoint_closed_forms):
         with pytest.raises(NotEnumerable, match=f"has {n} steps"):
             closed(T, n)

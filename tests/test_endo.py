@@ -37,7 +37,7 @@ from groupconvex import (
     try_inverse,
     zero,
 )
-from groupconvex.endo import RhoBracket
+from groupconvex.endo import RhoBracket, midpoint_closed_forms, midpoint_iterates
 from groupconvex.errors import (
     GroupMismatch,
     MetricGroupMismatch,
@@ -594,6 +594,34 @@ def test_midpoint_recursion_is_capped_on_lattices(dyline, zline, z9, monkeypatch
             midpoint_recursion(T, cap + 1)
     with pytest.raises(NotEnumerable, match=refusal):
         midpoint_closed_form(half, cap + 1)
+
+
+def _stepped(T, n):
+    """Iterates 1..n of U -> U^2 + (I - U)^2, one plain step each."""
+    ident = identity(T.group)
+    iterates = [T]
+    while len(iterates) < n:
+        U = iterates[-1]
+        residual = ident.sub(U)
+        iterates.append(U.compose(U).add(residual.compose(residual)))
+    return iterates
+
+
+@pytest.mark.parametrize("moduli", [(8,), (9,), (2, 4), (3, 5)], ids=str)
+def test_a_term_read_off_the_cycle_is_the_stepped_term(moduli):
+    # every map, and n past three times the ring, so each tail and cycle is rounded
+    group = FiniteGroup(moduli)
+    ring = all_endomorphisms(group)
+    horizon = 3 * len(ring) + 2
+    for T in ring:
+        stepped = _stepped(T, horizon)
+        assert list(midpoint_iterates(T, horizon)) == stepped
+        for n, iterate in enumerate(stepped, start=1):
+            assert midpoint_recursion(T, n) == iterate
+            if group.divisible_by(2):
+                assert midpoint_closed_form(T, n) == iterate
+        if group.divisible_by(2):
+            assert list(midpoint_closed_forms(T, horizon)) == stepped
 
 
 def test_closed_form_equals_recursion_in_product_group():

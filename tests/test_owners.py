@@ -306,6 +306,11 @@ _BEYOND_A_CAP = {
         lambda: midpoint_recursion(_TRIPLE, en._RECURSION_CAP + 1),
         f"{en._RECURSION_CAP + 1} steps, beyond the cap of {en._RECURSION_CAP}",
     ),
+    # End(Z131071) has 131,071 maps, so a walk of 100,000 steps may not repeat
+    "finite recursion": (
+        lambda: midpoint_recursion(scaling(FiniteGroup((131071,)), 3), 100000),
+        f"100000 steps, beyond the cap of {en._RING_CAP}",
+    ),
     "box witness": (
         lambda: is_n_convex(_SQUARE, 10 ** 9),
         f"{10 ** 9} parts, beyond the cap of {cx._SUM_CAP}",
@@ -326,10 +331,12 @@ def test_work_beyond_a_cap_is_refused_before_any_of_it(monkeypatch, case):
         call()
 
 
-@pytest.mark.parametrize("point", [(0,), (0, 0, 9)], ids=str)
+@pytest.mark.parametrize("point", [(0,), (0, 0, 9), (0, 0, 0)], ids=str)
 def test_a_box_refuses_a_point_of_another_dimension(point):
-    with pytest.raises(DimensionMismatch, match=f"expected 2 coordinates, got {len(point)}"):
-        contains(_SQUARE, point)
+    # a finite set answers as a box does, so a malformed point is not a missing one
+    for A in (_SQUARE, finite_set(IntLattice(2), [(0, 0)])):
+        with pytest.raises(DimensionMismatch, match=f"expected 2 coordinates, got {len(point)}"):
+            contains(A, point)
 
 
 # -- caps on hulls and n-fold sums ----------------------------------------------
