@@ -441,7 +441,7 @@ def _cmd_search(inst: Instance, args) -> int:
     prop = _property(args.property)
     gen = GeneratorConfig(group=inst.group, metric=inst.metric, exhaustive=args.exhaustive)
     verdict = counterexample_search(
-        prop, gen, budget=inst.params.budget, seed=inst.params.seed
+        prop, gen, budget=inst.params.budget, seed=inst.params.seed, horizon=inst.params.horizon
     )
     return _emit_property(args, inst, prop, verdict)
 

@@ -36,7 +36,7 @@ from .errors import (
     UnsupportedRepresentation,
 )
 from .groups import DyadicLattice, FiniteGroup, Group, IntLattice, Metric, Vector, norm
-from .groups import _PAIR_CAP, _TABLE_CAP, _check_cap, _positive_index, _same_group
+from .groups import _PAIR_CAP, _TABLE_CAP, _check_cap, _check_metric, _positive_index, _same_group
 from .verdicts import Verdict, proved, refuted
 
 
@@ -560,6 +560,7 @@ def family_of(D: PointSet) -> tuple[Endomorphism, ...]:
 def diameter(A: PointSet, metric: Metric) -> Fraction:
     """Largest pairwise distance; exact from interval widths on boxes."""
     g = A.group
+    _check_metric(g, metric)
     if isinstance(A, FiniteSet):
         if not A.elements:
             raise EmptySet("the empty set has no diameter")

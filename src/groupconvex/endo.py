@@ -57,13 +57,12 @@ from .groups import (
     FiniteGroup,
     Group,
     IntLattice,
-    L1Metric,
     LinfMetric,
     Metric,
     Vector,
     norm_table,
 )
-from .groups import _check_cap, _positive_index, _same_group
+from .groups import _check_cap, _check_metric, _positive_index, _same_group
 from .scalars import root_lower, root_upper
 
 Matrix = tuple[tuple, ...]
@@ -289,10 +288,9 @@ class _Weights(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _weight_ratios(metric: Metric) -> _Weights:
-    """The integer ratio matrix of the weights of an L1/Linf metric."""
-    if not isinstance(metric, (LinfMetric, L1Metric)):
-        raise MetricGroupMismatch(f"{metric.kind} norm is not defined on lattices")
+def _weight_ratios(group: Group, metric: Metric) -> _Weights:
+    """The integer ratio matrix of the weights of an L1/Linf metric on a lattice."""
+    _check_metric(group, metric)
     w = metric.weights
     q = math.lcm(*(x.denominator for x in w))
     p = math.lcm(*(x.numerator for x in w))
@@ -336,7 +334,7 @@ def op_norm(T: Endomorphism, metric: Metric) -> Fraction:
     if isinstance(T.group, FiniteGroup):
         view = _ring(T.group, metric)
         return Fraction(*view.norm(view.handle(T)))
-    return _lattice_norm(*_scaled(T.matrix), _weight_ratios(metric))
+    return _lattice_norm(*_scaled(T.matrix), _weight_ratios(T.group, metric))
 
 
 @lru_cache(maxsize=None)
@@ -350,10 +348,11 @@ def injectivity_measure(T: Endomorphism, metric: Metric) -> Fraction:
     if isinstance(T.group, FiniteGroup):
         view = _ring(T.group, metric)
         return Fraction(*view.measure(view.handle(T)))
+    weights = _weight_ratios(T.group, metric)
     inverse = _scaled_inverse(*_scaled(T.matrix))
     if inverse is None:
         return Fraction(0)
-    return _lattice_measure(*inverse, _weight_ratios(metric))
+    return _lattice_measure(*inverse, weights)
 
 
 def norm_of_n(group: Group, metric: Metric, n: int) -> Fraction:
@@ -448,9 +447,9 @@ def spectral_radius(T: Endomorphism, metric: Metric, horizon: int = 8) -> RhoBra
     if isinstance(g, FiniteGroup):
         view = _ring(g, metric)
         return _exact_bracket(0 if view.nilpotent(view.handle(T)) else 1)
+    weights = _weight_ratios(g, metric)
     if isinstance(g, IntLattice) and T.power(g.dim).is_zero:
         return _exact_bracket(0)
-    weights = _weight_ratios(metric)
     M, d = _scaled(T.matrix)
     inverse = _scaled_inverse(M, d)
     # every power of a singular map is singular, with measure 0
@@ -604,9 +603,6 @@ class _LatticeRing(NamedTuple):
     def compose(self, T: Endomorphism, S: Endomorphism) -> Endomorphism:
         return T.compose(S)
 
-    def add(self, T: Endomorphism, S: Endomorphism) -> Endomorphism:
-        return T.add(S)
-
     def sub(self, T: Endomorphism, S: Endomorphism) -> Endomorphism:
         return T.sub(S)
 
@@ -629,8 +625,10 @@ def _ring(group: Group, metric: Metric) -> _RingView | _LatticeRing:
     Ring operations on handles give handles, and norm, measure and radius
     bound are pairs with den > 0.  A handle is a value that names its map in
     every view: on a finite group the map's entries as one flat tuple, row by
-    row, on a lattice the map itself with its ``Fraction`` bounds.
+    row, on a lattice the map itself with its ``Fraction`` bounds.  A metric
+    that does not fit the group is refused here, by ``groups._check_metric``.
     """
+    _check_metric(group, metric)
     if isinstance(group, FiniteGroup):
         return _RingView(group, metric)
     return _LatticeRing(metric)

@@ -19,8 +19,8 @@ class MetricGroupMismatch(GroupConvexError):
     pass
 
 
-class UnsupportedCombination(GroupConvexError):
-    pass
+class UnsupportedCombination(MetricGroupMismatch):
+    """A metric kind defined only on finite groups, given a lattice."""
 
 
 class NotDivisible(GroupConvexError):

@@ -20,7 +20,7 @@ pairs of End(G) x End(G); any other exhaustive search is refused with
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable
 
@@ -153,10 +153,12 @@ def _metric_for(gen: GeneratorConfig, group: Group) -> Metric:
     return LinfMetric(unit)
 
 
-def _build_instance(spec: PropertySpec, gen: GeneratorConfig, rng: random.Random) -> Instance:
+def _build_instance(
+    spec: PropertySpec, gen: GeneratorConfig, rng: random.Random, horizon: int = Params.horizon
+) -> Instance:
     group = _draw_group(gen, rng)
     metric = _metric_for(gen, group)
-    params = Params(seed=rng.randrange(2 ** 30))
+    params = Params(seed=rng.randrange(2 ** 30), horizon=horizon)
     if spec.expansive:
         if isinstance(group, FiniteGroup):
             raise GeneratorExhausted(
@@ -165,7 +167,7 @@ def _build_instance(spec: PropertySpec, gen: GeneratorConfig, rng: random.Random
                 f"{_EXPANSIVE} is unsatisfiable"
             )
         n0 = 2 if isinstance(group, IntLattice) else 2 ** rng.randint(1, 2)
-        params = Params(n0=n0, seed=rng.randrange(2 ** 30), budget=8)
+        params = Params(n0=n0, seed=rng.randrange(2 ** 30), budget=8, horizon=horizon)
     if spec.finite_group is not None and gen.family == "finite" and gen.group is None:
         group = spec.finite_group(rng)
         metric = _metric_for(gen, group)
@@ -174,13 +176,14 @@ def _build_instance(spec: PropertySpec, gen: GeneratorConfig, rng: random.Random
 
 
 def counterexample_search(
-    prop: PropertyId, gen: GeneratorConfig, budget: int, seed: int
+    prop: PropertyId, gen: GeneratorConfig, budget: int, seed: int, horizon: int = Params.horizon
 ) -> Verdict:
     """Search for violations among hypothesis-satisfying instances.
 
     Deterministic for a fixed seed.  Returns the first refutation found, a
     ``Proved`` verdict when an exhaustive generator is fully enumerated, and
-    ``Unfalsified`` with the sample count otherwise.
+    ``Unfalsified`` with the sample count otherwise.  Every instance brackets
+    spectral radii at ``horizon`` powers.
     """
     _positive_index(budget, "budget")
     from .properties import _SPECS
@@ -194,19 +197,19 @@ def counterexample_search(
                 f"an exhaustive search walks End(G) x End(G): it needs a pairwise "
                 f"property ({pairwise}) on a pinned finite group"
             )
-        metric = _metric_for(gen, gen.group)
+        inst = Instance(gen.group, _metric_for(gen, gen.group), params=Params(horizon=horizon))
         size = en.ring_size(gen.group) ** 2
-        verdict = verify(prop, Instance(gen.group, metric), pairs=budget)
+        verdict = verify(prop, inst, pairs=budget)
         if verdict.refuted:
             maps = dict(zip("TS", (w for w in verdict.witness if isinstance(w, Endomorphism))))
-            return refuted((Instance(gen.group, metric, endos=maps),) + verdict.witness)
+            return refuted((replace(inst, endos=maps),) + verdict.witness)
         return proved() if budget >= size else unfalsified(budget)
 
     rng = random.Random(seed)
     checked = 0
     stalls = 0
     while checked < budget:
-        inst = _build_instance(spec, gen, rng)
+        inst = _build_instance(spec, gen, rng, horizon)
         try:
             verdict = verify(prop, inst)
         except HypothesisFailed:

@@ -803,6 +803,22 @@ def test_exhaustive_search_that_cannot_enumerate_is_an_input_error(capsys, sessi
     assert "exhaustive search" in captured.err
 
 
+@pytest.mark.parametrize("session, extra", [("dyadic2.json", []), ("z4x4.json", ["--exhaustive"])])
+@pytest.mark.parametrize("horizon, code, message", [
+    (5000, EXIT_INPUT, "beyond the cap of 1024"),
+    (0, EXIT_INPUT, "horizon must be a positive integer, got 0"),
+    (4, 2, ""),
+])
+def test_search_brackets_radii_at_the_runs_horizon(capsys, session, extra, horizon, code, message):
+    # as verify does: a horizon beyond its cap or below one is refused, exit 4
+    path = str(Path(__file__).resolve().parents[1] / "bench" / "sessions" / session)
+    argv = ["search", path, "LEMMA_SR", "--budget", "3", "--horizon", str(horizon), *extra]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ("" if message else "LEMMA_SR: Unfalsified (3 instances)\n")
+
+
 def test_invert_needs_no_term_budget(tmp_path, capsys):
     # 2 is nilpotent on Z_(2^70), so the series has 70 terms
     session = {

@@ -1,8 +1,9 @@
 """Each rule that several operations share is decided in one place.
 
-Group agreement, a positive n, listing End(G) and the caps on work are each
-checked here across every operation that relies on them, so a copy that
-drifts from the owner shows up as one failing case.  THM_0 is compared with
+Group agreement, a positive n, listing End(G), the caps on work and the fit
+of a metric to its group are each checked here across every operation that
+relies on them, so a copy that drifts from the owner shows up as one failing
+case.  THM_0 is compared with
 a reference copy of its checker as it stood with an explicit chain-union
 loop.
 """
@@ -25,9 +26,12 @@ from groupconvex import (
     contains,
     convex_hull,
     counterexample_search,
+    diameter,
+    distance,
     finite_set,
     identity,
     image_set,
+    injectivity_measure,
     intersect,
     is_n_convex,
     is_T_convex,
@@ -38,7 +42,11 @@ from groupconvex import (
     mu_of_n,
     n_dilate,
     n_fold_sum,
+    neumann_inverse,
+    norm,
     norm_of_n,
+    op_norm,
+    operator_distance,
     preimage_set,
     scaling,
     shifted_inverse,
@@ -46,6 +54,8 @@ from groupconvex import (
     subset_of,
     sumset,
     t_convex_pointwise,
+    table_metric,
+    validate_metric,
     verify,
     zero,
 )
@@ -59,7 +69,9 @@ from groupconvex.errors import (
     GroupConvexError,
     GroupMismatch,
     HypothesisFailed,
+    MetricGroupMismatch,
     NotEnumerable,
+    UnsupportedCombination,
 )
 from groupconvex.groups import _PAIR_CAP
 from groupconvex.theorems import GeneratorConfig, Instance
@@ -148,6 +160,57 @@ def test_every_operation_taking_n_refuses_n_below_one(operation, n, group):
 def test_a_named_count_below_one_is_refused_by_name(operation, name):
     with pytest.raises(ValueError, match=f"^{name} must be a positive integer, got 0$"):
         _N_TAKERS[operation](Z9, 0)
+
+
+# -- a metric that fits its group ------------------------------------------------
+_Z2, _Z4 = IntLattice(2), FiniteGroup((4,))
+# (group, metric, matrix of a map on the group): none of the metrics fits its group
+_MISFITS = {
+    "one weight on Z^2": (_Z2, LinfMetric((1,)), [[1, 0], [0, 5]]),
+    "three weights on Z^2": (_Z2, LinfMetric((1, 1, 1)), [[1, 0], [0, 5]]),
+    "cyclic on Z^2": (_Z2, CyclicMetric((1, 1)), [[1, 0], [0, 5]]),
+    "table on Z^1": (IntLattice(1), table_metric({(0,): 0}), [[1]]),
+    "Z4 table with a stray entry": (
+        _Z4, table_metric({(0,): 0, (1,): 1, (2,): 2, (3,): 1, (5,): 7}), [[3]],
+    ),
+    "two weights cyclic on Z5": (FiniteGroup((5,)), CyclicMetric((1, 1)), [[2]]),
+    "nilpotent map on Z^2, cyclic": (_Z2, CyclicMetric((1, 1)), [[0, 1], [0, 0]]),
+    "not a metric": (_Z4, "cyclic", [[1]]),
+}
+_METRIC_READERS = {
+    "norm": lambda g, m, T: norm(g, m, g.zero()),
+    "distance": lambda g, m, T: distance(g, m, g.zero(), g.zero()),
+    "diameter": lambda g, m, T: diameter(finite_set(g, [g.zero()]), m),
+    "validate_metric": lambda g, m, T: validate_metric(g, m),
+    "op_norm": lambda g, m, T: op_norm(T, m),
+    "injectivity_measure": lambda g, m, T: injectivity_measure(T, m),
+    "spectral_radius": lambda g, m, T: spectral_radius(T, m),
+    "norm_of_n": lambda g, m, T: norm_of_n(g, m, 2),
+    "mu_of_n": lambda g, m, T: mu_of_n(g, m, 2),
+    "operator_distance": lambda g, m, T: operator_distance(T, identity(g), m),
+    "neumann_inverse": lambda g, m, T: neumann_inverse(T, m),
+}
+
+
+@pytest.mark.parametrize("operation", sorted(_METRIC_READERS))
+@pytest.mark.parametrize("case", sorted(_MISFITS))
+def test_every_operation_reading_a_metric_refuses_one_that_does_not_fit(case, operation):
+    group, metric, rows = _MISFITS[case]
+    with pytest.raises(MetricGroupMismatch):
+        _METRIC_READERS[operation](group, metric, make_endo(group, rows))
+
+
+def test_unsupported_combination_is_a_metric_group_mismatch():
+    assert issubclass(UnsupportedCombination, MetricGroupMismatch)
+    with pytest.raises(MetricGroupMismatch, match="^unknown metric 'cyclic'$"):
+        norm(_Z4, "cyclic", (0,))
+
+
+def test_a_table_of_as_many_entries_as_elements_still_covers_each_element():
+    # four entries, as Z4 has, but none for (3,)
+    missing = table_metric({(0,): 0, (1,): 1, (2,): 2, (5,): 1})
+    with pytest.raises(MetricGroupMismatch, match=r"does not cover element \(3,\)"):
+        validate_metric(_Z4, missing)
 
 
 # -- listing End(G) -------------------------------------------------------------
