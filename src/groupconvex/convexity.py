@@ -10,8 +10,11 @@ related notion of n-convexity ([n]A inside n*A).  Convexity is decided,
 never sampled: finite sets exhaustively over pairs, boxes exactly for every
 T by corner bounds (each coordinate of the combination is linear in (x, y),
 so its extremes over D x D sit at corners, which are points of D).
-``sample`` draws member points for the search's instance drawers.  Convex
-hulls are computed as least fixed points of the one-step closure.
+A box and a map are each carried on one power-of-two integer scale per
+call, as lattice maps are in ``endo`` (``_scaled``, A = M/d), so corner
+bounds are int sums.  ``sample`` draws member points for the search's
+instance drawers.  Convex hulls are computed as least fixed points of the
+one-step closure.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from fractions import Fraction
 from functools import cache, lru_cache, reduce
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .endo import Endomorphism, all_endomorphisms, identity
+from .endo import Endomorphism, _scaled, all_endomorphisms, identity
 from .endo import zero as zero_endo
 from .errors import (
     EmptySet,
@@ -121,16 +124,17 @@ def sample(A: PointSet, rng: random.Random) -> Vector:
         if not A.elements:
             raise EmptySet("cannot sample the empty set")
         return A.elements[rng.randrange(len(A.elements))]
+    if isinstance(A.group, IntLattice):
+        return tuple(map(rng.randint, A.lo, A.hi))
     coords = []
     for lo, hi in zip(A.lo, A.hi):
-        if isinstance(A.group, IntLattice):
-            coords.append(rng.randint(lo, hi))
-        else:
-            scale = 1 << rng.randint(0, 4)
-            while math.ceil(lo * scale) > math.floor(hi * scale):
-                scale <<= 1
-            coords.append(Fraction(rng.randint(math.ceil(lo * scale), math.floor(hi * scale)), scale))
-    return A.group.element(coords)
+        # the grid 1/scale meets [lo, hi] in ceil(lo * scale) .. floor(hi * scale)
+        p, q, u, v = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+        scale = 1 << rng.randint(0, 4)
+        while -(-p * scale // q) > u * scale // v:
+            scale <<= 1
+        coords.append(Fraction(rng.randint(-(-p * scale // q), u * scale // v), scale))
+    return tuple(coords)
 
 
 def sumset(A: PointSet, B: PointSet) -> PointSet:
@@ -169,10 +173,21 @@ def n_dilate(A: PointSet, n: int) -> PointSet:
 
 
 def member_of_sum(point: Vector, B: PointSet, C: FiniteSet) -> bool:
-    """Exact membership of ``point`` in B + C for finite C."""
+    """Exact membership of ``point`` in B + C for finite C.
+
+    For a box B, point - c is in B exactly when point - hi <= c <= point - lo,
+    one interval for every c.
+    """
     _same_group(B, C)
     g = B.group
-    return any(contains(B, g.sub(point, c)) for c in C.elements)
+    if isinstance(B, FiniteSet):
+        return any(contains(B, g.sub(point, c)) for c in C.elements)
+    g._check_dim(point)
+    low = tuple(map(operator.sub, point, B.hi))
+    high = tuple(map(operator.sub, point, B.lo))
+    return any(
+        all(map(operator.le, low, c)) and all(map(operator.le, c, high)) for c in C.elements
+    )
 
 
 def intersect(A: PointSet, B: PointSet) -> PointSet:
@@ -360,6 +375,8 @@ def linear_bounds(row: Sequence, lo: Sequence, hi: Sequence) -> tuple:
 
     A term t * x_j is smallest at lo_j when t > 0 and at hi_j when t < 0,
     so both extremes sit at corners of the box; zero entries add nothing.
+    Ints or Fractions: scaling the row by d and the box by s scales both
+    bounds by d * s, so the box kernels pass ints (``endo._scaled``).
     """
     low = high = 0
     for t, a, b in zip(row, lo, hi):
@@ -395,7 +412,9 @@ def is_T_convex(D: PointSet, T: Endomorphism) -> Verdict:
     Boxes are decided exactly for every T by corner bounds: coordinate i of
     the combination is the linear form (T_i | e_i - T_i) in (x, y), so its
     extremes over D x D sit at box corners (``linear_bounds``), which are
-    lattice points of D.  The form maps the centre of D x D to the centre of
+    lattice points of D.  The corners and T's matrix are each scaled to ints
+    once (``_scaled``), so the bounds are int sums compared with lo_i on
+    their scale.  The form maps the centre of D x D to the centre of
     D's interval, so its range leaves that interval below exactly when it
     leaves it above.  The witness starts from x = y = lo; each violating
     coordinate in turn moves every still-unset x_j and y_j that its form
@@ -416,20 +435,25 @@ def is_T_convex(D: PointSet, T: Endomorphism) -> Verdict:
         if point in D.members:
             raise _kernel_fault(f"({x}, {y})")
         return refuted((x, y, point))
-    # (x, y) as one point of the box D x D, read by the rows (T_i | e_i - T_i)
-    lo, hi = D.lo + D.lo, D.hi + D.hi
-    corner, fixed = list(lo), set()
-    for i, row in enumerate(T.matrix):
-        row += tuple((j == i) - t for j, t in enumerate(row))
-        if linear_bounds(row, lo, hi)[0] >= D.lo[i]:
+    # (x, y) as one point of the box D x D, read by the rows (T_i | e_i - T_i);
+    # with D = [L, H] / s and T = M / d the rows are (M_i | d e_i - M_i) and
+    # every bound is an int on the scale d * s
+    (L, H), _ = _scaled((D.lo, D.hi))
+    M, d = _scaled(T.matrix)
+    lo, hi = L + L, H + H
+    n = g.dim
+    corner, fixed = list(D.lo + D.lo), set()
+    for i, row in enumerate(M):
+        row += [d * (j == i) - t for j, t in enumerate(row)]
+        if linear_bounds(row, lo, hi)[0] >= d * L[i]:
             continue
         for j, t in enumerate(row):
             if t and j not in fixed:
                 fixed.add(j)
-                corner[j] = lo[j] if t > 0 else hi[j]
+                if t < 0:
+                    corner[j] = D.hi[j % n]
     if not fixed:
         return proved()
-    n = g.dim
     x, y = g.element(corner[:n]), g.element(corner[n:])
     return refuted((x, y, _combination(T, x, y)))
 

@@ -356,14 +356,27 @@ def injectivity_measure(T: Endomorphism, metric: Metric) -> Fraction:
 
 
 def norm_of_n(group: Group, metric: Metric, n: int) -> Fraction:
-    """Operator norm of multiplication by n: sup of ||n*x|| / ||x|| over x != 0."""
+    """Operator norm of multiplication by n: sup of ||n*x|| / ||x|| over x != 0.
+
+    On a lattice the norm is a weighted L1 or Linf norm, so ||n*x|| = n*||x||
+    and the answer is n.
+    """
     _positive_index(n)
+    _check_metric(group, metric)
+    if not isinstance(group, FiniteGroup):
+        return Fraction(n)
     return op_norm(scaling(group, n), metric)
 
 
 def mu_of_n(group: Group, metric: Metric, n: int) -> Fraction:
-    """Injectivity measure of multiplication by n: inf of ||n*x|| / ||x||."""
+    """Injectivity measure of multiplication by n: inf of ||n*x|| / ||x||.
+
+    n on a lattice, as for ``norm_of_n``.
+    """
     _positive_index(n)
+    _check_metric(group, metric)
+    if not isinstance(group, FiniteGroup):
+        return Fraction(n)
     return injectivity_measure(scaling(group, n), metric)
 
 

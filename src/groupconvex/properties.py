@@ -702,13 +702,17 @@ def _sum_inclusion(inst: Instance, with_closure: bool) -> Verdict:
     # held only through try_inverse(total) and every diagonal entry of the
     # sum is +-2^k.  Corner points reach both ends of the left side's box
     # [lhs_lo, lhs_hi], where coordinate i is the form (T1_i | T2_i | ...) on
-    # D^k, so the inclusion holds exactly when the two boxes nest.
-    k = len(family)
+    # D^k, so the inclusion holds exactly when the two boxes nest.  D is
+    # scaled to ints once and the family and the total together, so both
+    # sides' bounds are ints on one scale.
+    k, n = len(family), g.dim
+    (L, H), _ = en._scaled((D.lo, D.hi))
+    M, _ = en._scaled([row for T in (*family, total) for row in T.matrix])
+    maps = [M[t:t + n] for t in range(0, len(M), n)]
     lhs_lo, lhs_hi = zip(*(
-        cx.linear_bounds(sum(rows, ()), D.lo * k, D.hi * k)
-        for rows in zip(*(T.matrix for T in family))
+        cx.linear_bounds(sum(rows, []), L * k, H * k) for rows in zip(*maps[:k])
     ))
-    rhs_lo, rhs_hi = zip(*(cx.linear_bounds(row, D.lo, D.hi) for row in total.matrix))
+    rhs_lo, rhs_hi = zip(*(cx.linear_bounds(row, L, H) for row in maps[k]))
     if any(lh > rh for lh, rh in zip(lhs_hi, rhs_hi)):
         return refuted(_extreme_witness(g, D, family, maximize=True))
     if any(ll < rl for ll, rl in zip(lhs_lo, rhs_lo)):
