@@ -69,7 +69,8 @@ _STATUS_EXIT = {
 # ---------------------------------------------------------------------------
 
 def _parse_element(group: Group, text: str) -> Vector:
-    return group.element([parse_scalar(part) for part in text.split(",")])
+    with _reading("element"):
+        return group.element([parse_scalar(part) for part in text.split(",")])
 
 
 def _format_matrix(group: Group, T: Endomorphism) -> list[list[str]]:

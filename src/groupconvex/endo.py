@@ -2,26 +2,25 @@
 
 Endomorphisms are exact matrices: integer entries acting modulo the target
 modulus on finite groups, integer matrices on Z^n, dyadic-rational matrices
-on the dyadic lattice.  On finite groups the matrix entry a_ij must satisfy
-a_ij * m_j = 0 (mod m_i), which is exactly well-definedness of the map on
-residues; this is checked at construction.
+on the dyadic lattice, in the one canonical form ``Group.matrix`` gives,
+which on finite groups enforces a_ij * m_j = 0 (mod m_i): exactly
+well-definedness of the map on residues.
 
-Operator norms and injectivity measures are computed exhaustively on finite
-groups and through weighted row/column-sum formulas on lattices (the matrix
-is conjugated by diag(weights); lattice suprema agree with the real-vector
-values because ratios are scale-invariant and rational vectors are dense).
-On a finite group both come from one integer pass per (map, metric): the
-norm table holds L * ||x|| as ints in lex order, T's columns give the lex
-index of T(x) for every x by linearity (``FiniteGroup.image_indices``), and
-the pass keeps the largest and the smallest ratio by cross-multiplication.
-The same array decides inverses.  The integer view of End(G) (``_ring``)
-owns that pass and keeps the two ratios as int pairs per map; a map's
-handle there is its flat tuple of entries, which the view composes, adds
-and subtracts, so the checkers of ``properties`` compare ints.
-A lattice operator is carried as one integer matrix and one scale, A = M/d,
-and a weighted metric as one integer ratio matrix W/L, so these formulas
-are integer sums; the inverse N/e comes from one fraction-free (Bareiss)
-elimination of M.
+Operator norms, injectivity measures and spectral radii are read off one
+view of End(G) per (group, metric), ``_ring``, the one place where they
+depend on the group kind.  On a finite group (``_RingView``) both bounds
+come from one integer pass per map: the norm table holds L * ||x|| as ints
+in lex order, T's columns give the lex index of T(x) for every x by
+linearity (``FiniteGroup.image_indices``), and the pass keeps the largest
+and the smallest ratio by cross-multiplication; the same array decides
+inverses.  A map's handle there is its flat tuple of entries, which the
+view composes, adds and subtracts, so the checkers of ``properties``
+compare ints.  On a lattice (``_LatticeRing``) the bounds are weighted
+row/column sums (the matrix is conjugated by diag(weights); lattice suprema
+agree with the real-vector values because ratios are scale-invariant and
+rational vectors are dense) of one integer matrix and one scale, A = M/d,
+under the metric's integer ratio matrix W/L; the inverse N/e comes from one
+fraction-free (Bareiss) elimination of M.
 
 The spectral radius is returned as a certified rational bracket: the upper
 bound comes from m-th roots of power norms (sound because power norms are
@@ -46,7 +45,6 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 from .errors import (
     InvariantViolated,
     MetricGroupMismatch,
-    NotAHomomorphism,
     NotComplete,
     NotDivisible,
     NotEnumerable,
@@ -146,31 +144,18 @@ def _matmul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
 
 
 def _build(group: Group, rows: Sequence[Sequence]) -> Endomorphism:
-    # internal: canonicalize only; ring operations preserve additivity.
-    return Endomorphism(group, group._ring_matrix(rows))
+    # ring results skip make_endo's shape check, not the canonical form
+    return Endomorphism(group, group.matrix(rows))
 
 
 def make_endo(group: Group, rows: Sequence[Sequence]) -> Endomorphism:
-    """Validated constructor.
-
-    Shape is checked against the group dimension, entries are canonicalized,
-    and on finite groups the congruence a_ij * m_j = 0 (mod m_i) is enforced
-    (it is equivalent to the map being a well-defined homomorphism).
-    """
+    """Validated constructor: the shape is checked against the group dimension,
+    then ``Group.matrix`` canonicalizes the entries and refuses a matrix that
+    is not a homomorphism (``NotAHomomorphism``)."""
     n = group.dim
     if len(rows) != n or any(len(row) != n for row in rows):
         raise ValueError(f"matrix must be {n}x{n} for {group}")
-    endo = Endomorphism(group, group.matrix(rows))
-    if isinstance(group, FiniteGroup):
-        for i, m_i in enumerate(group.moduli):
-            for j, m_j in enumerate(group.moduli):
-                a = endo.matrix[i][j]
-                if (a * m_j) % m_i != 0:
-                    raise NotAHomomorphism(
-                        i, j,
-                        f"entry ({i},{j})={a}: {a}*{m_j} is not 0 mod {m_i}",
-                    )
-    return endo
+    return _build(group, rows)
 
 
 def identity(group: Group) -> Endomorphism:
@@ -287,18 +272,6 @@ class _Weights(NamedTuple):
     by_rows: bool
 
 
-@lru_cache(maxsize=None)
-def _weight_ratios(group: Group, metric: Metric) -> _Weights:
-    """The integer ratio matrix of the weights of an L1/Linf metric on a lattice."""
-    _check_metric(group, metric)
-    w = metric.weights
-    q = math.lcm(*(x.denominator for x in w))
-    p = math.lcm(*(x.numerator for x in w))
-    u = tuple(x.numerator * (q // x.denominator) for x in w)  # q * w_i
-    v = tuple(x.denominator * (p // x.numerator) for x in w)  # p / w_j
-    return _Weights(u, v, q * p, isinstance(metric, LinfMetric))
-
-
 def _weighted_sum(M: list[list[int]], weights: _Weights) -> int:
     """L * d times the operator norm of M / d, for any scale d > 0.
 
@@ -331,10 +304,8 @@ def _powers(M: list[list[int]], d: int):
 @lru_cache(maxsize=None)
 def op_norm(T: Endomorphism, metric: Metric) -> Fraction:
     """sup of ||T(x)|| / ||x|| over nonzero x; exact in all supported cases."""
-    if isinstance(T.group, FiniteGroup):
-        view = _ring(T.group, metric)
-        return Fraction(*view.norm(view.handle(T)))
-    return _lattice_norm(*_scaled(T.matrix), _weight_ratios(T.group, metric))
+    ring = _ring(T.group, metric)
+    return Fraction(*ring.norm(ring.handle(T)))
 
 
 @lru_cache(maxsize=None)
@@ -345,14 +316,8 @@ def injectivity_measure(T: Endomorphism, metric: Metric) -> Fraction:
     matrices (the kernel contains a lattice direction after scaling) and
     1 / ||T^-1|| otherwise.
     """
-    if isinstance(T.group, FiniteGroup):
-        view = _ring(T.group, metric)
-        return Fraction(*view.measure(view.handle(T)))
-    weights = _weight_ratios(T.group, metric)
-    inverse = _scaled_inverse(*_scaled(T.matrix))
-    if inverse is None:
-        return Fraction(0)
-    return _lattice_measure(*inverse, weights)
+    ring = _ring(T.group, metric)
+    return Fraction(*ring.measure(ring.handle(T)))
 
 
 def norm_of_n(group: Group, metric: Metric, n: int) -> Fraction:
@@ -456,36 +421,8 @@ def spectral_radius(T: Endomorphism, metric: Metric, horizon: int = 8) -> RhoBra
     lower bounds of power injectivity measures.
     """
     _check_horizon(horizon)
-    g = T.group
-    if isinstance(g, FiniteGroup):
-        view = _ring(g, metric)
-        return _exact_bracket(0 if view.nilpotent(view.handle(T)) else 1)
-    weights = _weight_ratios(g, metric)
-    if isinstance(g, IntLattice) and T.power(g.dim).is_zero:
-        return _exact_bracket(0)
-    M, d = _scaled(T.matrix)
-    inverse = _scaled_inverse(M, d)
-    # every power of a singular map is singular, with measure 0
-    inverse_powers = itertools.repeat(None) if inverse is None else _powers(*inverse)
-    upper = None
-    lower = Fraction(1) if isinstance(g, IntLattice) else Fraction(0)
-    for m, power, inverse_power in zip(range(1, horizon + 1), _powers(M, d), inverse_powers):
-        # a root can lower ``upper`` only if upper^m > q, raise ``lower``
-        # only if lower^m < mu
-        q = _lattice_norm(*power, weights)
-        if upper is None or upper ** m > q:
-            upper_m = root_upper(q, m)
-            if upper is None or upper_m < upper:
-                upper = upper_m
-        if inverse_power is None:
-            continue
-        mu_m = _lattice_measure(*inverse_power, weights)
-        if lower ** m < mu_m:
-            lower_m = root_lower(mu_m, m)
-            if lower_m > lower:
-                lower = lower_m
-    lower = min(lower, upper)
-    return RhoBracket(lower, upper, lower == upper)
+    ring = _ring(T.group, metric)
+    return ring.bracket(ring.handle(T), horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -573,8 +510,11 @@ class _RingView:
             nilpotent = self._nilpotent[t] = not any(power)
         return nilpotent
 
-    def radius(self, t: tuple[int, ...], horizon: int) -> tuple[int, int]:
+    def bracket(self, t: tuple[int, ...], horizon: int) -> RhoBracket:
         """The spectral radius, exactly 0 or 1 on a finite group."""
+        return _exact_bracket(0 if self.nilpotent(t) else 1)
+
+    def radius(self, t: tuple[int, ...], horizon: int) -> tuple[int, int]:
         _check_horizon(horizon)
         return (0, 1) if self.nilpotent(t) else (1, 1)
 
@@ -601,16 +541,23 @@ def _exceeds(p: tuple[int, int], q: tuple[int, int]) -> bool:
     return p[0] * q[1] > q[0] * p[1]
 
 
-class _LatticeRing(NamedTuple):
-    """End(G) of a lattice as ``_ring`` serves it.
+class _LatticeRing:
+    """End(G) of a lattice for one metric, the twin of ``_RingView`` (see ``_ring``):
+    each map is its own handle, and the view keeps the metric's weights as one
+    integer ratio matrix and, per map, its norm and measure as (num, den) pairs."""
 
-    Each map is its own handle, and its norm, measure and radius bound are
-    the lru-cached ``Fraction`` values as (num, den) pairs.
-    """
-
-    metric: Metric
+    def __init__(self, group: Group, metric: Metric):
+        self.group, self.metric = group, metric
+        w = metric.weights
+        q = math.lcm(*(x.denominator for x in w))
+        p = math.lcm(*(x.numerator for x in w))
+        u = tuple(x.numerator * (q // x.denominator) for x in w)  # q * w_i
+        v = tuple(x.denominator * (p // x.numerator) for x in w)  # p / w_j
+        self.weights = _Weights(u, v, q * p, isinstance(metric, LinfMetric))
+        self._bounds = {}
 
     def handle(self, T: Endomorphism) -> Endomorphism:
+        _same_group(T, self)
         return T
 
     def compose(self, T: Endomorphism, S: Endomorphism) -> Endomorphism:
@@ -620,10 +567,50 @@ class _LatticeRing(NamedTuple):
         return T.sub(S)
 
     def norm(self, T: Endomorphism) -> tuple[int, int]:
-        return _pair(op_norm(T, self.metric))
+        return self.bounds(T)[0]
 
     def measure(self, T: Endomorphism) -> tuple[int, int]:
-        return _pair(injectivity_measure(T, self.metric))
+        return self.bounds(T)[1]
+
+    def bounds(self, T: Endomorphism) -> tuple[tuple[int, int], tuple[int, int]]:
+        """||M / d|| and 1 / ||N / e|| with N / e = (M / d)^-1, or 0 for a singular
+        M, whose kernel holds a lattice direction after scaling."""
+        bounds = self._bounds.get(T)
+        if bounds is None:
+            M, d = _scaled(T.matrix)
+            inverse = _scaled_inverse(M, d)
+            measure = (0, 1) if inverse is None else _pair(_lattice_measure(*inverse, self.weights))
+            bounds = self._bounds[T] = _pair(_lattice_norm(M, d, self.weights)), measure
+        return bounds
+
+    def bracket(self, T: Endomorphism, horizon: int) -> RhoBracket:
+        """``spectral_radius`` from root bounds of T's first ``horizon`` powers."""
+        integral = isinstance(self.group, IntLattice)
+        if integral and T.power(self.group.dim).is_zero:
+            return _exact_bracket(0)
+        M, d = _scaled(T.matrix)
+        inverse = _scaled_inverse(M, d)
+        # every power of a singular map is singular, with measure 0
+        inverse_powers = itertools.repeat(None) if inverse is None else _powers(*inverse)
+        upper = None
+        lower = Fraction(int(integral))
+        for m, power, inverse_power in zip(range(1, horizon + 1), _powers(M, d), inverse_powers):
+            # a root can lower ``upper`` only if upper^m > q, raise ``lower``
+            # only if lower^m < mu
+            q = _lattice_norm(*power, self.weights)
+            if upper is None or upper ** m > q:
+                upper_m = root_upper(q, m)
+                if upper is None or upper_m < upper:
+                    upper = upper_m
+            if inverse_power is None:
+                continue
+            mu_m = _lattice_measure(*inverse_power, self.weights)
+            if lower ** m < mu_m:
+                lower_m = root_lower(mu_m, m)
+                if lower_m > lower:
+                    lower = lower_m
+        lower = min(lower, upper)
+        return RhoBracket(lower, upper, lower == upper)
 
     def radius(self, T: Endomorphism, horizon: int) -> tuple[int, int]:
         """The upper end of the spectral-radius bracket."""
@@ -635,16 +622,17 @@ class _LatticeRing(NamedTuple):
 def _ring(group: Group, metric: Metric) -> _RingView | _LatticeRing:
     """End(group) under ``metric``, as handles and (num, den) int pairs.
 
-    Ring operations on handles give handles, and norm, measure and radius
-    bound are pairs with den > 0.  A handle is a value that names its map in
-    every view: on a finite group the map's entries as one flat tuple, row by
-    row, on a lattice the map itself with its ``Fraction`` bounds.  A metric
-    that does not fit the group is refused here, by ``groups._check_metric``.
+    The one place where an operator quantity picks its group kind.  Ring
+    operations on handles give handles, norm, measure and radius bound are
+    pairs with den > 0, and ``bracket`` is ``spectral_radius``'s.  A handle
+    names its map in every view: on a finite group the map's entries as one
+    flat tuple, row by row, on a lattice the map itself.  A metric that does
+    not fit the group is refused here, by ``groups._check_metric``.
     """
     _check_metric(group, metric)
     if isinstance(group, FiniteGroup):
         return _RingView(group, metric)
-    return _LatticeRing(metric)
+    return _LatticeRing(group, metric)
 
 
 # ---------------------------------------------------------------------------

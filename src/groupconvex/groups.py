@@ -28,6 +28,7 @@ from .errors import (
     DimensionMismatch,
     GroupMismatch,
     MetricGroupMismatch,
+    NotAHomomorphism,
     NotDivisible,
     NotEnumerable,
     UnsupportedCombination,
@@ -93,10 +94,6 @@ class Group:
     def matrix(self, rows: Sequence[Sequence]) -> tuple[tuple, ...]:
         """Canonical rows of a square matrix: column j is T(e_j), an element."""
         raise NotImplementedError
-
-    def _ring_matrix(self, rows: Sequence[Sequence]) -> tuple[tuple, ...]:
-        """``matrix`` for sums, differences and products of canonical rows."""
-        return self.matrix(rows)
 
     def format_scalar(self, value: Scalar) -> str:
         """The session-file text of a coordinate or matrix entry."""
@@ -174,13 +171,14 @@ class FiniteGroup(Group):
         return tuple(map(operator.mod, map(as_int, coords), self.moduli))
 
     def matrix(self, rows):
-        return tuple(
-            tuple(as_int(a) % m for a in row) for row, m in zip(rows, self.moduli)
-        )
-
-    def _ring_matrix(self, rows):
-        # entries built from canonical ints are ints: only the residue is new
-        return tuple(tuple(a % m for a in row) for row, m in zip(rows, self.moduli))
+        """Entries mod their row's modulus; ``NotAHomomorphism`` names the first
+        entry that breaks a_ij * m_j = 0 (mod m_i), well-definedness on residues."""
+        matrix = tuple(tuple(as_int(a) % m for a in row) for row, m in zip(rows, self.moduli))
+        for (i, m_i), (j, m_j) in itertools.product(enumerate(self.moduli), repeat=2):
+            a = matrix[i][j]
+            if a * m_j % m_i:
+                raise NotAHomomorphism(i, j, f"entry ({i},{j})={a}: {a}*{m_j} is not 0 mod {m_i}")
+        return matrix
 
     def elements(self) -> Iterator[Vector]:
         """All elements in lexicographic order."""

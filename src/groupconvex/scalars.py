@@ -50,12 +50,24 @@ def dyadic_exponent(q: Fraction) -> int:
     return q.denominator.bit_length() - 1
 
 
+# largest k of a "p/2^k" literal: 64 times the 2^14 that the 14 squarings of a
+# capped midpoint recursion take 1/2 to; such a literal parses in milliseconds
+_EXPONENT_CAP = 1 << 20
+
+
 def parse_scalar(text: str) -> Fraction:
-    """Parse "p", "p/q" or "p/2^k" into an exact Fraction."""
+    """Parse "p", "p/q" or "p/2^k" into an exact Fraction; a k outside
+    [0, ``_EXPONENT_CAP``], or the exponent notation ``Fraction`` reads
+    ("1e100000000" is 10^(10^8)), is refused before any power is computed."""
     text = text.strip()
     if "/2^" in text:
         num, _, exp = text.partition("/2^")
-        return Fraction(int(num), 2 ** int(exp))
+        k = int(exp)
+        if not 0 <= k <= _EXPONENT_CAP:
+            raise ValueError(f"the exponent k of p/2^k must lie in [0, {_EXPONENT_CAP}], got {k}")
+        return Fraction(int(num), 2 ** k)
+    if "e" in text or "E" in text:
+        raise ValueError(f"exponent notation is not an exact scalar literal: {text!r}")
     return Fraction(text)
 
 

@@ -32,7 +32,9 @@ from groupconvex import (
     sample,
     scaling,
 )
-from groupconvex.errors import DimensionMismatch, MetricGroupMismatch
+from groupconvex.errors import DimensionMismatch, HypothesisFailed, MetricGroupMismatch
+from groupconvex.theorems import Instance, Params, PropertyId, verify
+from groupconvex.verdicts import Status, proved
 
 _ENTRIES = [Fraction(v) for v in ("-3/2", "-1", "-3/4", "-1/4", "0", "1/8", "1/2", "3/4", "1", "5/4")]
 
@@ -200,3 +202,36 @@ def test_linear_bounds_reads_ints_and_fractions_alike():
     # the same bounds on the scale 4 * 2: row * 4 and the box * 2
     scaled = cx.linear_bounds((-3, 8, 0), (-1, 2, 10), (3, 8, 14))
     assert scaled == tuple(8 * b for b in cx.linear_bounds(row, lo, hi))
+
+
+# -- the refuting branches of the box checkers ---------------------------------
+def test_sum_inclusion_on_a_box_refutes_with_a_checked_corner_witness(monkeypatch):
+    # T2 = [-1/2] does not make D = [0, 1] convex; with that one hypothesis
+    # forced, T1(D) + T2(D) = [-1/2, 1] overflows (T1 + T2)(D) = [0, 1/2]
+    g = DyadicLattice(1)
+    T1, T2 = make_endo(g, [[1]]), make_endo(g, [[Fraction(-1, 2)]])
+    inst = Instance(g, LinfMetric((1,)), endos={"T1": T1, "T2": T2},
+                    sets={"D": box_set(g, [0], [1])}, params=Params(n0=2))
+    with pytest.raises(HypothesisFailed, match="'T2' makes D convex"):
+        verify(PropertyId.THM_NK, inst)
+    monkeypatch.setattr(cx, "is_T_convex", lambda D, T: proved())
+    for prop in (PropertyId.THM_NK, PropertyId.THM_NK_PLUS):
+        verdict = verify(prop, inst)
+        assert verdict.status is Status.REFUTED
+        assert verdict.witness == (((1,), (0,)), (1,))
+        (x1, x2), point = verdict.witness
+        assert all(0 <= Fraction(x[0]) <= 1 for x in (x1, x2))
+        assert point[0] == Fraction(x1[0]) - Fraction(x2[0]) / 2
+        assert not 0 <= point[0] <= Fraction(1, 2)
+
+
+def test_n_convexity_witness_of_a_box_narrower_than_one():
+    D = box_set(DyadicLattice(1), [0], [Fraction(1, 4)])
+    verdict = cx.is_n_convex(D, 3)
+    assert verdict.status is Status.REFUTED
+    parts, total = verdict.witness
+    assert parts == ((Fraction(1, 4),), (0,), (0,)) and total == (Fraction(1, 4),)
+    assert all(0 <= Fraction(x) <= Fraction(1, 4) for (x,) in parts)
+    assert sum(Fraction(x) for (x,) in parts) == Fraction(total[0])
+    third = Fraction(total[0]) / 3
+    assert third.denominator & (third.denominator - 1)  # not a power of two

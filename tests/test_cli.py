@@ -176,6 +176,37 @@ def test_cmd_norm_of_a_negative_element_after_a_double_dash(capsys):
     assert capsys.readouterr().out.strip() == "1/2"
 
 
+@pytest.mark.parametrize(
+    "session, element",
+    [
+        ("z121.json", ["--", "1/0"]),
+        ("dyadic2.json", ["--", "1/2^-3,0"]),
+        # 2^(10^10) would take more than a gigabyte to build
+        ("dyadic2.json", ["1/2^10000000000,0"]),
+    ],
+)
+def test_a_malformed_element_literal_is_an_input_error(capsys, session, element):
+    path = str(Path(__file__).resolve().parents[1] / "bench" / "sessions" / session)
+    assert main(["norm", path, *element]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed element: "), captured.err
+
+
+@pytest.mark.parametrize(
+    "where, session",
+    [
+        ("set 'D'", {"sets": {"D": {"kind": "box", "lo": ["1/2^-1"], "hi": ["1"]}}}),
+        ("metric", {"metric": {"kind": "linf", "weights": ["1/2^10000000000"]}}),
+        ("endomorphism 'T'", {"endos": {"T": [["1e100000000"]]}}),
+    ],
+)
+def test_a_session_literal_reads_its_exponent_as_an_element_does(tmp_path, capsys, where, session):
+    data = {"group": {"kind": "dyadic", "dim": 1}, "metric": {"kind": "linf", "weights": ["1"]}, **session}
+    assert main(["norm", _session_file(tmp_path, data), "0"]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith(f"error: malformed {where}: ValueError: ")
+
+
 def test_cmd_endo_norm(z9_session, capsys):
     assert main(["endo-norm", z9_session, "T"]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "2"

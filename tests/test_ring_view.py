@@ -497,3 +497,49 @@ def test_a_search_meeting_more_maps_than_elements_builds_no_table():
 def test_exhaustive_search_proves_the_whole_ring_of_z4x4(prop):
     gen = GeneratorConfig(group=FiniteGroup((4, 4)), exhaustive=True)
     assert counterexample_search(prop, gen, budget=65536, seed=0).proved
+
+
+# -- the lattice view ---------------------------------------------------------------
+_D2 = DyadicLattice(2)
+_D2_METRIC = LinfMetric((1, Fraction(1, 2)))
+_D2_MAPS = {
+    "T": make_endo(_D2, [[Fraction(1, 2), 1], [0, Fraction(3, 4)]]),
+    "S": make_endo(_D2, [[2, Fraction(-1, 4)], [1, 1]]),
+    "N": make_endo(_D2, [[1, 2], [Fraction(1, 2), 1]]),  # singular: measure 0
+}
+
+
+def test_the_lattice_measure_checkers_ask_no_operator_quantity(monkeypatch):
+    def refused(*args):
+        raise AssertionError("a bound was asked outside the lattice view")
+
+    for cached in (en.op_norm, en.injectivity_measure, en._ring, props._scalar_specialization):
+        cached.cache_clear()
+    monkeypatch.setattr(en, "op_norm", refused)
+    monkeypatch.setattr(en, "injectivity_measure", refused)
+    inst = Instance(_D2, _D2_METRIC, endos=dict(_D2_MAPS))
+    assert verify(PropertyId.LEMMA_MU, inst).proved
+    assert verify(PropertyId.COR_MU, inst).proved
+
+
+def test_a_lattice_view_eliminates_each_map_once(monkeypatch):
+    eliminated = []
+    real = en._scaled_inverse
+    monkeypatch.setattr(en, "_scaled_inverse", lambda M, d: eliminated.append(M) or real(M, d))
+    en._ring.cache_clear()
+    view = en._ring(_D2, _D2_METRIC)
+    maps = list(_D2_MAPS.values())
+    for _ in range(2):
+        # the view keeps its bounds apart from the operator quantities' caches
+        en.op_norm.cache_clear()
+        en.injectivity_measure.cache_clear()
+        for T in maps:
+            h = view.handle(T)
+            assert Fraction(*view.norm(h)) == en.op_norm(T, _D2_METRIC)
+            assert Fraction(*view.measure(h)) == en.injectivity_measure(T, _D2_METRIC)
+    assert len(eliminated) == len(maps)
+    assert view.measure(view.handle(_D2_MAPS["N"])) == (0, 1)
+    en._ring.cache_clear()
+    en.injectivity_measure.cache_clear()
+    en.injectivity_measure(maps[0], _D2_METRIC)  # a new view eliminates again
+    assert len(eliminated) == len(maps) + 1

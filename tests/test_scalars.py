@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groupconvex import scalars
 from groupconvex.scalars import (
     as_int,
     format_dyadic,
@@ -22,6 +23,19 @@ def test_parse_scalar_forms():
     assert parse_scalar("3/4") == Fraction(3, 4)
     assert parse_scalar("3/2^2") == Fraction(3, 4)
     assert parse_scalar("-5/2^3") == Fraction(-5, 8)
+
+
+def test_parse_scalar_refuses_an_exponent_outside_its_range_before_computing_it():
+    cap = scalars._EXPONENT_CAP
+    q = Fraction(-3, 2 ** cap)
+    assert parse_scalar(format_dyadic(q)) == q
+    for k in (-1, cap + 1, 10 ** 10):
+        with pytest.raises(ValueError, match=f"must lie in \\[0, {cap}\\], got {k}$"):
+            parse_scalar(f"1/2^{k}")
+    # Fraction alone would read a decimal exponent and compute 10^(10^8)
+    for text in ("1e100000000", "3E2", "1.5e-3"):
+        with pytest.raises(ValueError, match="exponent notation"):
+            parse_scalar(text)
 
 
 def test_as_int_names_a_fraction_as_text():
