@@ -4,17 +4,17 @@ Two set representations are supported: explicit finite sets and symbolic
 lattice boxes.  Mixed-kind sums are rejected rather than approximated so
 that every ``Proved`` verdict is exact.
 
-A set D is convex for an endomorphism T when T(x) + (I-T)(y) lands in D
-for all x, y in D; the n-fold sumset [n]A and the dilation n*A give the
-related notion of n-convexity ([n]A inside n*A).  Convexity is decided,
-never sampled: finite sets exhaustively over pairs, boxes exactly for every
-T by corner bounds (each coordinate of the combination is linear in (x, y),
-so its extremes over D x D sit at corners, which are points of D).
-A box and a map are each carried on one power-of-two integer scale per
-call, as lattice maps are in ``endo`` (``_scaled``, A = M/d), so corner
-bounds are int sums.  ``sample`` draws member points for the search's
-instance drawers.  Convex hulls are computed as least fixed points of the
-one-step closure.
+A set D is convex for an endomorphism T when T(x) + (I-T)(y) lands in D for
+all x, y in D; the n-fold sumset [n]A and the dilation n*A give the related
+notion of n-convexity ([n]A inside n*A).  Convexity is decided, never
+sampled: finite sets exhaustively over pairs, boxes exactly for every T by
+corner bounds (each coordinate of the combination is linear in (x, y), so
+its extremes over D x D sit at corners, which are points of D).  A box and a
+map are each carried on one power-of-two integer scale per call, as lattice
+maps are in ``endo`` (``_scaled``, A = M/d), so corner bounds are int sums.
+Finite sets are walked in the group's one coding, ``groups._coding``.
+``sample`` draws member points for the search's instance drawers.  Convex
+hulls are computed as least fixed points of the one-step closure.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, lru_cache, reduce
-from typing import Callable, Iterable, NamedTuple, Sequence
+from functools import lru_cache, reduce
+from typing import Callable, Iterable, Sequence
 
 from .endo import Endomorphism, _scaled, all_endomorphisms, identity
 from .endo import zero as zero_endo
@@ -39,7 +39,7 @@ from .errors import (
     UnsupportedRepresentation,
 )
 from .groups import DyadicLattice, FiniteGroup, Group, IntLattice, Metric, Vector, norm
-from .groups import _PAIR_CAP, _TABLE_CAP, _check_cap, _check_metric, _positive_index, _same_group
+from .groups import _PAIR_CAP, _check_cap, _check_metric, _coding, _positive_index, _same_group
 from .verdicts import Verdict, proved, refuted
 
 
@@ -306,68 +306,6 @@ def _kernel_fault(what: str) -> InvariantViolated:
     what the tuples confirm is a fault in the coding, not a witness.
     """
     return InvariantViolated(f"the pair loop refuted {what}, but the tuple re-check does not")
-
-
-def _same(x):
-    return x
-
-
-class _Coding(NamedTuple):
-    """How one pass of a pair loop codes the points of a group.
-
-    ``code`` and ``point`` turn an element into its code and back,
-    ``plus(a, b)`` is the code of a + b, ``neg`` gives the code of -x, and
-    ``image(T)`` is x -> the code of T(x).
-    """
-
-    code: Callable
-    point: Callable
-    plus: Callable
-    neg: Callable
-    image: Callable
-
-
-# a pass meets one or two groups, so only the last 8 groups' codings are kept
-@lru_cache(maxsize=8)
-def _coding(group: Group) -> _Coding:
-    """Lex indices on a finite group within the caps, the tuples themselves elsewhere.
-
-    On indices every step is a lookup.  With coordinate j in a slot of width
-    2*m_j, padded codes add with no carry between slots: ``pads[i]`` is the
-    padded code of element i, ``folds[s]`` reduces each slot of s mod m_j back
-    to a lex index and ``top`` is the padded (m_1, ..., m_k), so a + b is
-    folds[pads[a] + pads[b]] and -a is folds[top - pads[a]]; T(x) is T's
-    image array (``_image_array``).  A group of more than ``_TABLE_CAP``
-    elements or ``_PAIR_CAP`` padded codes (2^k * |G| for k moduli), and the
-    lattices, run on tuples: ``group.add``, ``group.neg`` and ``T.apply``,
-    each T(x) computed once per pass.  Since 2^k <= |G|, every group of at
-    most 1,024 elements runs on indices.
-    """
-    if (
-        not isinstance(group, FiniteGroup)
-        or group.order > _TABLE_CAP
-        or group.order << group.dim > _PAIR_CAP
-    ):
-        return _Coding(_same, _same, group.add, group.neg, lambda T: cache(T.apply))
-    pads, folds, top = (0,), (0,), 0
-    for m in group.moduli:
-        pads = tuple(a * 2 * m + r for a in pads for r in range(m))
-        folds = tuple(a * m + r for a in folds for r in (*range(m), *range(m)))
-        top = top * 2 * m + m
-    elements = tuple(group.elements())
-    return _Coding(
-        dict(zip(elements, itertools.count())).__getitem__,
-        elements.__getitem__,
-        lambda a, b: folds[pads[a] + pads[b]],
-        lambda a: folds[top - pads[a]],
-        lambda T: _image_array(T).__getitem__,
-    )
-
-
-# the image arrays of the last 1,024 maps that a pass on lex indices met
-@lru_cache(maxsize=1024)
-def _image_array(T: Endomorphism) -> tuple[int, ...]:
-    return tuple(T.group.image_indices(T.matrix))
 
 
 def linear_bounds(row: Sequence, lo: Sequence, hi: Sequence) -> tuple:

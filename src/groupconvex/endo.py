@@ -575,21 +575,24 @@ class _LatticeRing:
     def bounds(self, T: Endomorphism) -> tuple[tuple[int, int], tuple[int, int]]:
         """||M / d|| and 1 / ||N / e|| with N / e = (M / d)^-1, or 0 for a singular
         M, whose kernel holds a lattice direction after scaling."""
-        bounds = self._bounds.get(T)
-        if bounds is None:
-            M, d = _scaled(T.matrix)
-            inverse = _scaled_inverse(M, d)
+        return self._bounds.get(T) or self._eliminated(T)[3]
+
+    def _eliminated(self, T: Endomorphism) -> tuple:
+        """(M, d, N / e or None, bounds) from one elimination; the view keeps the
+        bounds for ``bounds``, not M and N, which every map would then keep."""
+        M, d = _scaled(T.matrix)
+        inverse = _scaled_inverse(M, d)
+        if T not in self._bounds:
             measure = (0, 1) if inverse is None else _pair(_lattice_measure(*inverse, self.weights))
-            bounds = self._bounds[T] = _pair(_lattice_norm(M, d, self.weights)), measure
-        return bounds
+            self._bounds[T] = _pair(_lattice_norm(M, d, self.weights)), measure
+        return M, d, inverse, self._bounds[T]
 
     def bracket(self, T: Endomorphism, horizon: int) -> RhoBracket:
         """``spectral_radius`` from root bounds of T's first ``horizon`` powers."""
         integral = isinstance(self.group, IntLattice)
         if integral and T.power(self.group.dim).is_zero:
             return _exact_bracket(0)
-        M, d = _scaled(T.matrix)
-        inverse = _scaled_inverse(M, d)
+        M, d, inverse, *_ = self._eliminated(T)
         # every power of a singular map is singular, with measure 0
         inverse_powers = itertools.repeat(None) if inverse is None else _powers(*inverse)
         upper = None

@@ -11,7 +11,7 @@ norm ratios stay exactly computable.  Weighted cyclic norms on finite groups
 and weighted L1/Linf norms on lattices are norms by construction; L1/Linf
 and table norms on finite groups are checked exhaustively against one norm
 table per (group, metric), which operator norms and injectivity measures
-read as well.
+read as well, on ``_coding``, the one lex-index view of a finite group.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterator, Mapping, Sequence
+from functools import cache, lru_cache
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -484,12 +484,71 @@ def distance(group: Group, metric: Metric, x: Vector, y: Vector) -> Fraction:
     return norm(group, metric, group.sub(x, y))
 
 
-# most elements ``norm_table``, ``FiniteGroup.image_indices`` and
-# ``convexity._coding`` enumerate, and most pairs (x, y) the L1/Linf and table
-# checks of ``validate_metric`` walk or padded codes ``convexity._coding``
-# folds; Z30xZ30 has 810,000 pairs
+# most elements ``norm_table``, ``FiniteGroup.image_indices`` and ``_coding``
+# enumerate, and most pairs (x, y) ``validate_metric`` walks or padded codes
+# ``_coding`` folds; Z30xZ30 has 810,000 pairs
 _TABLE_CAP = 1 << 16
 _PAIR_CAP = 1 << 20
+
+
+def _same(x):
+    return x
+
+
+class _Coding(NamedTuple):
+    """How one whole-group pass codes the points of a group: ``code`` and
+    ``point`` turn an element into its code and back, ``plus(a, b)`` is the
+    code of a + b, ``neg`` gives the code of -x, and ``image(T)`` is x -> the
+    code of T(x)."""
+
+    code: Callable
+    point: Callable
+    plus: Callable
+    neg: Callable
+    image: Callable
+
+
+# a pass meets one or two groups, so only the last 8 groups' codings are kept
+@lru_cache(maxsize=8)
+def _coding(group: Group) -> _Coding:
+    """Lex indices on a finite group within the caps, the tuples themselves elsewhere.
+
+    The one integer view of a finite group, where every step is a lookup.
+    With coordinate j in a slot of width 2*m_j, padded codes add with no
+    carry between slots: ``pads[i]`` is the padded code of element i,
+    ``folds[s]`` reduces each slot of s mod m_j back to a lex index and
+    ``top`` is the padded (m_1, ..., m_k), so a + b is
+    folds[pads[a] + pads[b]] and -a is folds[top - pads[a]]; T(x) is T's
+    image array (``_image_array``).  Beyond ``_TABLE_CAP`` elements or
+    ``_PAIR_CAP`` padded codes (2^k * |G| for k moduli, at most |G|^2, so no
+    group of at most 1,024 elements), and on lattices, a pass runs on tuples:
+    ``group.add``, ``group.neg`` and ``T.apply``, each T(x) once per pass.
+    """
+    if (
+        not isinstance(group, FiniteGroup)
+        or group.order > _TABLE_CAP
+        or group.order << group.dim > _PAIR_CAP
+    ):
+        return _Coding(_same, _same, group.add, group.neg, lambda T: cache(T.apply))
+    pads, folds, top = (0,), (0,), 0
+    for m in group.moduli:
+        pads = tuple(a * 2 * m + r for a in pads for r in range(m))
+        folds = tuple(a * m + r for a in folds for r in (*range(m), *range(m)))
+        top = top * 2 * m + m
+    elements = tuple(group.elements())
+    return _Coding(
+        dict(zip(elements, itertools.count())).__getitem__,
+        elements.__getitem__,
+        lambda a, b: folds[pads[a] + pads[b]],
+        lambda a: folds[top - pads[a]],
+        lambda T: _image_array(T).__getitem__,
+    )
+
+
+# the image arrays of the last 1,024 maps that a pass on lex indices met
+@lru_cache(maxsize=1024)
+def _image_array(T) -> tuple[int, ...]:
+    return tuple(T.group.image_indices(T.matrix))
 
 
 @lru_cache(maxsize=None)
@@ -523,25 +582,25 @@ def validate_metric(group: Group, metric: Metric) -> Verdict:
     Weighted L1/Linf norms on lattices hold by construction too.
 
     L1/Linf and table norms on finite groups are checked exhaustively over
-    all elements and then all pairs (x, y) in lexicographic order, reading
-    ``norm_table``, whose scale L > 0 keeps every comparison.  A refutation
-    carries the violated axiom and the offending elements.  A table must
-    list exactly the elements of the group.
+    the lex indices of ``_coding`` (0 is the zero element), all elements and
+    then all pairs (x, y) in order, reading ``norm_table``, whose scale L > 0
+    keeps every comparison.  A refutation carries the violated axiom and the
+    offending elements.  A table must list exactly the elements of the group.
     """
     _check_metric(group, metric)
     if isinstance(metric, CyclicMetric) or not isinstance(group, FiniteGroup):
         # positive weights make the three axioms hold identically (see above)
         return proved()
     _check_cap(f"the {metric.kind} check on {group}", group.order ** 2, "pairs", _PAIR_CAP)
-    table = dict(zip(group.elements(), norm_table(group, metric)))
-    zero = group.zero()
-    for x, v in table.items():
-        if (v == 0) != (x == zero) or v < 0:
-            return refuted(("positive definiteness", x))
-        if table[group.neg(x)] != v:
-            return refuted(("evenness", x))
-    for x, nx in table.items():
-        for y, ny in table.items():
-            if table[group.add(x, y)] > nx + ny:
-                return refuted(("subadditivity", x, y))
+    norms = norm_table(group, metric)
+    c = _coding(group)  # on indices: 2^k <= |G|, so 2^k * |G| <= |G|^2 <= _PAIR_CAP
+    for a, v in enumerate(norms):
+        if (v == 0) != (a == 0) or v < 0:
+            return refuted(("positive definiteness", c.point(a)))
+        if norms[c.neg(a)] != v:
+            return refuted(("evenness", c.point(a)))
+    for a, na in enumerate(norms):
+        for b, nb in enumerate(norms):
+            if norms[c.plus(a, b)] > na + nb:
+                return refuted(("subadditivity", c.point(a), c.point(b)))
     return proved()

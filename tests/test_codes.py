@@ -42,7 +42,7 @@ from groupconvex import (
     t_convex_pointwise,
     zero,
 )
-from groupconvex import convexity
+from groupconvex import convexity, groups
 from groupconvex.convexity import _coding
 from groupconvex.errors import InvariantViolated
 from groupconvex.groups import CyclicMetric
@@ -104,13 +104,13 @@ def _same(verdict, reference):
 
 def _tuple_coding(group):
     """The coding that ``_coding`` gives a lattice, for any group."""
-    return convexity._Coding(
-        convexity._same, convexity._same, group.add, group.neg, lambda T: cache(T.apply)
+    return groups._Coding(
+        groups._same, groups._same, group.add, group.neg, lambda T: cache(T.apply)
     )
 
 
 def _on_tuples(group):
-    return _coding(group).point is convexity._same
+    return _coding(group).point is groups._same
 
 
 def _routings(monkeypatch):
@@ -424,6 +424,17 @@ def test_large_cyclic_groups_run_on_lex_indices(order, step, hulls, monkeypatch)
     assert is_T_convex(subgroup, triple).proved
     assert t_convex_pointwise(subgroup, triple).proved
     assert convex_hull(subgroup, [triple]) == (subgroup, True)
+
+
+def test_convexity_calls_the_coding_that_groups_owns():
+    assert convexity._coding is groups._coding
+    groups._coding.cache_clear()
+    z9 = FiniteGroup((9,))
+    assert is_T_convex(finite_set(z9, [[0], [3], [6]]), make_endo(z9, [[4]])).proved
+    # the metric check of the same group reads the same coding
+    assert groups.validate_metric.__wrapped__(z9, groups.L1Metric((1,))).refuted
+    info = groups._coding.cache_info()
+    assert info.misses == 1 and info.hits >= 1, info
 
 
 def test_a_verify_builds_the_coding_of_its_group_once():

@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from groupconvex import FiniteGroup, all_endomorphisms, convexity, family_of, finite_set
+from groupconvex import FiniteGroup, all_endomorphisms, convexity, family_of, finite_set, groups
 from groupconvex.errors import NotEnumerable
 
 
@@ -71,7 +71,7 @@ def test_family_matches_the_pair_loop_on_drawn_subsets(moduli):
 def test_family_without_tables_runs_on_tuples():
     # 2^6 * 30,030 padded codes, beyond the pair cap, so it is coded by its tuples
     group = FiniteGroup((2, 3, 5, 7, 11, 13))
-    assert convexity._coding(group).point is convexity._same
+    assert convexity._coding(group).point is groups._same
     for points in (
         [[0] * 6],
         [[0] * 6, [1] * 6],

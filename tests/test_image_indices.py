@@ -27,6 +27,7 @@ from groupconvex import (
     try_inverse,
     validate_metric,
 )
+from groupconvex import groups
 from groupconvex.verdicts import proved, refuted
 
 RINGS = [(2, 4), (3, 6), (4, 4)]
@@ -128,6 +129,26 @@ def test_validate_metric_agrees_with_the_fraction_walk():
             assert repr(verdict) == repr(_reference_validate(group, metric)), (group, metric)
             outcomes[verdict.witness[0] if verdict.witness else "proved"] += 1
     assert set(outcomes) == {"proved", "positive definiteness", "evenness", "subadditivity"}, outcomes
+
+
+def test_validate_metric_makes_no_tuple_arithmetic(monkeypatch):
+    # the oracle reads add and neg, so every answer is taken before they refuse
+    cases = []
+    for moduli in VALIDATED_GROUPS:
+        group = FiniteGroup(moduli)
+        rng = random.Random(sum(moduli) * 31 + len(moduli))
+        cases += [(group, metric, _reference_validate(group, metric)) for metric in _metrics(group, rng)]
+
+    def refuse(*args):
+        raise AssertionError("validate_metric did tuple arithmetic")
+
+    validate_metric.cache_clear()
+    groups._coding.cache_clear()
+    for name in ("add", "neg", "sub"):
+        monkeypatch.setattr(FiniteGroup, name, refuse)
+    for group, metric, reference in cases:
+        assert repr(validate_metric(group, metric)) == repr(reference), (group, metric)
+    validate_metric.cache_clear()
 
 
 def test_family_of_cache_stays_bounded():

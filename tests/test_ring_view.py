@@ -543,3 +543,15 @@ def test_a_lattice_view_eliminates_each_map_once(monkeypatch):
     en.injectivity_measure.cache_clear()
     en.injectivity_measure(maps[0], _D2_METRIC)  # a new view eliminates again
     assert len(eliminated) == len(maps) + 1
+
+
+def test_a_radius_and_its_bounds_share_one_elimination(monkeypatch):
+    # LEMMA_SR asks each named map for its radius bracket and its measure
+    eliminated = []
+    real = en._scaled_inverse
+    monkeypatch.setattr(en, "_scaled_inverse", lambda M, d: eliminated.append(M) or real(M, d))
+    for cached in (en.op_norm, en.injectivity_measure, en.spectral_radius, en._ring):
+        cached.cache_clear()
+    endos = {name: _D2_MAPS[name] for name in ("T", "S")}
+    assert verify(PropertyId.LEMMA_SR, Instance(_D2, _D2_METRIC, endos=endos)).proved
+    assert len(eliminated) == len(endos)

@@ -298,10 +298,12 @@ def test_exa_tilde(zline, linf1):
 
 
 def test_exa_tilde_collapses_on_tiny_modulus():
-    # on Z3 multiplication by 2 and by 5 coincide, so the refutation vanishes
-    z3 = FiniteGroup((3,))
-    verdict = verify(PropertyId.EXA_TILDE, Instance(z3, CyclicMetric((Fraction(1),))))
-    assert verdict.refuted
+    # on Z2 multiplication by 2 and by 4 coincide, on Z3 and Z3xZ3 by 2 and
+    # by 5, so the example's premise fails and nothing is refuted
+    for moduli in ((2,), (3,), (3, 3)):
+        group = FiniteGroup(moduli)
+        with pytest.raises(HypothesisFailed, match="four distinct maps"):
+            verify(PropertyId.EXA_TILDE, Instance(group, CyclicMetric((Fraction(1),) * len(moduli))))
 
 
 # -- search -------------------------------------------------------------------
